@@ -2,12 +2,16 @@
 
 Tick phases, in order:
 
-1. freeze the pose snapshot and rebuild the spatial index from it;
+1. freeze the pose snapshot: the pose arrays phase 4 left behind. The
+   spatial index, built once at set-up, is still exact from last tick;
 2. sense every robot against the snapshot (batch ray casting);
 3. step every controller on the phase-2 readings plus last tick's inbox
    and collision flag;
-4. resolve moves serially in ascending id order -- each robot sees lower
-   ids at their new positions and higher ids at the snapshot;
+4. resolve moves with the semantics of a serial pass in ascending id
+   order -- each robot sees lower ids at their new positions and higher ids
+   at the snapshot. Array accept, then serial residue: robots that no
+   order could block are accepted in one array pass; the rest run
+   `resolve_move` one by one in id order;
 5. deliver broadcasts using end-of-tick positions (arrive next tick);
 6. accumulate metrics.
 
@@ -35,19 +39,38 @@ from .controllers import (
     deliver_messages,
 )
 from .errors import ControllerError, SpawnError
-from .kinematics import ActuatorCommand, Limits, Pose, RobotBody, apply_command, resolve_move, wrap_angle
+from .kinematics import (  # noqa: F401 -- apply_command: kept bound for per-layer profilers
+    Limits,
+    Pose,
+    RobotBody,
+    apply_command,
+    apply_commands,
+    resolve_move,
+    wrap_angle,
+)
 from .rng import MASK64, RngStream, stream_seed
-from .sensing import SensorSpec, evenly_spaced_angles, readings_from_arrays, sense_batch
+from .sensing import (
+    SensorSpec,
+    _pairs_within,
+    evenly_spaced_angles,
+    readings_from_arrays,
+    sense_batch,
+)
 from .world import GridMap, RobotIndex, generate_arena, load_map, rebuild_index
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+# Added to the phase-4 pair reach, far above the rounding in |candidate -
+# snapshot| <= v_max, so the pair search never misses a contact.
+_CONTACT_MARGIN = 1e-6
 
 
 @dataclass(slots=True)
 class Metrics:
     canceled_moves: int = 0
     messages_delivered: int = 0
+    serial_moves: int = 0
     ticks_run: int = 0
     wall_seconds: float = 0.0
     steps_per_sec: float = 0.0
@@ -80,6 +103,7 @@ class RunReport:
             f"wall_seconds={m.wall_seconds!r}",
             f"steps_per_sec={m.steps_per_sec!r}",
             f"canceled_moves={m.canceled_moves}",
+            f"serial_moves={m.serial_moves}",
             f"messages_delivered={m.messages_delivered}",
             f"peak_mem_bytes={self.peak_mem_bytes}",
         ]
@@ -152,7 +176,11 @@ def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Co
 
 
 class Simulation:
-    """One configured run: owns the world, bodies, streams, and controller."""
+    """One configured run: owns the world, bodies, streams, and controller.
+
+    Only `step` moves the bodies: the spatial index and the pose arrays are
+    built from them once and then kept in step tick by tick, so a pose
+    edited from outside between ticks would not be seen."""
 
     def __init__(self, config: SimConfig, controller: Controller | None = None) -> None:
         self.config = config
@@ -183,6 +211,11 @@ class Simulation:
             rng_streams=streams,
             master_rng=master_rng,
         )
+        # Pose snapshot of the next tick, in id order; phase 4 keeps these
+        # arrays, the bodies and the index in step.
+        self._xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
+        self._ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
+        self._thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
 
     # -- one tick --------------------------------------------------------
 
@@ -192,12 +225,9 @@ class Simulation:
         n = len(bodies)
         grid = state.grid
 
-        # Phase 1: snapshot + fresh index.
-        state.index = rebuild_index(bodies, self.cell_size)
+        # Phase 1: snapshot. The index already holds these positions.
         index = state.index
-        xs = np.fromiter((b.pose.x for b in bodies), dtype=np.float64, count=n)
-        ys = np.fromiter((b.pose.y for b in bodies), dtype=np.float64, count=n)
-        thetas = np.fromiter((b.pose.theta for b in bodies), dtype=np.float64, count=n)
+        xs, ys, thetas = self._xs, self._ys, self._thetas
 
         # Phase 2: sense against the snapshot.
         normalized, hits = sense_batch(grid, xs, ys, thetas, self.config.robot_radius, self.spec)
@@ -231,23 +261,16 @@ class Simulation:
                 f"(v={v_arr[robot]!r}, w={w_arr[robot]!r})"
             )
 
-        # Phase 4: serial move resolution in id order; the index tracks each
-        # accepted move so later robots see earlier robots' new positions.
-        canceled = 0
-        limits = self.limits
-        for i in range(n):
-            body = bodies[i]
-            candidate = apply_command(
-                body.pose, ActuatorCommand(float(v_arr[i]), float(w_arr[i])), limits
-            )
-            moved_from = body.pose
-            new_pose, collided = resolve_move(grid, index, body, candidate)
-            if not collided and (new_pose.x != moved_from.x or new_pose.y != moved_from.y):
-                index.move(i, new_pose.x, new_pose.y)
-            body.pose = new_pose
-            body.collided_last_tick = collided
-            if collided:
-                canceled += 1
+        # Phase 4: move resolution.
+        cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
+        fx, fy, at_candidate, serial = self._resolve_moves(xs, ys, cx, cy, ctheta)
+        collided = ~at_candidate
+        for body, x, y, theta, hit in zip(
+            bodies, fx.tolist(), fy.tolist(), ctheta.tolist(), collided.tolist()
+        ):
+            body.pose = Pose(x, y, theta)
+            body.collided_last_tick = hit
+        self._xs, self._ys, self._thetas = fx, fy, ctheta
 
         # Phase 5: messaging at end-of-tick positions (index is up to date).
         delivered = 0
@@ -258,11 +281,108 @@ class Simulation:
 
         # Phase 6: metrics.
         metrics = state.metrics
-        metrics.canceled_moves += canceled
+        metrics.canceled_moves += int(np.count_nonzero(collided))
+        metrics.serial_moves += serial
         metrics.messages_delivered += delivered
         metrics.ticks_run += 1
         state.tick += 1
         return state
+
+    def _resolve_moves(
+        self, xs: np.ndarray, ys: np.ndarray, cx: np.ndarray, cy: np.ndarray, ctheta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Phase 4 with the outcome of a serial pass in ascending id order.
+
+        Every robot ends the tick at its candidate or at its snapshot. So a
+        robot whose candidate passes the clearance fast path of
+        `GridMap.disc_free` and has no other robot's snapshot or candidate
+        strictly within two radii is accepted by every serial order: it is
+        decided in arrays. The rest, the serial residue, run `resolve_move`
+        in id order against the index. Before each, its array-accepted
+        lower-id neighbours are moved into the index; the other accepted
+        robots are committed in bulk at the end.
+
+        Returns the end-of-tick positions, the mask of robots that end at
+        their candidate and the size of the serial residue. Leaves the index
+        exact for the end of tick.
+        """
+        state = self.state
+        grid = state.grid
+        index = state.index
+        bodies = state.bodies
+        r = self.config.robot_radius
+        d2 = (2.0 * r) * (2.0 * r)
+
+        icx = np.floor(cx).astype(np.int64)
+        icy = np.floor(cy).astype(np.int64)
+        inside = (icx >= 0) & (icy >= 0) & (icx < grid.width) & (icy < grid.height)
+        clear = grid.clearance[
+            np.clip(icy, 0, grid.height - 1), np.clip(icx, 0, grid.width - 1)
+        ]
+        accept = inside & (clear > r + 0.71)
+
+        # Every j that can come strictly within 2r of i's candidate, from its
+        # snapshot or its candidate, is within this reach of i's snapshot.
+        # Distances use the expression of `RobotIndex.any_within_strict`, so the
+        # strict test agrees with the serial path bit for bit.
+        pa, pb = _pairs_within(xs, ys, 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN)
+        cdx = cx[pb] - cx[pa]
+        cdy = cy[pb] - cy[pa]
+        candidates_close = cdx * cdx + cdy * cdy < d2
+        sdx = xs[pb] - cx[pa]
+        sdy = ys[pb] - cy[pa]
+        accept[pa[candidates_close | (sdx * sdx + sdy * sdy < d2)]] = False
+        sdx = xs[pa] - cx[pb]
+        sdy = ys[pa] - cy[pb]
+        accept[pb[candidates_close | (sdx * sdx + sdy * sdy < d2)]] = False
+
+        residue = np.flatnonzero(~accept)
+
+        # Array-accepted lower-id neighbours of each residue robot, grouped by
+        # robot and ascending within a group.
+        high = np.maximum(pa, pb)
+        low = np.minimum(pa, pb)
+        lower = ~accept[high] & accept[low]
+        li = high[lower]
+        lj = low[lower]
+        order = np.lexsort((lj, li))
+        li = li[order]
+        lj = lj[order].tolist()
+        lo = np.searchsorted(li, residue, side="left").tolist()
+        hi = np.searchsorted(li, residue, side="right").tolist()
+
+        pending = accept.tolist()  # accepted, index still at the snapshot
+        xs_l = xs.tolist()
+        ys_l = ys.tolist()
+        cx_l = cx.tolist()
+        cy_l = cy.tolist()
+        ct_l = ctheta.tolist()
+        moved: list[int] = []
+        for i, a, b in zip(residue.tolist(), lo, hi):
+            for j in lj[a:b]:
+                if pending[j]:
+                    index.move(j, cx_l[j], cy_l[j])
+                    pending[j] = False
+            x = cx_l[i]
+            y = cy_l[i]
+            _, hit = resolve_move(grid, index, bodies[i], Pose(x, y, ct_l[i]))
+            if not hit:
+                moved.append(i)
+                if x != xs_l[i] or y != ys_l[i]:
+                    index.move(i, x, y)
+        at_candidate = accept.copy()
+        at_candidate[moved] = True
+        fx = np.where(at_candidate, cx, xs)
+        fy = np.where(at_candidate, cy, ys)
+        # Accepted robots still at their snapshot in the index that change
+        # bucket (the same floor(pos / cell_size) as `RobotIndex.bucket_of`).
+        cs = index.cell_size
+        rebucket = np.array(pending, dtype=bool)
+        rebucket &= (np.floor(cx / cs) != np.floor(xs / cs)) | (
+            np.floor(cy / cs) != np.floor(ys / cs)
+        )
+        index.move_all(fx, fy, np.flatnonzero(rebucket).tolist())
+        return fx, fy, at_candidate, int(residue.size)
 
     def _validate_output(self, output: ControlOutput, robot: int, tick: int) -> None:
         if not isinstance(output, ControlOutput):

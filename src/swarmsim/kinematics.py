@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .world import GridMap, RobotIndex
 
 _PI = math.pi
@@ -76,6 +78,30 @@ def apply_command(pose: Pose, cmd: ActuatorCommand, limits: Limits) -> Pose:
     v = _clamp(cmd.v, -limits.v_max, limits.v_max)
     theta = wrap_angle(pose.theta + w)
     return Pose(pose.x + v * math.cos(theta), pose.y + v * math.sin(theta), theta)
+
+
+def apply_commands(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    thetas: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    limits: Limits,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`apply_command` for a whole swarm: candidate (x, y, theta) arrays,
+    bit-identical to the scalar form element by element. The trig stays in
+    `math.cos`/`math.sin`, and only out-of-range headings take the scalar
+    `wrap_angle`."""
+    w = np.clip(w, -limits.w_max, limits.w_max)
+    v = np.clip(v, -limits.v_max, limits.v_max)
+    theta = thetas + w
+    outside = np.flatnonzero(~((theta >= -_PI) & (theta < _PI)))
+    if outside.size:
+        theta[outside] = [wrap_angle(t) for t in theta[outside].tolist()]
+    angles = theta.tolist()
+    cos = np.fromiter(map(math.cos, angles), dtype=np.float64, count=theta.size)
+    sin = np.fromiter(map(math.sin, angles), dtype=np.float64, count=theta.size)
+    return xs + v * cos, ys + v * sin, theta
 
 
 def resolve_move(

@@ -331,67 +331,60 @@ def _wall_batch(
     return t_hit
 
 
-def _candidate_pairs(
+# Forward half of the 3x3 bin neighbourhood (x, y offsets). With the later
+# members of a robot's own bin, it reaches every unordered pair of robots in
+# neighbouring bins exactly once.
+_HALF_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directed robot pairs (i, j), i != j, with center distance <= reach.
-    Uses coarse bins of size `reach` above _ALL_PAIRS_LIMIT robots."""
+    """Robot pairs (a, b), a != b, with center distance <= reach, each
+    unordered pair once. Uses coarse bins of size `reach` above
+    _ALL_PAIRS_LIMIT robots."""
     n = xs.size
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     if n <= _ALL_PAIRS_LIMIT:
-        pi = np.repeat(np.arange(n, dtype=np.int64), n)
-        pj = np.tile(np.arange(n, dtype=np.int64), n)
-        keep = pi != pj
-        pi = pi[keep]
-        pj = pj[keep]
-    else:
-        bx = np.floor(xs / reach).astype(np.int64)
-        by = np.floor(ys / reach).astype(np.int64)
-        span = by.max() - by.min() + 3
-        key = (bx - bx.min() + 1) * span + (by - by.min() + 1)
-        order = np.argsort(key, kind="stable")
-        ukey, ustart, ucount = np.unique(key[order], return_index=True, return_counts=True)
-        all_i: list[np.ndarray] = []
-        all_j: list[np.ndarray] = []
-        # Match occupied bins against their 3x3 neighborhood, then expand the
-        # member cross product of every matched bin pair in one shot.
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                target = ukey + (dx * span + dy)
-                pos = np.searchsorted(ukey, target)
-                found = pos < ukey.size
-                found &= ukey[np.minimum(pos, ukey.size - 1)] == target
-                src_bin = np.nonzero(found)[0]
-                if src_bin.size == 0:
-                    continue
-                dst_bin = pos[src_bin]
-                rows = ucount[src_bin] * ucount[dst_bin]
-                total = int(rows.sum())
-                if total == 0:
-                    continue
-                sel = np.repeat(np.arange(src_bin.size, dtype=np.int64), rows)
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(rows) - rows, rows
-                )
-                cb = ucount[dst_bin][sel]
-                ia = within // cb
-                ib = within - ia * cb
-                qi = order[ustart[src_bin][sel] + ia]
-                qj = order[ustart[dst_bin][sel] + ib]
-                keep = qi != qj
-                all_i.append(qi[keep])
-                all_j.append(qj[keep])
-        if not all_i:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        pi = np.concatenate(all_i)
-        pj = np.concatenate(all_j)
-    dx = xs[pj] - xs[pi]
-    dy = ys[pj] - ys[pi]
-    keep = dx * dx + dy * dy <= reach * reach
-    return pi[keep], pj[keep]
+        pa, pb = np.triu_indices(n, 1)
+        dx = xs[pb] - xs[pa]
+        dy = ys[pb] - ys[pa]
+        keep = dx * dx + dy * dy <= reach * reach
+        return pa[keep], pb[keep]
+    bx = np.floor(xs / reach).astype(np.int64)
+    by = np.floor(ys / reach).astype(np.int64)
+    span = by.max() - by.min() + 3
+    key = (bx - bx.min() + 1) * span + (by - by.min() + 1)
+    order = np.argsort(key, kind="stable")
+    ukey, ustart, ucount = np.unique(key[order], return_index=True, return_counts=True)
+    # Work in sorted slots: each robot pairs with a contiguous run of slots
+    # per stencil bin, first with the later slots of its own bin.
+    slot = np.arange(n, dtype=np.int64)
+    slot_bin = np.repeat(np.arange(ukey.size, dtype=np.int64), ucount)
+    sources = [slot]
+    firsts = [slot + 1]
+    counts = [ustart[slot_bin] + ucount[slot_bin] - slot - 1]
+    for dx, dy in _HALF_STENCIL:
+        target = ukey + (dx * span + dy)
+        pos = np.searchsorted(ukey, target)
+        found = pos < ukey.size
+        found &= ukey[np.minimum(pos, ukey.size - 1)] == target
+        src = np.flatnonzero(found[slot_bin])
+        dst_bin = pos[slot_bin[src]]
+        sources.append(src)
+        firsts.append(ustart[dst_bin])
+        counts.append(ucount[dst_bin])
+    src = np.concatenate(sources)
+    first = np.concatenate(firsts)
+    count = np.concatenate(counts)
+    total = int(count.sum())
+    sa = np.repeat(src, count)
+    sb = np.arange(total, dtype=np.int64) + np.repeat(first - (np.cumsum(count) - count), count)
+    sx = xs[order]
+    sy = ys[order]
+    dx = sx[sb] - sx[sa]
+    dy = sy[sb] - sy[sa]
+    keep = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
+    return order[sa[keep]], order[sb[keep]]
 
 
 def _uniform_belt_spacing(angles: tuple[float, ...]) -> float | None:
@@ -425,8 +418,8 @@ def _reduce_disc_hits(
 
 
 def _disc_hits_windowed(
-    pi: np.ndarray,
-    pj: np.ndarray,
+    pa: np.ndarray,
+    pb: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     thetas: np.ndarray,
@@ -441,31 +434,41 @@ def _disc_hits_windowed(
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Disc hits for a uniform belt: expand only the rays whose bearing can
-    geometrically reach each candidate disc.
+    geometrically reach each candidate disc. Takes each unordered pair
+    (pa, pb) once and tests it in both directions.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
     product). The window is widened by 1e-6 rad, orders of magnitude beyond
-    float rounding, so the exact test below never loses a candidate.
+    float rounding (the reverse bearing phi + pi included), so the exact
+    test below never loses a candidate.
     """
     t_best = np.full(n * k, np.inf)
     id_best = np.full(n * k, -1, dtype=np.int64)
-    dx = xs[pj] - xs[pi]
-    dy = ys[pj] - ys[pi]
+    dx = xs[pb] - xs[pa]
+    dy = ys[pb] - ys[pa]
     d = np.sqrt(dx * dx + dy * dy)
     phi = np.arctan2(dy, dx)
     with np.errstate(divide="ignore", invalid="ignore"):
         half_width = np.where(
             d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi
         ) + 1e-6
-    rel = phi - thetas[pi]
+    pi = np.concatenate((pa, pb))
+    pj = np.concatenate((pb, pa))
+    rel = np.concatenate((phi, phi + math.pi)) - thetas[pi]
+    half_width = np.concatenate((half_width, half_width))
     lo = np.ceil((rel - half_width) / delta).astype(np.int64)
     hi = np.floor((rel + half_width) / delta).astype(np.int64)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
+    counts = hi - lo + 1
+    live = np.flatnonzero(counts > 0)
+    if live.size == 0:
         return t_best.reshape(n, k), id_best.reshape(n, k)
+    pi = pi[live]
+    pj = pj[live]
+    lo = lo[live]
+    counts = counts[live]
+    total = int(counts.sum())
     row_pair = np.repeat(np.arange(pi.size, dtype=np.int64), counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     ray = (lo[row_pair] + within) % k
@@ -580,15 +583,16 @@ def sense_batch(
             max_range,
         ).reshape(idx.size, k)
 
-    pi, pj = _candidate_pairs(xs, ys, max_range + 2.0 * radius)
+    pa, pb = _pairs_within(xs, ys, max_range + 2.0 * radius)
     spacing = _uniform_belt_spacing(spec.angles)
     if spacing is not None:
         rob_t, rob_id = _disc_hits_windowed(
-            pi, pj, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, spacing, n, k
+            pa, pb, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, spacing, n, k
         )
     else:
         rob_t, rob_id = _disc_hits_batch(
-            pi, pj, xs, ys, ox, oy, dirx, diry, radius, max_range
+            np.concatenate((pa, pb)), np.concatenate((pb, pa)),
+            xs, ys, ox, oy, dirx, diry, radius, max_range,
         )
 
     wall_first = wall_t <= rob_t  # inf vs inf -> wall side, masked below

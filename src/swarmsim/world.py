@@ -181,6 +181,59 @@ class _PgmScanner:
         return value
 
 
+_P2_CHUNK = 1 << 20  # bytes of P2 pixel body parsed per numpy pass
+_IS_WS = np.zeros(256, dtype=np.bool_)
+_IS_WS[np.frombuffer(_PgmScanner._WS, dtype=np.uint8)] = True
+
+
+def _p2_pixels_fast(data: bytes, start: int, count: int, maxval: int) -> np.ndarray | None:
+    """The first `count` P2 pixel values after byte `start`, parsed with
+    numpy in chunks cut after a whitespace byte, with no Python object per
+    token. Returns None on anything unusual -- a byte that is neither an
+    ASCII digit nor whitespace anywhere in a parsed chunk (comments
+    included), a token of more than 3 digits, a value above maxval, or too
+    few tokens -- and the caller's token loop then gives the same pixels or
+    the precise error."""
+    body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    out = np.empty(count, dtype=np.uint8)
+    filled = 0
+    pos = 0
+    end = body.size
+    while filled < count and pos < end:
+        stop = min(pos + _P2_CHUNK, end)
+        chunk = body[pos:stop]
+        ws = _IS_WS[chunk]
+        if stop < end:  # cut after the chunk's last whitespace byte
+            last = ws.size - 1 - int(np.argmax(ws[::-1]))
+            if not ws[last]:
+                return None
+            chunk = chunk[: last + 1]
+            ws = ws[: last + 1]
+        pos += chunk.size
+        digit = chunk - np.uint8(48)  # wraps non-digits to values above 9
+        if not (ws | (digit <= 9)).all():
+            return None
+        # Every chunk starts after a whitespace byte or on the one that ends
+        # the header, so a token starts wherever whitespace turns to digits.
+        edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts
+        take = min(starts.size, count - filled)
+        starts = starts[:take]
+        lengths = lengths[:take]
+        if take and lengths.max() > 3:
+            return None
+        value = digit[starts].astype(np.uint16)
+        for k in (1, 2):
+            longer = np.flatnonzero(lengths > k)
+            value[longer] = value[longer] * 10 + digit[starts[longer] + k]
+        if take and value.max() > maxval:
+            return None
+        out[filled : filled + take] = value
+        filled += take
+    return out if filled == count else None
+
+
 def load_map(data: bytes) -> GridMap:
     """Parse a PGM image (ASCII ``P2`` or binary ``P5``, maxval <= 255) into a
     GridMap. A pixel is an obstacle iff its value is below 128. ``#`` comments
@@ -207,10 +260,11 @@ def load_map(data: bytes) -> GridMap:
             bad = start + int(np.argmax(values > maxval))
             raise MapLoadError(f"pixel above maxval at byte {bad}")
     else:
-        flat = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            flat[i] = scan.int_token("pixel value", 0, maxval)
-        values = flat
+        values = _p2_pixels_fast(data, scan.pos, count, maxval)
+        if values is None:
+            values = np.empty(count, dtype=np.uint8)
+            for i in range(count):
+                values[i] = scan.int_token("pixel value", 0, maxval)
     occupancy = (values < OBSTACLE_THRESHOLD).reshape(height, width)
     return GridMap(width, height, occupancy)
 
@@ -223,7 +277,7 @@ class RobotIndex:
 
     Buckets map a cell coordinate (floor(x / cell_size), floor(y / cell_size))
     to the ascending list of robot ids whose center lies in that cell. Built
-    fresh each tick, then updated incrementally as moves resolve.
+    once per run, then kept exact as moves resolve.
     """
 
     __slots__ = ("cell_size", "buckets", "positions", "radius")
@@ -261,6 +315,14 @@ class RobotIndex:
             if not members:
                 del self.buckets[old]
             insort(self.buckets.setdefault(new, []), robot_id)
+
+    def move_all(self, xs: np.ndarray, ys: np.ndarray, rebucket: Sequence[int]) -> None:
+        """Move every robot i to (xs[i], ys[i]) at once. Only the robots in
+        `rebucket` go through `move`; every other robot must already sit in
+        the bucket of its new position, so only its position is rewritten."""
+        for robot_id in rebucket:
+            self.move(robot_id, xs[robot_id], ys[robot_id])
+        self.positions = list(zip(xs.tolist(), ys.tolist()))
 
     def _bucket_range(self, x: float, y: float, d: float) -> tuple[int, int, int, int]:
         cs = self.cell_size

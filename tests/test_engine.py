@@ -195,6 +195,21 @@ def test_canceled_moves_counts_resolve_outcomes():
     assert gap >= 8.0
 
 
+def test_serial_moves_count_contested_robots_only():
+    config = make_config(
+        robot_count=3,
+        robot_radius=4.0,
+        spawn_positions=((100.0, 100.0, 0.0), (110.0, 100.0, -math.pi), (200.0, 200.0, 0.0)),
+    )
+    # robots 0 and 1 close in on each other; robot 2 drives in open space
+    sim = Simulation(config, controller=ConstantController(v=2.0))
+    for _ in range(4):
+        sim.step()
+    assert sim.state.metrics.serial_moves == 2 * 4
+    report = run(make_config(robot_count=2, ticks=3))
+    assert f"serial_moves={report.metrics.serial_moves}" in report.format_block()
+
+
 def test_messages_delivered_next_tick_sorted():
     config = make_config(
         robot_count=3,

@@ -317,3 +317,62 @@ def test_sensor_spec_validation():
     assert evenly_spaced_angles(8)[0] == 0.0
     with pytest.raises(ValueError):
         evenly_spaced_angles(0)
+
+
+# --- candidate pairs ------------------------------------------------------------
+
+
+def _brute_force_pairs(xs: np.ndarray, ys: np.ndarray, reach: float) -> set[tuple[int, int]]:
+    out: set[tuple[int, int]] = set()
+    for lo in range(0, xs.size, 500):
+        dx = xs[None, :] - xs[lo : lo + 500, None]
+        dy = ys[None, :] - ys[lo : lo + 500, None]
+        rows, cols = np.nonzero(dx * dx + dy * dy <= reach * reach)
+        out.update((int(i) + lo, int(j)) for i, j in zip(rows, cols) if i + lo != j)
+    return out
+
+
+@pytest.mark.parametrize("n", [65, 500, 3000])
+def test_pairs_within_equal_brute_force(n):
+    from swarmsim.sensing import _ALL_PAIRS_LIMIT, _pairs_within
+
+    assert n > _ALL_PAIRS_LIMIT
+    rng = np.random.default_rng(n)
+    reach = 5.0
+    side = reach * np.sqrt(n) * 1.5
+    xs = rng.uniform(-side / 2, side / 2, n)  # negative coordinates included
+    ys = rng.uniform(-side / 2, side / 2, n)
+    k = n // 10
+    # coincident centres
+    xs[1:k:3] = xs[0:k - 1:3]
+    ys[1:k:3] = ys[0:k - 1:3]
+    # centres exactly on bin edges
+    xs[k : 2 * k] = np.round(xs[k : 2 * k] / reach) * reach
+    ys[k : 2 * k : 2] = np.round(ys[k : 2 * k : 2] / reach) * reach
+    # pairs exactly `reach` apart: a 3-4-5 triangle and an axis-aligned offset
+    for m in range(2 * k, 3 * k - 1, 2):
+        xs[m] = np.round(xs[m])
+        ys[m] = np.round(ys[m])
+        if m % 4:
+            xs[m + 1], ys[m + 1] = xs[m] + 3.0, ys[m] + 4.0
+        else:
+            xs[m + 1], ys[m + 1] = xs[m], ys[m] - reach
+    pa, pb = _pairs_within(xs, ys, reach)
+    got = list(zip(pa.tolist(), pb.tolist())) + list(zip(pb.tolist(), pa.tolist()))
+    assert len(got) == len(set(got))  # each unordered pair once
+    want = _brute_force_pairs(xs, ys, reach)
+    assert set(got) == want
+    exact = sum(1 for i, j in want if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 == reach**2)
+    assert exact >= k // 2
+
+
+def test_pairs_within_small_swarm_all_pairs():
+    from swarmsim.sensing import _pairs_within
+
+    xs = np.array([0.0, 3.0, 0.0, 100.0, 0.0])
+    ys = np.array([0.0, 4.0, 0.0, 100.0, -5.0])
+    pa, pb = _pairs_within(xs, ys, 5.0)
+    assert sorted(zip(pa.tolist(), pb.tolist())) == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
+    for n in (0, 1):
+        pa, pb = _pairs_within(xs[:n], ys[:n], 5.0)
+        assert pa.size == pb.size == 0

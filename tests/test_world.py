@@ -80,6 +80,45 @@ def test_truncated_p2_tokens():
         load_map(b"P2\n2 2\n255\n1 2 3\n")
 
 
+def _load_outcome(data: bytes):
+    try:
+        grid = load_map(data)
+    except MapLoadError as exc:
+        return str(exc)
+    return grid.width, grid.height, grid.occupancy.tobytes()
+
+
+def test_p2_numpy_body_parse_matches_token_loop(monkeypatch):
+    """The chunked numpy parse of P2 pixels gives the token loop's grid or,
+    where it gives up (comments, long tokens, bad values, truncation), the
+    loop's exact error message."""
+    from swarmsim import world
+
+    rng = random.Random(7)
+    cases = []
+    for _ in range(400):
+        w, h = rng.randint(1, 5), rng.randint(1, 5)
+        maxval = rng.choice([1, 99, 127, 255])
+        count = w * h + rng.randint(-1, 1)
+        tokens = [str(rng.randint(0, maxval + (rng.random() < 0.03))) for _ in range(count)]
+        tokens = ["0" + t if rng.random() < 0.05 else t for t in tokens]
+        body = "".join(rng.choice([" ", "\n", "\t", "\r\n", "  ", "\x0b"]) + t for t in tokens)
+        if rng.random() < 0.05:
+            body += " # trailing comment 1 2 3"
+        cases.append(f"P2\n{w} {h}\n{maxval}{body}\n".encode())
+    for chunk in (1, 2, 5, 1 << 20):
+        monkeypatch.setattr(world, "_P2_CHUNK", chunk)
+        fast = [_load_outcome(data) for data in cases]
+        with monkeypatch.context() as m:
+            m.setattr(world, "_p2_pixels_fast", lambda *args: None)
+            slow = [_load_outcome(data) for data in cases]
+        assert fast == slow
+    assert any(isinstance(out, str) for out in slow)
+    assert any(not isinstance(out, str) for out in slow)
+    # the numpy parse itself handles plain bodies, without the fallback
+    assert world._p2_pixels_fast(b"P2\n3 1\n255\n0 127\t255\n", 10, 3, 255).tolist() == [0, 127, 255]
+
+
 def test_p2_pixel_above_maxval_rejected():
     with pytest.raises(MapLoadError, match="pixel"):
         load_map(b"P2\n1 1\n100\n101\n")
