@@ -17,8 +17,8 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .kinematics import ActuatorCommand, Limits
-from .rng import RngStream
-from .sensing import SensorReading, SensorSpec
+from .rng import RngStream, uniform_batch
+from .sensing import SensorReading, SensorSpec, _pairs_within
 from .world import RobotIndex
 
 DEFAULT_PAYLOAD_CAP = 4096
@@ -145,11 +145,8 @@ class RandomWalkController:
     def step_batch(
         self, normalized: np.ndarray, streams: Sequence[RngStream]
     ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(streams)
-        v = np.full(n, self.v_max)
-        w = np.empty(n)
-        for i, stream in enumerate(streams):
-            w[i] = self.w_max * (2.0 * stream.uniform() - 1.0)
+        v = np.full(len(streams), self.v_max)
+        w = self.w_max * (2.0 * uniform_batch(streams) - 1.0)
         return v, w
 
 
@@ -158,18 +155,29 @@ def deliver_messages(
 ) -> tuple[list[list[Message]], int]:
     """Route each broadcast to every other robot within the sender's radius.
 
-    Returns (inboxes, delivered_count). Senders are walked in ascending id
-    order, so every inbox comes out sorted by sender id. The index must
-    reflect end-of-tick positions.
+    Returns (inboxes, delivered_count), every inbox sorted by sender id. The
+    index must reflect end-of-tick positions. Distances use the expression
+    of `RobotIndex.neighbors_within`, so the routing matches a per-sender
+    query bit for bit.
     """
-    inboxes: list[list[Message]] = [[] for _ in range(len(outboxes))]
-    delivered = 0
-    for sender, broadcast in enumerate(outboxes):
-        if broadcast is None:
-            continue
-        x, y = index.positions[sender]
-        message = Message(sender, broadcast.payload)
-        for receiver in index.neighbors_within(x, y, broadcast.radius, exclude=sender):
-            inboxes[receiver].append(message)
-            delivered += 1
-    return inboxes, delivered
+    inboxes: list[list[Message]] = [[] for _ in outboxes]
+    sends = np.array([b is not None for b in outboxes], dtype=bool)
+    if not sends.any():
+        return inboxes, 0
+    radius = np.array([0.0 if b is None else b.radius for b in outboxes], dtype=np.float64)
+    if not (radius >= 0.0).all():
+        raise ValueError("query distance must be non-negative")
+    xs, ys = np.array(index.positions, dtype=np.float64).reshape(-1, 2).T
+    pa, pb = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
+    src = np.concatenate((pa, pb))
+    dst = np.concatenate((pb, pa))
+    dx = xs[dst] - xs[src]
+    dy = ys[dst] - ys[src]
+    keep = sends[src] & (dx * dx + dy * dy <= radius[src] * radius[src])
+    src = src[keep]
+    dst = dst[keep]
+    order = np.lexsort((src, dst))
+    messages = [b if b is None else Message(i, b.payload) for i, b in enumerate(outboxes)]
+    for sender, receiver in zip(src[order].tolist(), dst[order].tolist()):
+        inboxes[receiver].append(messages[sender])
+    return inboxes, int(src.size)

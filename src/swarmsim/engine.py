@@ -9,9 +9,10 @@ Tick phases, in order:
    and collision flag;
 4. resolve moves with the semantics of a serial pass in ascending id
    order -- each robot sees lower ids at their new positions and higher ids
-   at the snapshot. Array accept, then serial residue: robots that no
-   order could block are accepted in one array pass; the rest run
-   `resolve_move` one by one in id order;
+   at the snapshot. Array accept, array cancel, then serial residue: one
+   array pass accepts the robots that no order could block and cancels the
+   robots that every order blocks; the rest run `resolve_move` one by one in
+   id order;
 5. deliver broadcasts using end-of-tick positions (arrive next tick);
 6. accumulate metrics.
 
@@ -276,7 +277,7 @@ class Simulation:
         delivered = 0
         if outboxes is not None and any(b is not None for b in outboxes):
             state.inboxes, delivered = deliver_messages(index, outboxes)
-        else:
+        elif any(state.inboxes):
             state.inboxes = [[] for _ in range(n)]
 
         # Phase 6: metrics.
@@ -293,14 +294,21 @@ class Simulation:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Phase 4 with the outcome of a serial pass in ascending id order.
 
-        Every robot ends the tick at its candidate or at its snapshot. So a
-        robot whose candidate passes the clearance fast path of
-        `GridMap.disc_free` and has no other robot's snapshot or candidate
-        strictly within two radii is accepted by every serial order: it is
-        decided in arrays. The rest, the serial residue, run `resolve_move`
-        in id order against the index. Before each, its array-accepted
-        lower-id neighbours are moved into the index; the other accepted
-        robots are committed in bulk at the end.
+        Every robot ends the tick at its candidate or at its snapshot, so
+        two classes are decided in arrays:
+
+        - accept: the candidate passes the clearance fast path of
+          `GridMap.disc_free` and no other robot's snapshot or candidate is
+          strictly within two radii of it;
+        - cancel: the candidate is strictly within two radii of the snapshot
+          of some higher id, or of both the snapshot and the candidate of
+          some lower id. It keeps its snapshot position and never touches
+          the index.
+
+        The rest, the serial residue, run `resolve_move` in id order against
+        the index. Before each, its array-accepted lower-id neighbours are
+        moved into the index; the other accepted robots are committed in
+        bulk at the end.
 
         Returns the end-of-tick positions, the mask of robots that end at
         their candidate and the size of the serial residue. Leaves the index
@@ -329,20 +337,24 @@ class Simulation:
         cdx = cx[pb] - cx[pa]
         cdy = cy[pb] - cy[pa]
         candidates_close = cdx * cdx + cdy * cdy < d2
-        sdx = xs[pb] - cx[pa]
-        sdy = ys[pb] - cy[pa]
-        accept[pa[candidates_close | (sdx * sdx + sdy * sdy < d2)]] = False
-        sdx = xs[pa] - cx[pb]
-        sdy = ys[pa] - cy[pb]
-        accept[pb[candidates_close | (sdx * sdx + sdy * sdy < d2)]] = False
-
-        residue = np.flatnonzero(~accept)
+        a_lower = pa < pb
+        cancel = np.zeros(accept.size, dtype=bool)
+        for i, j, i_lower in ((pa, pb, a_lower), (pb, pa, ~a_lower)):
+            sdx = xs[j] - cx[i]
+            sdy = ys[j] - cy[i]
+            snapshot_close = sdx * sdx + sdy * sdy < d2
+            accept[i[candidates_close | snapshot_close]] = False
+            # j > i is still at its snapshot when i resolves; j < i ends at its
+            # snapshot or its candidate. Either way no serial order moves i.
+            cancel[i[snapshot_close & (i_lower | candidates_close)]] = True
+        contested = ~(accept | cancel)
+        residue = np.flatnonzero(contested)
 
         # Array-accepted lower-id neighbours of each residue robot, grouped by
         # robot and ascending within a group.
         high = np.maximum(pa, pb)
         low = np.minimum(pa, pb)
-        lower = ~accept[high] & accept[low]
+        lower = contested[high] & accept[low]
         li = high[lower]
         lj = low[lower]
         order = np.lexsort((lj, li))

@@ -8,6 +8,10 @@ per-robot sequences do not depend on how many robots exist.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 # SplitMix64 constants: golden-ratio increment and the two mixing multipliers.
@@ -40,6 +44,21 @@ class RngStream:
 
     def copy(self) -> RngStream:
         return RngStream(self.state)
+
+
+def uniform_batch(streams: Sequence[RngStream]) -> np.ndarray:
+    """One `uniform` draw from each stream, bit-identical to the scalar form:
+    SplitMix64 on a uint64 array, whose arithmetic wraps mod 2**64."""
+    state = np.fromiter((s.state for s in streams), dtype=np.uint64, count=len(streams))
+    state += np.uint64(GOLDEN_GAMMA)
+    for stream, value in zip(streams, state.tolist()):
+        stream.state = value
+    z = state ^ (state >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z.astype(np.float64) * _INV_2_64
 
 
 def stream_seed(master_seed: int, robot_id: int) -> int:

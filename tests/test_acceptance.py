@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -88,15 +89,20 @@ def test_criterion_02_six_thousand_robots_memory(tmp_path):
 
 def test_criterion_03_near_linear_scaling():
     config = _arena_config(ticks=100)
-    rows = bench(config, sizes=[1, 100, 1000, 5000])
-    by_n = {row.n: row for row in rows}
+    # Three alternating runs of each large size; the median wall time of a
+    # size is robust to the host slowing down during any one run.
+    rows = bench(config, sizes=[1, 100] + [1000, 5000] * 3)
     assert all(row.error is None for row in rows), rows
-    wall_1000 = by_n[1000].wall_seconds
-    wall_5000 = by_n[5000].wall_seconds
+    walls: dict[int, list[float]] = {}
+    for row in rows:
+        walls.setdefault(row.n, []).append(row.wall_seconds)
+    wall = {n: statistics.median(times) for n, times in walls.items()}
+    wall_1000 = wall[1000]
+    wall_5000 = wall[5000]
     # 15x budget per 10x robots, bridged through the 500-equivalent
     # (wall(1000)/2): wall(5000) <= 15 * wall(1000)/2
-    assert wall_5000 <= 7.5 * wall_1000, (wall_5000, wall_1000)
-    throughput = {row.n: row.n * row.ticks / row.wall_seconds for row in rows}
+    assert wall_5000 <= 7.5 * wall_1000, (walls[5000], walls[1000])
+    throughput = {n: n * config.ticks / seconds for n, seconds in wall.items()}
     print(
         "\nACCEPTANCE 3 PASS: scaling 1000->5000 factor "
         f"{wall_5000 / wall_1000:.2f} (budget 7.5); "

@@ -279,3 +279,69 @@ def test_delivery_matches_naive_all_pairs():
             assert Message(i, broadcast.payload) in inboxes[j]
     assert delivered == expected_total
     assert delivered == sum(len(box) for box in inboxes)
+
+
+def deliver_messages_loop(index, outboxes):
+    """Per-sender routing through `RobotIndex.neighbors_within`, the form
+    `deliver_messages` had before it routed in arrays; kept as its oracle."""
+    inboxes = [[] for _ in range(len(outboxes))]
+    delivered = 0
+    for sender, broadcast in enumerate(outboxes):
+        if broadcast is None:
+            continue
+        x, y = index.positions[sender]
+        message = Message(sender, broadcast.payload)
+        for receiver in index.neighbors_within(x, y, broadcast.radius, exclude=sender):
+            inboxes[receiver].append(message)
+            delivered += 1
+    return inboxes, delivered
+
+
+def _assert_same_routing(points, outboxes):
+    index = _index_at(points, radius=1.0)
+    got = deliver_messages(index, outboxes)
+    assert got == deliver_messages_loop(index, outboxes)
+    return got
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 400, 1500])
+def test_array_routing_equals_per_sender_loop(n):
+    rng = random.Random(n)
+    side = 30.0 * math.sqrt(n)
+    points = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+    # coincident centres, and pairs on exact radii
+    points[n // 2] = points[0]
+    points[-1] = (points[1][0] + 24.0, points[1][1])
+    outboxes = []
+    for i in range(n):
+        kind = rng.random()
+        if kind < 0.3:
+            outboxes.append(None)
+        elif kind < 0.4:
+            outboxes.append(Broadcast(b"0", 0.0))
+        elif kind < 0.8:
+            outboxes.append(Broadcast(bytes([i % 256]), 24.0))
+        else:
+            outboxes.append(Broadcast(b"r", rng.uniform(0.0, 60.0)))
+    inboxes, delivered = _assert_same_routing(points, outboxes)
+    assert delivered > 0
+
+
+def test_array_routing_edge_cases():
+    points = [(10.0, 10.0), (10.0, 10.0), (13.0, 14.0), (300.0, 5.0), (10.0, 10.0)]
+    # radius 0 reaches coincident centres only
+    inboxes, delivered = _assert_same_routing(points, [Broadcast(b"z", 0.0), None, None, None, None])
+    assert delivered == 2 and inboxes[1] == inboxes[4] == [Message(0, b"z")]
+    # exactly on the radius (a 3-4-5 triangle) is delivered
+    inboxes, _ = _assert_same_routing(points, [None, None, Broadcast(b"e", 5.0), None, None])
+    assert [i for i, box in enumerate(inboxes) if box] == [0, 1, 4]
+    # a radius covering the whole arena reaches everyone else
+    everyone = [Broadcast(bytes([i]), 1000.0) for i in range(len(points))]
+    inboxes, delivered = _assert_same_routing(points, everyone)
+    assert delivered == len(points) * (len(points) - 1)
+    assert all([m.sender for m in box] == [j for j in range(5) if j != i] for i, box in enumerate(inboxes))
+    # only None outboxes, and a lone sender
+    assert _assert_same_routing(points, [None] * 5) == ([[]] * 5, 0)
+    assert _assert_same_routing(points[:1], [Broadcast(b"x", 50.0)]) == ([[]], 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        deliver_messages(_index_at(points), [Broadcast(b"x", -1.0), None, None, None, None])

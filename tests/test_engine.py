@@ -205,7 +205,12 @@ def test_serial_moves_count_contested_robots_only():
     sim = Simulation(config, controller=ConstantController(v=2.0))
     for _ in range(4):
         sim.step()
-    assert sim.state.metrics.serial_moves == 2 * 4
+    # Tick 1: neither robot is within 2r of the other's snapshot, so both go
+    # through the serial path; robot 0 moves and robot 1 then hits it. From
+    # tick 2 on, each candidate lies within 2r of the other's snapshot (and,
+    # for robot 1, of robot 0's candidate too), so both are canceled in arrays.
+    assert sim.state.metrics.serial_moves == 2
+    assert sim.state.metrics.canceled_moves == 1 + 2 * 3
     report = run(make_config(robot_count=2, ticks=3))
     assert f"serial_moves={report.metrics.serial_moves}" in report.format_block()
 

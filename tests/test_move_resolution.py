@@ -1,4 +1,5 @@
-"""Phase 4 (array accept, then serial residue) against the per-robot loop.
+"""Phase 4 (array accept, array cancel, then serial residue) against the
+per-robot loop.
 
 The oracle below is the tick as it ran before moves were resolved in
 arrays: rebuild the index from the bodies, sense, step the controller, then
@@ -272,3 +273,52 @@ def test_centres_exactly_two_radii_apart(cell_size):
     assert not pair[0].collided_last_tick and not pair[1].collided_last_tick
     assert pair[1].pose.x - pair[0].pose.x == 2 * r
     assert_matches_reference(config, lambda: FixedController(commands), ticks=20)
+
+
+def test_cancel_rules_match_per_robot_loop():
+    r = 4.0
+    half_turn = -math.pi
+    down = -math.pi / 2  # cos is 6e-17, so x stays bit-exact
+    scenes = [
+        # 0, 1: 0's candidate is 7 from the snapshot of the higher id 1,
+        # which drives away: canceled in arrays, 1 accepted.
+        ((20.0, 20.0, 0.0), (2.0, 0.0)),
+        ((29.0, 20.0, 0.0), (2.0, 0.0)),
+        # 2, 3: 3's candidate is 7.5 from the lower id 2's snapshot and 6.5
+        # from its candidate: canceled in arrays; 2 is in the residue.
+        ((20.0, 40.0, 0.0), (1.0, 0.0)),
+        ((29.5, 40.0, half_turn), (2.0, 0.0)),
+        # 4, 5: head-on, each candidate exactly 2r from the other's snapshot
+        # and 6 from its candidate: both in the residue; 4 moves, 5 is blocked.
+        ((20.0, 60.0, 0.0), (2.0, 0.0)),
+        ((30.0, 60.0, half_turn), (2.0, 0.0)),
+        # 6, 7: 7 follows the lower id 6. Its candidate is 6 from 6's
+        # snapshot and exactly 2r from 6's candidate: residue, and it moves.
+        ((20.0, 80.0, half_turn), (2.0, 0.0)),
+        ((28.0, 80.0, half_turn), (2.0, 0.0)),
+        # 8, 9: the same with 8.5 between the candidates.
+        ((20.0, 100.0, half_turn), (2.0, 0.0)),
+        ((28.0, 100.0, half_turn), (1.5, 0.0)),
+        # 10, 11, 12: 10 is blocked by the snapshot of the standing robot 12
+        # (canceled in arrays). 11's candidate is 7.76 from 10's candidate
+        # only, so it moves because 10 stays put.
+        ((100.0, 120.0, 0.0), (2.0, 0.0)),
+        ((104.0, 129.5, down), (2.0, 0.0)),
+        ((109.0, 118.0, 0.0), (0.0, 0.0)),
+    ]
+    poses = tuple(pose for pose, _ in scenes)
+    commands = [command for _, command in scenes]
+    config = _config(
+        robot_count=len(poses),
+        spawn_positions=poses,
+        robot_radius=r,
+        arena_width=160,
+        arena_height=160,
+    )
+    sim = Simulation(config, controller=FixedController(commands))
+    sim.step()
+    collided = [i for i, b in enumerate(sim.state.bodies) if b.collided_last_tick]
+    assert collided == [0, 3, 5, 10]
+    # residue: 2, 4, 5, 7, 9, 11 and 12 (a standing robot near a candidate)
+    assert sim.state.metrics.serial_moves == 7
+    assert_matches_reference(config, lambda: FixedController(commands), ticks=30)
