@@ -230,8 +230,17 @@ class Simulation:
         index = state.index
         xs, ys, thetas = self._xs, self._ys, self._thetas
 
+        # One pair search serves phases 2 and 4. Every j that can come
+        # strictly within 2r of i's candidate, from its snapshot or its
+        # candidate, is within `move_reach` of i's snapshot. Sensing reads
+        # the whole list (a superset of its own reach is allowed when
+        # `sensors.range` is below the move reach); phase 4 filters it.
+        r = self.config.robot_radius
+        move_reach = 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN
+        pa, pb = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
+
         # Phase 2: sense against the snapshot.
-        normalized, hits = sense_batch(grid, xs, ys, thetas, self.config.robot_radius, self.spec)
+        normalized, hits = sense_batch(grid, xs, ys, thetas, r, self.spec, pairs=(pa, pb))
 
         # Phase 3: controllers.
         controller = self.controller
@@ -264,7 +273,12 @@ class Simulation:
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
-        fx, fy, at_candidate, serial = self._resolve_moves(xs, ys, cx, cy, ctheta)
+        dx = xs[pb] - xs[pa]
+        dy = ys[pb] - ys[pa]
+        near = dx * dx + dy * dy <= move_reach * move_reach
+        fx, fy, at_candidate, serial = self._resolve_moves(
+            xs, ys, cx, cy, ctheta, pa[near], pb[near]
+        )
         collided = ~at_candidate
         for body, x, y, theta, hit in zip(
             bodies, fx.tolist(), fy.tolist(), ctheta.tolist(), collided.tolist()
@@ -290,7 +304,14 @@ class Simulation:
         return state
 
     def _resolve_moves(
-        self, xs: np.ndarray, ys: np.ndarray, cx: np.ndarray, cy: np.ndarray, ctheta: np.ndarray
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        cx: np.ndarray,
+        cy: np.ndarray,
+        ctheta: np.ndarray,
+        pa: np.ndarray,
+        pb: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Phase 4 with the outcome of a serial pass in ascending id order.
 
@@ -329,11 +350,9 @@ class Simulation:
         ]
         accept = inside & (clear > r + 0.71)
 
-        # Every j that can come strictly within 2r of i's candidate, from its
-        # snapshot or its candidate, is within this reach of i's snapshot.
+        # (pa, pb): every unordered snapshot pair within the contact reach.
         # Distances use the expression of `RobotIndex.any_within_strict`, so the
         # strict test agrees with the serial path bit for bit.
-        pa, pb = _pairs_within(xs, ys, 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN)
         cdx = cx[pb] - cx[pa]
         cdy = cy[pb] - cy[pa]
         candidates_close = cdx * cdx + cdy * cdy < d2

@@ -93,20 +93,38 @@ def _wall_hit_scalar(
     """Distance along the ray to the first obstacle-cell entry, or None if no
     wall within range. Out-of-range cells count as obstacles; an origin already
     inside a blocked cell reports distance 0.
+    """
+    cx = math.floor(ox)
+    cy = math.floor(oy)
+    if cx < 0 or cy < 0 or cx >= grid.width or cy >= grid.height or grid.occupancy[cy, cx]:
+        return 0.0
+    return _wall_resume_scalar(grid, ox, oy, dirx, diry, max_range, cx, cy, 0.0)
+
+
+def _wall_resume_scalar(
+    grid: GridMap,
+    ox: float,
+    oy: float,
+    dirx: float,
+    diry: float,
+    max_range: float,
+    cx: int,
+    cy: int,
+    t_cur: float,
+) -> float | None:
+    """Continue a traversal that has reached the free in-range cell (cx, cy)
+    at distance t_cur; same result as `_wall_hit_scalar`.
 
     Traversal is a DDA over cell boundaries, accelerated by the map clearance
     field: inside a cell whose nearest obstacle center is D cells away, no
     entry can occur within D - 2, so the ray skips ahead that far in one hop.
     Boundary-crossing distances are always computed directly from the origin,
-    so hops do not perturb the reported distance.
+    so hops do not perturb the reported distance, and an entry at exactly
+    max_range is still found.
     """
     w, h = grid.width, grid.height
     occ = grid.occupancy
     clearance = grid.clearance
-    cx = math.floor(ox)
-    cy = math.floor(oy)
-    if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
-        return 0.0
     if dirx > 0.0:
         step_x, off_x, inv_x = 1, 1.0, 1.0 / dirx
     elif dirx < 0.0:
@@ -119,7 +137,6 @@ def _wall_hit_scalar(
         step_y, off_y, inv_y = -1, 0.0, 1.0 / diry
     else:
         step_y, off_y, inv_y = 0, 0.0, 0.0
-    t_cur = 0.0
     while True:
         hop = float(clearance[cy, cx]) - 2.0
         if hop >= 1.0:
@@ -222,8 +239,9 @@ def sense_all(
 # --- Vectorized batch path ---------------------------------------------------
 
 
-# Below this many rays the batch wall pass loops the scalar traversal; the
-# two forms compute identical floats, so the cutover is invisible.
+# While more rays than this are live the batch wall pass steps them in
+# arrays; the rest finish in the scalar loop. The two forms compute identical
+# floats, so the cutover is invisible.
 _SCALAR_DDA_LIMIT = 384
 
 
@@ -233,16 +251,19 @@ def _wall_batch(
     oy: np.ndarray,
     dirx: np.ndarray,
     diry: np.ndarray,
-    max_range: float,
+    ranges: np.ndarray,
 ) -> np.ndarray:
-    """Clearance-hopping DDA for a flat batch of rays; returns entry distances
-    (inf = no wall). Same hop rule and crossing expressions as
-    `_wall_hit_scalar`, evaluated with masks instead of branches."""
+    """Clearance-hopping DDA for a flat batch of rays, each with its own
+    range; returns entry distances (inf = no wall within range). Same hop
+    rule and crossing expressions as `_wall_hit_scalar`, evaluated with masks
+    instead of branches until few rays are left; those resume the scalar
+    loop from their current cell."""
     m = ox.size
     if m <= _SCALAR_DDA_LIMIT:
         out = np.empty(m)
-        for i in range(m):
-            t = _wall_hit_scalar(grid, ox[i], oy[i], dirx[i], diry[i], max_range)
+        rays = zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist(), ranges.tolist())
+        for i, ray in enumerate(rays):
+            t = _wall_hit_scalar(grid, *ray)
             out[i] = np.inf if t is None else t
         return out
     w, h = grid.width, grid.height
@@ -261,14 +282,13 @@ def _wall_batch(
     # always sit in an in-range free cell, so occupancy/clearance lookups on
     # the current cell never need clipping.
     idx = np.nonzero(~start_blocked)[0]
-    if idx.size == 0:
-        return t_hit
     cx = cx[idx]
     cy = cy[idx]
     ox = ox[idx]
     oy = oy[idx]
     dirx = dirx[idx]
     diry = diry[idx]
+    ranges = ranges[idx]
     step_x = np.where(dirx > 0.0, 1, np.where(dirx < 0.0, -1, 0))
     step_y = np.where(diry > 0.0, 1, np.where(diry < 0.0, -1, 0))
     off_x = np.where(dirx > 0.0, 1.0, 0.0)
@@ -280,17 +300,17 @@ def _wall_batch(
     par_y = step_y == 0
     t_cur = np.zeros(idx.size)
 
-    while idx.size:
+    while idx.size > _SCALAR_DDA_LIMIT:
         hop = clearance[cy, cx] - 2.0
         hopping = hop >= 1.0
         stepping = ~hopping
         t_cur = np.where(hopping, t_cur + hop, t_cur)
-        alive = ~(hopping & (t_cur > max_range))
+        alive = ~(hopping & (t_cur > ranges))
         t_x = np.where(par_x, np.inf, (cx + off_x - ox) * inv_x)
         t_y = np.where(par_y, np.inf, (cy + off_y - oy) * inv_y)
         go_x = stepping & (t_x <= t_y)
         t_enter = np.where(go_x, t_x, t_y)
-        alive &= ~(stepping & (t_enter > max_range))
+        alive &= ~(stepping & (t_enter > ranges))
         hop_move = hopping & alive
         if hop_move.any():
             new_cx = np.floor(ox + t_cur * dirx).astype(np.int64)
@@ -319,6 +339,7 @@ def _wall_batch(
             oy = oy[keep]
             dirx = dirx[keep]
             diry = diry[keep]
+            ranges = ranges[keep]
             step_x = step_x[keep]
             step_y = step_y[keep]
             off_x = off_x[keep]
@@ -328,6 +349,17 @@ def _wall_batch(
             par_x = par_x[keep]
             par_y = par_y[keep]
             t_cur = t_cur[keep]
+
+    # Every live ray sits in a free in-range cell at t_cur: the state the
+    # scalar loop starts each iteration from.
+    tail = zip(
+        idx.tolist(), ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist(),
+        ranges.tolist(), cx.tolist(), cy.tolist(), t_cur.tolist(),
+    )
+    for slot, *ray in tail:
+        t = _wall_resume_scalar(grid, *ray)
+        if t is not None:
+            t_hit[slot] = t
     return t_hit
 
 
@@ -442,7 +474,8 @@ def _disc_hits_windowed(
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
     product). The window is widened by 1e-6 rad, orders of magnitude beyond
     float rounding (the reverse bearing phi + pi included), so the exact
-    test below never loses a candidate.
+    test below never loses a candidate. Most windows hold at most one ray;
+    only the rest go through the repeat/cumsum expansion.
     """
     t_best = np.full(n * k, np.inf)
     id_best = np.full(n * k, -1, dtype=np.int64)
@@ -454,30 +487,30 @@ def _disc_hits_windowed(
         half_width = np.where(
             d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi
         ) + 1e-6
-    pi = np.concatenate((pa, pb))
-    pj = np.concatenate((pb, pa))
-    rel = np.concatenate((phi, phi + math.pi)) - thetas[pi]
-    half_width = np.concatenate((half_width, half_width))
-    lo = np.ceil((rel - half_width) / delta).astype(np.int64)
-    hi = np.floor((rel + half_width) / delta).astype(np.int64)
-    counts = hi - lo + 1
-    live = np.flatnonzero(counts > 0)
-    if live.size == 0:
+    rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
+    others: list[np.ndarray] = []
+    for robot, other, bearing in ((pa, pb, phi), (pb, pa, phi + math.pi)):
+        rel = bearing - thetas[robot]
+        lo = np.ceil((rel - half_width) / delta).astype(np.int64)
+        hi = np.floor((rel + half_width) / delta).astype(np.int64)
+        single = np.flatnonzero(hi == lo)
+        rows.append(robot[single] * k + lo[single] % k)
+        others.append(other[single])
+        multi = np.flatnonzero(hi > lo)
+        if multi.size:
+            counts = hi[multi] - lo[multi] + 1
+            ray = np.arange(int(counts.sum()), dtype=np.int64)
+            ray += np.repeat(lo[multi] - (np.cumsum(counts) - counts), counts)
+            rows.append(np.repeat(robot[multi] * k, counts) + ray % k)
+            others.append(np.repeat(other[multi], counts))
+    flat = np.concatenate(rows)
+    other = np.concatenate(others)
+    if flat.size == 0:
         return t_best.reshape(n, k), id_best.reshape(n, k)
-    pi = pi[live]
-    pj = pj[live]
-    lo = lo[live]
-    counts = counts[live]
-    total = int(counts.sum())
-    row_pair = np.repeat(np.arange(pi.size, dtype=np.int64), counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    ray = (lo[row_pair] + within) % k
-    robot = pi[row_pair]
-    other = pj[row_pair]
-    ux = dirx[robot, ray]
-    uy = diry[robot, ray]
-    to_x = xs[other] - ox[robot, ray]
-    to_y = ys[other] - oy[robot, ray]
+    ux = dirx.ravel()[flat]
+    uy = diry.ravel()[flat]
+    to_x = xs[other] - ox.ravel()[flat]
+    to_y = ys[other] - oy.ravel()[flat]
     b = to_x * ux + to_y * uy
     disc2 = rho * rho - (to_x * to_x + to_y * to_y - b * b)
     ok = disc2 >= 0.0
@@ -486,9 +519,7 @@ def _disc_hits_windowed(
     if not ok.any():
         return t_best.reshape(n, k), id_best.reshape(n, k)
     keep = np.nonzero(ok)[0]
-    return _reduce_disc_hits(
-        t_best, id_best, robot[keep] * k + ray[keep], t[keep], other[keep], n, k
-    )
+    return _reduce_disc_hits(t_best, id_best, flat[keep], t[keep], other[keep], n, k)
 
 
 def _disc_hits_batch(
@@ -542,13 +573,23 @@ def sense_batch(
     thetas: np.ndarray,
     radius: float,
     spec: SensorSpec,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All readings for all robots against the given pose snapshot.
 
     Returns (normalized, hit) arrays of shape (n, k): normalized distances in
     [0, 1] and integer hit codes (HIT_NONE, HIT_WALL, or the hit robot id).
-    Robots whose clearance-field cell shows no obstacle within reach skip the
-    wall traversal entirely; the skip is conservative, never changing results.
+    `pairs` may pass in robot pairs (a, b) that include every pair
+    `_pairs_within(xs, ys, max_range + 2 * radius)` returns, in any order;
+    farther pairs cost time but never change a reading. By default that
+    search runs here.
+
+    Robot disc hits come first. Each ray then looks for a wall only up to
+    its nearest robot hit: a wall entry at exactly that distance is still
+    found (ties go to the wall) and any later one loses to the robot. Robots
+    whose clearance-field cell shows no obstacle within their longest such
+    reach skip the wall traversal entirely; the skip is conservative, never
+    changing results.
     """
     n = xs.size
     k = len(spec.angles)
@@ -562,28 +603,7 @@ def sense_batch(
     ox = xs[:, None] + radius * dirx
     oy = ys[:, None] + radius * diry
 
-    wall_t = np.full((n, k), np.inf)
-    ccx = np.floor(xs).astype(np.int64)
-    ccy = np.floor(ys).astype(np.int64)
-    inside = (ccx >= 0) & (ccy >= 0) & (ccx < grid.width) & (ccy < grid.height)
-    clear = np.zeros(n)
-    if inside.any():
-        clear[inside] = grid.clearance[
-            np.clip(ccy, 0, grid.height - 1), np.clip(ccx, 0, grid.width - 1)
-        ][inside]
-    need = clear <= max_range + radius + 2.0
-    if need.any():
-        idx = np.nonzero(need)[0]
-        wall_t[idx] = _wall_batch(
-            grid,
-            ox[idx].ravel(),
-            oy[idx].ravel(),
-            dirx[idx].ravel(),
-            diry[idx].ravel(),
-            max_range,
-        ).reshape(idx.size, k)
-
-    pa, pb = _pairs_within(xs, ys, max_range + 2.0 * radius)
+    pa, pb = _pairs_within(xs, ys, max_range + 2.0 * radius) if pairs is None else pairs
     spacing = _uniform_belt_spacing(spec.angles)
     if spacing is not None:
         rob_t, rob_id = _disc_hits_windowed(
@@ -594,6 +614,28 @@ def sense_batch(
             np.concatenate((pa, pb)), np.concatenate((pb, pa)),
             xs, ys, ox, oy, dirx, diry, radius, max_range,
         )
+
+    cap = np.minimum(rob_t, max_range)
+    wall_t = np.full((n, k), np.inf)
+    ccx = np.floor(xs).astype(np.int64)
+    ccy = np.floor(ys).astype(np.int64)
+    inside = (ccx >= 0) & (ccy >= 0) & (ccx < grid.width) & (ccy < grid.height)
+    clear = np.zeros(n)
+    if inside.any():
+        clear[inside] = grid.clearance[
+            np.clip(ccy, 0, grid.height - 1), np.clip(ccx, 0, grid.width - 1)
+        ][inside]
+    need = clear <= cap.max(axis=1) + radius + 2.0
+    if need.any():
+        idx = np.nonzero(need)[0]
+        wall_t[idx] = _wall_batch(
+            grid,
+            ox[idx].ravel(),
+            oy[idx].ravel(),
+            dirx[idx].ravel(),
+            diry[idx].ravel(),
+            cap[idx].ravel(),
+        ).reshape(idx.size, k)
 
     wall_first = wall_t <= rob_t  # inf vs inf -> wall side, masked below
     wall_hit = np.isfinite(wall_t)
@@ -616,12 +658,11 @@ def readings_from_arrays(
 ) -> list[SensorReading]:
     """Materialize one robot's batch row as SensorReading objects."""
     out: list[SensorReading] = []
-    for value, code in zip(normalized_row, hit_row):
-        code = int(code)
+    for value, code in zip(normalized_row.tolist(), hit_row.tolist()):
         if code == HIT_NONE:
-            out.append(SensorReading(float(value), KIND_NONE))
+            out.append(SensorReading(value, KIND_NONE))
         elif code == HIT_WALL:
-            out.append(SensorReading(float(value), KIND_WALL))
+            out.append(SensorReading(value, KIND_WALL))
         else:
-            out.append(SensorReading(float(value), KIND_ROBOT, code))
+            out.append(SensorReading(value, KIND_ROBOT, code))
     return out

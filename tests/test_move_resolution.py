@@ -190,6 +190,19 @@ def test_sparse_arena_mostly_array_accepted(seed):
     assert serial < steps // 4
 
 
+@pytest.mark.parametrize("controller", ["random_walk", "scripted"])
+def test_move_reach_beyond_sensing_reach_matches(controller):
+    # sensors.range == v_max: the pair search the engine shares between
+    # sensing and phase 4 runs at the move reach 2r + 2 v_max + margin, past
+    # the sensing reach range + 2r.
+    config = _config(sensor_range=2.0, v_max=2.0)
+    r = config.robot_radius
+    assert config.sensor_range + 2 * r < 2 * r + 2 * config.v_max
+    make = _scripted(config) if controller == "scripted" else lambda: None
+    serial, steps = assert_matches_reference(config, make, ticks=40)
+    assert 0 < serial < steps
+
+
 def _obstacle_p2(tmp_path, size: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
     occ = np.zeros((size, size), dtype=bool)

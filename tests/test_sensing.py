@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from swarmsim import (
     cast_ray,
     evenly_spaced_angles,
     generate_arena,
+    load_map,
     rebuild_index,
     sense_all,
     sense_batch,
@@ -266,6 +268,15 @@ def _batch_inputs(bodies):
     return xs, ys, thetas
 
 
+def _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits):
+    index = rebuild_index(bodies, 16.0)
+    for i, body in enumerate(bodies):
+        for j, reading in enumerate(sense_all(body, spec, grid, index)):
+            assert abs(normalized[i, j] - reading.normalized) <= 1e-12, (i, j)
+            code = {"none": HIT_NONE, "wall": HIT_WALL}.get(reading.kind, reading.robot)
+            assert int(hits[i, j]) == code, (i, j)
+
+
 @pytest.mark.parametrize("count,seed", [(0, 1), (1, 2), (7, 3), (40, 4), (90, 5)])
 def test_batch_matches_scalar(count, seed):
     rng = random.Random(seed)
@@ -281,20 +292,7 @@ def test_batch_matches_scalar(count, seed):
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
     assert normalized.shape == (count, 8) and hits.shape == (count, 8)
-    index = rebuild_index(bodies, 16.0)
-    for i, body in enumerate(bodies):
-        scalar = sense_all(body, spec, grid, index)
-        for j, reading in enumerate(scalar):
-            assert normalized[i, j] == pytest.approx(reading.normalized, abs=1e-12)
-            margin = abs(normalized[i, j] - reading.normalized)
-            code = int(hits[i, j])
-            if reading.kind == "none":
-                assert code == HIT_NONE
-            elif reading.kind == "wall":
-                assert code == HIT_WALL
-            else:
-                assert code == reading.robot
-            assert margin <= 1e-12
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
 
 
 def test_batch_normalized_range():
@@ -305,6 +303,174 @@ def test_batch_normalized_range():
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, _ = sense_batch(grid, xs, ys, thetas, 1.2, spec)
     assert (normalized >= 0.0).all() and (normalized <= 1.0).all()
+
+
+# --- nearest-first order: robot hits cap the wall pass -----------------------------
+
+
+def _walled_crowd(seed: int, radius: float):
+    """A 100x100 map with a border wall and interior blocks, packed with a
+    jittered lattice of robots 5.5 apart (1.5 px gaps at radius 2)."""
+    rng = np.random.default_rng(seed)
+    occ = np.zeros((100, 100), dtype=bool)
+    occ[[0, -1], :] = True
+    occ[:, [0, -1]] = True
+    occ[30:34, 10:40] = True
+    occ[60:90, 70:73] = True
+    occ[75:78, 20:26] = True
+    occ[46:49, 50:90] = True
+    occ[8:40, 62:65] = True
+    grid = GridMap(100, 100, occ)
+    bodies = []
+    for gy in np.arange(4.0, 97.0, 5.5):
+        for gx in np.arange(4.0, 97.0, 5.5):
+            x, y = gx + rng.uniform(-0.5, 0.5), gy + rng.uniform(-0.5, 0.5)
+            if grid.disc_free(x, y, radius):
+                theta = rng.uniform(-math.pi, math.pi)
+                bodies.append(RobotBody(len(bodies), Pose(x, y, theta), radius))
+    return grid, bodies
+
+
+@pytest.mark.parametrize(
+    "angles", [evenly_spaced_angles(8), (-2.64, -1.57, -0.80, -0.30, 0.30, 0.80, 1.57, 2.64)]
+)
+@pytest.mark.parametrize("dda_limit", [0, None])
+def test_batch_matches_scalar_in_walled_crowd(monkeypatch, angles, dda_limit):
+    from swarmsim import sensing
+
+    if dda_limit is not None:
+        monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", dda_limit)
+    radius = 2.0
+    grid, bodies = _walled_crowd(7, radius)
+    spec = SensorSpec(angles, 40.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
+
+    # Most rays meet a robot before any wall, and many robots have every ray
+    # capped short of the clearance-field bound: their wall pass is skipped,
+    # where without the cap it would run (clearance within range + r + 2).
+    empty = rebuild_index([], 16.0)
+    rob_hit = hits >= 0
+    occluded = 0
+    for i, j in zip(*np.nonzero(rob_hit)):
+        body = bodies[i]
+        bearing = body.pose.theta + angles[j]
+        origin = (
+            body.pose.x + radius * math.cos(bearing),
+            body.pose.y + radius * math.sin(bearing),
+        )
+        occluded += cast_ray(grid, empty, origin, bearing, spec.max_range).kind == "wall"
+    assert occluded > 0.5 * hits.size, occluded
+    clear = grid.clearance[np.floor(ys).astype(int), np.floor(xs).astype(int)]
+    reach = np.where(rob_hit, normalized * spec.max_range, spec.max_range).max(axis=1)
+    newly_skipped = (clear > reach + radius + 2.0) & (clear <= spec.max_range + radius + 2.0)
+    assert np.count_nonzero(newly_skipped) >= 20, np.count_nonzero(newly_skipped)
+
+
+@pytest.mark.parametrize("dda_limit", [0, None])
+def test_batch_wall_wins_exact_tie_with_robot(monkeypatch, dda_limit):
+    from swarmsim import sensing
+
+    if dda_limit is not None:
+        monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", dda_limit)
+    # The wall face is at x = 30. Robot 1 is centred 4 px past it with
+    # rho = 4, so the +x ray of robot 0 (origin x = 14) meets the wall and
+    # the disc both at t = 16; its wall pass is capped at exactly 16.
+    occ = np.zeros((41, 50), dtype=bool)
+    occ[:, 30:36] = True
+    grid = GridMap(50, 41, occ)
+    bodies = [RobotBody(0, Pose(10.0, 20.5, 0.0), 4.0), RobotBody(1, Pose(34.0, 20.5, 0.0), 4.0)]
+    spec = SensorSpec(evenly_spaced_angles(8), 40.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, 4.0, spec)
+    assert hits[0, 0] == HIT_WALL and normalized[0, 0] == 16.0 / 40.0
+    _assert_batch_equals_scalar(grid, bodies, 4.0, spec, normalized, hits)
+
+
+# --- batch wall pass: array loop, then the scalar tail ------------------------------
+
+
+class _CountingArray:
+    """Counts reads; the scalar traversal reads the clearance field once per
+    iteration."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.array[key]
+
+
+def _corridor_maze() -> GridMap:
+    """160x97 P2 map: 3 px corridors between 1 px walls, one 3 px gap per
+    wall at a staggered position."""
+    occ = np.zeros((97, 160), dtype=bool)
+    occ[:, [0, -1]] = True
+    for y in range(0, 97, 4):
+        occ[y, :] = True
+        gap = 5 + (y * 37) % 148
+        occ[y, gap : gap + 3] = False
+    occ[[0, -1], :] = True
+    rows = (" ".join("0" if cell else "255" for cell in row) for row in occ)
+    return load_map(("P2\n160 97\n255\n" + "\n".join(rows) + "\n").encode())
+
+
+def test_wall_batch_tail_handoff_matches_scalar(monkeypatch):
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    grid = _corridor_maze()
+    rng = np.random.default_rng(5)
+    m = 1500
+    ox = rng.uniform(1.0, 159.0, m)
+    oy = (rng.integers(0, 24, m) * 4 + rng.uniform(1.0, 4.0, m)).astype(float)
+    # rays along and nearly along the corridors, diagonals, random bearings
+    angle = rng.choice([0.0, -math.pi, math.pi / 2, math.pi / 4], m)
+    angle[: m // 3] += rng.normal(0.0, 1e-3, m // 3)
+    angle[-m // 4 :] = rng.uniform(-math.pi, math.pi, m // 4)
+    # origins inside a wall, on the map edge and outside the map
+    oy[:20] = 4.5
+    ox[20:30] = -0.5
+    ox[30:40] = 0.0
+    dirx = np.cos(angle)
+    diry = np.sin(angle)
+
+    def scalar(ranges):
+        out = []
+        for ray in zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist(), ranges.tolist()):
+            t = _wall_hit_scalar(grid, *ray)
+            out.append(math.inf if t is None else t)
+        return np.array(out)
+
+    far = scalar(np.full(m, math.inf))
+    mixed = rng.uniform(0.0, 150.0, m)
+    mixed[::3] = far[::3]  # an entry at exactly the range is found
+    mixed[1::7] = math.inf
+    mixed[2::7] = 0.0
+    cases = [np.full(m, math.inf), np.zeros(m), mixed]
+
+    # the longest rays need 50+ traversal iterations
+    counting = _CountingArray(grid.clearance)
+    probe = SimpleNamespace(
+        width=grid.width, height=grid.height, occupancy=grid.occupancy, clearance=counting
+    )
+    longest = 0
+    for i in np.argsort(far)[-20:]:
+        counting.reads = 0
+        _wall_hit_scalar(probe, ox[i], oy[i], dirx[i], diry[i], math.inf)
+        longest = max(longest, counting.reads)
+    assert longest >= 50
+
+    default = sensing._SCALAR_DDA_LIMIT
+    assert 0 < default < m
+    for ranges in cases:
+        expected = scalar(ranges).tolist()
+        for limit in (0, default, m + 1):
+            monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", limit)
+            assert _wall_batch(grid, ox, oy, dirx, diry, ranges).tolist() == expected, limit
 
 
 def test_sensor_spec_validation():
