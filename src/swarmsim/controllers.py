@@ -168,7 +168,7 @@ def deliver_messages(
     if not (radius >= 0.0).all():
         raise ValueError("query distance must be non-negative")
     xs, ys = np.array(index.positions, dtype=np.float64).reshape(-1, 2).T
-    pa, pb = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
+    pa, pb, _ = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
     src = np.concatenate((pa, pb))
     dst = np.concatenate((pb, pa))
     dx = xs[dst] - xs[src]

@@ -234,10 +234,11 @@ class Simulation:
         # strictly within 2r of i's candidate, from its snapshot or its
         # candidate, is within `move_reach` of i's snapshot. Sensing reads
         # the whole list (a superset of its own reach is allowed when
-        # `sensors.range` is below the move reach); phase 4 filters it.
+        # `sensors.range` is below the move reach); phase 4 filters it on
+        # the squared distances the search already computed.
         r = self.config.robot_radius
         move_reach = 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN
-        pa, pb = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
+        pa, pb, d2 = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
 
         # Phase 2: sense against the snapshot.
         normalized, hits = sense_batch(grid, xs, ys, thetas, r, self.spec, pairs=(pa, pb))
@@ -273,9 +274,7 @@ class Simulation:
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
-        dx = xs[pb] - xs[pa]
-        dy = ys[pb] - ys[pa]
-        near = dx * dx + dy * dy <= move_reach * move_reach
+        near = d2 <= move_reach * move_reach
         fx, fy, at_candidate, serial = self._resolve_moves(
             xs, ys, cx, cy, ctheta, pa[near], pb[near]
         )

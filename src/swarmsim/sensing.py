@@ -371,17 +371,19 @@ _HALF_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
 
 def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Robot pairs (a, b), a != b, with center distance <= reach, each
-    unordered pair once. Uses coarse bins of size `reach` above
-    _ALL_PAIRS_LIMIT robots."""
+    unordered pair once, and their squared distances computed as
+    dx * dx + dy * dy with dx = xs[b] - xs[a], dy = ys[b] - ys[a]. Uses
+    coarse bins of size `reach` above _ALL_PAIRS_LIMIT robots."""
     n = xs.size
     if n <= _ALL_PAIRS_LIMIT:
         pa, pb = np.triu_indices(n, 1)
         dx = xs[pb] - xs[pa]
         dy = ys[pb] - ys[pa]
-        keep = dx * dx + dy * dy <= reach * reach
-        return pa[keep], pb[keep]
+        d2 = dx * dx + dy * dy
+        keep = np.flatnonzero(d2 <= reach * reach)
+        return pa[keep], pb[keep], d2[keep]
     bx = np.floor(xs / reach).astype(np.int64)
     by = np.floor(ys / reach).astype(np.int64)
     span = by.max() - by.min() + 3
@@ -415,8 +417,9 @@ def _pairs_within(
     sy = ys[order]
     dx = sx[sb] - sx[sa]
     dy = sy[sb] - sy[sa]
-    keep = np.flatnonzero(dx * dx + dy * dy <= reach * reach)
-    return order[sa[keep]], order[sb[keep]]
+    d2 = dx * dx + dy * dy
+    keep = np.flatnonzero(d2 <= reach * reach)
+    return order[sa[keep]], order[sb[keep]], d2[keep]
 
 
 def _uniform_belt_spacing(angles: tuple[float, ...]) -> float | None:
@@ -474,8 +477,7 @@ def _disc_hits_windowed(
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
     product). The window is widened by 1e-6 rad, orders of magnitude beyond
     float rounding (the reverse bearing phi + pi included), so the exact
-    test below never loses a candidate. Most windows hold at most one ray;
-    only the rest go through the repeat/cumsum expansion.
+    test below never loses a candidate.
     """
     t_best = np.full(n * k, np.inf)
     id_best = np.full(n * k, -1, dtype=np.int64)
@@ -493,16 +495,12 @@ def _disc_hits_windowed(
         rel = bearing - thetas[robot]
         lo = np.ceil((rel - half_width) / delta).astype(np.int64)
         hi = np.floor((rel + half_width) / delta).astype(np.int64)
-        single = np.flatnonzero(hi == lo)
-        rows.append(robot[single] * k + lo[single] % k)
-        others.append(other[single])
-        multi = np.flatnonzero(hi > lo)
-        if multi.size:
-            counts = hi[multi] - lo[multi] + 1
-            ray = np.arange(int(counts.sum()), dtype=np.int64)
-            ray += np.repeat(lo[multi] - (np.cumsum(counts) - counts), counts)
-            rows.append(np.repeat(robot[multi] * k, counts) + ray % k)
-            others.append(np.repeat(other[multi], counts))
+        some = np.flatnonzero(hi >= lo)
+        counts = hi[some] - lo[some] + 1
+        ray = np.arange(int(counts.sum()), dtype=np.int64)
+        ray += np.repeat(lo[some] - (np.cumsum(counts) - counts), counts)
+        rows.append(np.repeat(robot[some] * k, counts) + ray % k)
+        others.append(np.repeat(other[some], counts))
     flat = np.concatenate(rows)
     other = np.concatenate(others)
     if flat.size == 0:
@@ -603,7 +601,10 @@ def sense_batch(
     ox = xs[:, None] + radius * dirx
     oy = ys[:, None] + radius * diry
 
-    pa, pb = _pairs_within(xs, ys, max_range + 2.0 * radius) if pairs is None else pairs
+    if pairs is None:
+        pa, pb, _ = _pairs_within(xs, ys, max_range + 2.0 * radius)
+    else:
+        pa, pb = pairs
     spacing = _uniform_belt_spacing(spec.angles)
     if spacing is not None:
         rob_t, rob_id = _disc_hits_windowed(

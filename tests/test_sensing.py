@@ -523,13 +523,21 @@ def test_pairs_within_equal_brute_force(n):
             xs[m + 1], ys[m + 1] = xs[m] + 3.0, ys[m] + 4.0
         else:
             xs[m + 1], ys[m + 1] = xs[m], ys[m] - reach
-    pa, pb = _pairs_within(xs, ys, reach)
+    pa, pb, d2 = _pairs_within(xs, ys, reach)
     got = list(zip(pa.tolist(), pb.tolist())) + list(zip(pb.tolist(), pa.tolist()))
     assert len(got) == len(set(got))  # each unordered pair once
     want = _brute_force_pairs(xs, ys, reach)
     assert set(got) == want
     exact = sum(1 for i, j in want if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 == reach**2)
     assert exact >= k // 2
+    _assert_pair_d2(xs, ys, pa, pb, d2)
+
+
+def _assert_pair_d2(xs, ys, pa, pb, d2):
+    # Phase 4 filters on these distances: bit-equal to its own expression.
+    dx = xs[pb] - xs[pa]
+    dy = ys[pb] - ys[pa]
+    assert np.array_equal(d2, dx * dx + dy * dy)
 
 
 def test_pairs_within_small_swarm_all_pairs():
@@ -537,8 +545,9 @@ def test_pairs_within_small_swarm_all_pairs():
 
     xs = np.array([0.0, 3.0, 0.0, 100.0, 0.0])
     ys = np.array([0.0, 4.0, 0.0, 100.0, -5.0])
-    pa, pb = _pairs_within(xs, ys, 5.0)
+    pa, pb, d2 = _pairs_within(xs, ys, 5.0)
     assert sorted(zip(pa.tolist(), pb.tolist())) == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
+    _assert_pair_d2(xs, ys, pa, pb, d2)
     for n in (0, 1):
-        pa, pb = _pairs_within(xs[:n], ys[:n], 5.0)
-        assert pa.size == pb.size == 0
+        pa, pb, d2 = _pairs_within(xs[:n], ys[:n], 5.0)
+        assert pa.size == pb.size == d2.size == 0
