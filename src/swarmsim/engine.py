@@ -341,13 +341,7 @@ class Simulation:
         r = self.config.robot_radius
         d2 = (2.0 * r) * (2.0 * r)
 
-        icx = np.floor(cx).astype(np.int64)
-        icy = np.floor(cy).astype(np.int64)
-        inside = (icx >= 0) & (icy >= 0) & (icx < grid.width) & (icy < grid.height)
-        clear = grid.clearance[
-            np.clip(icy, 0, grid.height - 1), np.clip(icx, 0, grid.width - 1)
-        ]
-        accept = inside & (clear > r + 0.71)
+        accept = grid.clearance_at(cx, cy) > r + 0.71
 
         # (pa, pb): every unordered snapshot pair within the contact reach.
         # Distances use the expression of `RobotIndex.any_within_strict`, so the

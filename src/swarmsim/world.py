@@ -60,6 +60,22 @@ class GridMap:
             self._clearance = _chebyshev_clearance(self.occupancy)
         return self._clearance
 
+    def clearance_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """`clearance` of the cells holding the points (xs, ys); 0 for a
+        point outside the map."""
+        cx = np.floor(xs).astype(np.int64)
+        cy = np.floor(ys).astype(np.int64)
+        return self._cells(self.clearance, cx, cy, 0)
+
+    def blocked_at(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+        """`is_obstacle` over integer cell arrays: True outside the map."""
+        return self._cells(self.occupancy, cx, cy, True)
+
+    def _cells(self, field: np.ndarray, cx: np.ndarray, cy: np.ndarray, outside: int) -> np.ndarray:
+        inside = (cx >= 0) & (cy >= 0) & (cx < self.width) & (cy < self.height)
+        cells = field[np.clip(cy, 0, self.height - 1), np.clip(cx, 0, self.width - 1)]
+        return np.where(inside, cells, outside)
+
     def disc_free(self, x: float, y: float, r: float) -> bool:
         """True iff no cell whose center is within Euclidean distance r of
         (x, y) is an obstacle (closed-world cells included)."""

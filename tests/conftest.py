@@ -18,6 +18,9 @@ from swarmsim import GridMap, Pose, RobotBody, generate_arena
 
 MASK64 = (1 << 64) - 1
 
+# Uneven e-puck-style belt: denser at the front, no ray dead ahead or astern.
+EPUCK_ANGLES = (-2.64, -1.57, -0.80, -0.30, 0.30, 0.80, 1.57, 2.64)
+
 
 # --- independent SplitMix64 reference ----------------------------------------
 

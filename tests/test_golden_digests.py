@@ -9,8 +9,8 @@ e-puck one, and an unsorted custom belt with a duplicate bearing and -pi.
 The values hold on one platform only (recorded on x86-64 Linux with CPython
 3.11 and numpy 2.4): the digest quantizes poses to 1e-6, and the README
 promises only 1e-6 pose agreement across platforms. Regenerate the fixture
-with `python tests/test_golden_digests.py --record`, and only in a change
-that means to alter simulated behaviour.
+with `PYTHONPATH=src python tests/test_golden_digests.py --record`, and only
+in a change that means to alter simulated behaviour.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from swarmsim import (
     state_digest,
 )
 
+from conftest import EPUCK_ANGLES
+
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 TICKS = 30
 
-EPUCK_ANGLES = (-2.64, -1.57, -0.80, -0.30, 0.30, 0.80, 1.57, 2.64)
 CUSTOM_ANGLES = (0.5, -math.pi, 2.0, 0.5, -1.0, 0.0)
 
 CASES = {
@@ -49,7 +50,7 @@ CASES = {
     "random_walk": dict(
         robot_count=200, controller_type="random_walk", arena_width=160, arena_height=160
     ),
-    "p2_map": dict(robot_count=120, controller_type="braitenberg", map_path="p2"),
+    "p2_map": dict(robot_count=120, controller_type="braitenberg"),
     "epuck_beacon": dict(
         robot_count=150,
         controller_type="braitenberg",
@@ -100,7 +101,7 @@ class _Beacon:
 def run_case(name: str, work: Path) -> list[list[int]]:
     """[digest, canceled_moves, messages_delivered] after each tick."""
     kwargs = dict(CASES[name])
-    if kwargs.get("map_path") == "p2":
+    if name == "p2_map":
         map_path = work / "golden.pgm"
         _write_p2_map(map_path)
         kwargs["map_path"] = str(map_path)

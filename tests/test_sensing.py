@@ -25,6 +25,7 @@ from swarmsim import (
 from swarmsim.sensing import HIT_NONE, HIT_WALL
 
 from conftest import (
+    EPUCK_ANGLES,
     fine_march_confirms,
     grid_from_ascii,
     march_ray_oracle,
@@ -277,8 +278,58 @@ def _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits):
             assert int(hits[i, j]) == code, (i, j)
 
 
-@pytest.mark.parametrize("count,seed", [(0, 1), (1, 2), (7, 3), (40, 4), (90, 5)])
-def test_batch_matches_scalar(count, seed):
+_UNIFORM8 = evenly_spaced_angles(8)
+
+# Every belt shape the windowed disc-hit path must serve: even, uneven,
+# unsorted, a single ray, a duplicate bearing with -pi, and a belt just off
+# the even lattice.
+BELTS = {
+    "uniform8": _UNIFORM8,
+    "uniform5": evenly_spaced_angles(5),
+    "epuck": EPUCK_ANGLES,
+    "unsorted": (0.0, -1.0, 2.0, 0.5),
+    "single": (0.0,),
+    "duplicate": (-math.pi, -math.pi, 0.0, 1.0),
+    "uniform8_off_1e-7": _UNIFORM8[:3] + (_UNIFORM8[3] + 1e-7,) + _UNIFORM8[4:],
+}
+
+
+def _grazing_bodies(rng: random.Random, angles, radius: float, x0: float, y0: float):
+    """Robot 0 at (x0, y0) with a random heading, and for each of its rays
+    two discs tangent to the ray, one on each side: the ray meets them at
+    the edge of their bearing windows. Last, two discs 40 px to the left
+    whose centres lie within one radius, so each one's window spans a
+    whole turn."""
+    theta = rng.uniform(-math.pi, math.pi)
+    bodies = [RobotBody(0, Pose(x0, y0, theta), radius)]
+    for angle in angles:
+        bearing = theta + angle
+        ux, uy = math.cos(bearing), math.sin(bearing)
+        for side in (1.0, -1.0):
+            t = radius + rng.uniform(3.0, 20.0)
+            x = x0 + t * ux - side * radius * uy
+            y = y0 + t * uy + side * radius * ux
+            pose = Pose(x, y, rng.uniform(-math.pi, math.pi))
+            bodies.append(RobotBody(len(bodies), pose, radius))
+    for dx in (0.0, 0.5 * radius):
+        pose = Pose(x0 - 40.0 + dx, y0, rng.uniform(-math.pi, math.pi))
+        bodies.append(RobotBody(len(bodies), pose, radius))
+    return bodies
+
+
+@pytest.mark.parametrize(
+    "count,seed,angles",
+    [
+        # the uniform belt keeps the plain scene ids
+        pytest.param(
+            count, seed, angles,
+            id=f"{count}-{seed}" if name == "uniform8" else f"{count}-{seed}-{name}",
+        )
+        for name, angles in BELTS.items()
+        for count, seed in [(0, 1), (1, 2), (7, 3), (40, 4), (90, 5)]
+    ],
+)
+def test_batch_matches_scalar(count, seed, angles):
     rng = random.Random(seed)
     width = rng.randint(40, 90)
     height = rng.randint(40, 90)
@@ -288,11 +339,54 @@ def test_batch_matches_scalar(count, seed):
         bodies = place_bodies(rng, grid, count, radius, max_tries=40000)
     except RuntimeError:
         pytest.skip("scene too dense for requested count")
-    spec = SensorSpec(evenly_spaced_angles(8), 24.0)
+    k = len(angles)
+    spec = SensorSpec(angles, 24.0)
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
-    assert normalized.shape == (count, 8) and hits.shape == (count, 8)
+    assert normalized.shape == (count, k) and hits.shape == (count, k)
     _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
+
+    # Discs that graze the rays, on an open arena.
+    arena = generate_arena(120, 120)
+    bodies = _grazing_bodies(rng, angles, radius, 60.0, 60.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(arena, xs, ys, thetas, radius, spec)
+    _assert_batch_equals_scalar(arena, bodies, radius, spec, normalized, hits)
+
+
+@pytest.mark.parametrize("angles", [_UNIFORM8, (0.0, -1.0, 2.0, 0.5)], ids=["uniform8", "unsorted"])
+@pytest.mark.parametrize("low_below", [True, False])
+def test_exact_robot_tie_goes_to_smaller_id(angles, low_below):
+    # The bearing-0 ray of the robot at (10, 20) starts at (12, 20). Discs
+    # centred at (20, 18) and (20, 22) both touch it at t = 8 exactly.
+    radius = 2.0
+    below, above = Pose(20.0, 18.0, 1.0), Pose(20.0, 22.0, -1.0)
+    first, second = (below, above) if low_below else (above, below)
+    bodies = [
+        RobotBody(0, first, radius),
+        RobotBody(1, second, radius),
+        RobotBody(2, Pose(10.0, 20.0, 0.0), radius),
+    ]
+    grid = generate_arena(40, 40)
+    spec = SensorSpec(angles, 30.0)
+    ray = angles.index(0.0)
+    index = rebuild_index(bodies, 16.0)
+    reading = sense_all(bodies[2], spec, grid, index)[ray]
+    assert (reading.kind, reading.robot, reading.normalized) == ("robot", 0, 8.0 / 30.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    assert hits[2, ray] == 0 and normalized[2, ray] == 8.0 / 30.0
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
+
+
+def test_batch_rejects_headings_outside_pi():
+    grid = generate_arena(40, 40)
+    spec = SensorSpec(_UNIFORM8, 10.0)
+    xs, ys = np.array([10.0, 30.0]), np.array([20.0, 20.0])
+    sense_batch(grid, xs, ys, np.array([-math.pi, math.pi]), 2.0, spec)
+    for bad in (3.2, -3.2, math.nan):
+        with pytest.raises(ValueError, match="headings"):
+            sense_batch(grid, xs, ys, np.array([0.0, bad]), 2.0, spec)
 
 
 def test_batch_normalized_range():
@@ -331,9 +425,7 @@ def _walled_crowd(seed: int, radius: float):
     return grid, bodies
 
 
-@pytest.mark.parametrize(
-    "angles", [evenly_spaced_angles(8), (-2.64, -1.57, -0.80, -0.30, 0.30, 0.80, 1.57, 2.64)]
-)
+@pytest.mark.parametrize("angles", [_UNIFORM8, EPUCK_ANGLES])
 @pytest.mark.parametrize("dda_limit", [0, None])
 def test_batch_matches_scalar_in_walled_crowd(monkeypatch, angles, dda_limit):
     from swarmsim import sensing

@@ -190,6 +190,22 @@ def test_clearance_field_is_exact_chebyshev():
                 assert field[cy, cx] == best
 
 
+def test_array_lookups_match_scalar_queries():
+    rng = random.Random(11)
+    grid = random_grid(rng, 13, 9, 0.2)
+    xs = np.array([rng.uniform(-3.0, 16.0) for _ in range(400)] + [0.0, -1e-9, 13.0, 12.999])
+    ys = np.array([rng.uniform(-3.0, 12.0) for _ in range(400)] + [0.0, 4.5, 4.5, 8.999])
+    cx = np.floor(xs).astype(np.int64)
+    cy = np.floor(ys).astype(np.int64)
+    inside = (cx >= 0) & (cy >= 0) & (cx < 13) & (cy < 9)
+    assert 0 < np.count_nonzero(inside) < xs.size
+    blocked = grid.blocked_at(cx, cy)
+    clear = grid.clearance_at(xs, ys)
+    for i in range(xs.size):
+        assert blocked[i] == grid.is_obstacle(int(cx[i]), int(cy[i]))
+        assert clear[i] == (grid.clearance[cy[i], cx[i]] if inside[i] else 0)
+
+
 def test_immutable_occupancy(arena100):
     with pytest.raises(ValueError):
         arena100.occupancy[0, 0] = True
