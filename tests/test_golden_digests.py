@@ -2,9 +2,10 @@
 
 For each case the fixture `golden_digests.json` holds, after every tick, the
 `state_digest` and the running `canceled_moves` and `messages_delivered`
-counts. The cases cover both built-in controllers, a P2 obstacle map, a
-broadcasting plugin controller and three sensor belts: the uniform one, the
-e-puck one, and an unsorted custom belt with a duplicate bearing and -pi.
+counts. The cases cover both built-in controllers, a P2 and a P5 obstacle
+map, explicit spawn positions, a broadcasting plugin controller and three
+sensor belts: the uniform one, the e-puck one, and an unsorted custom belt
+with a duplicate bearing and -pi.
 
 The values hold on one platform only (recorded on x86-64 Linux with CPython
 3.11 and numpy 2.4): the digest quantizes poses to 1e-6, and the README
@@ -51,6 +52,10 @@ CASES = {
         robot_count=200, controller_type="random_walk", arena_width=160, arena_height=160
     ),
     "p2_map": dict(robot_count=120, controller_type="braitenberg"),
+    "p5_map": dict(robot_count=140, controller_type="random_walk"),
+    "spawn_positions": dict(
+        robot_count=144, controller_type="random_walk", arena_width=128, arena_height=128
+    ),
     "epuck_beacon": dict(
         robot_count=150,
         controller_type="braitenberg",
@@ -82,6 +87,26 @@ def _write_p2_map(path: Path) -> None:
     path.write_text("P2\n192 192\n255\n" + "\n".join(rows) + "\n")
 
 
+def _write_p5_map(path: Path) -> None:
+    """160x128 binary P5 map: pillars on a lattice and a diagonal wall."""
+    occ = np.zeros((128, 160), dtype=bool)
+    for y in range(16, 128, 32):
+        for x in range(16, 160, 32):
+            occ[y : y + 6, x : x + 6] = True
+    for k in range(60):
+        occ[30 + k, 50 + k : 53 + k] = True
+    pixels = np.where(occ, 0, 255).astype(np.uint8)
+    path.write_bytes(b"P5\n160 128\n255\n" + pixels.tobytes())
+
+
+def _lattice_poses() -> tuple[tuple[float, float, float], ...]:
+    """12x12 robots 9 px apart (1 px gaps at radius 4), headings fanned out."""
+    return tuple(
+        (20.0 + 9.0 * (k % 12), 20.0 + 9.0 * (k // 12), -math.pi + (0.37 * k) % (2 * math.pi))
+        for k in range(144)
+    )
+
+
 class _Beacon:
     """Braitenberg avoidance slowed by the inbox size, broadcasting every tick."""
 
@@ -105,6 +130,12 @@ def run_case(name: str, work: Path) -> list[list[int]]:
         map_path = work / "golden.pgm"
         _write_p2_map(map_path)
         kwargs["map_path"] = str(map_path)
+    elif name == "p5_map":
+        map_path = work / "golden_p5.pgm"
+        _write_p5_map(map_path)
+        kwargs["map_path"] = str(map_path)
+    elif name == "spawn_positions":
+        kwargs["spawn_positions"] = _lattice_poses()
     config = SimConfig(seed=7, ticks=TICKS, **kwargs)
     controller = _Beacon(config) if name == "epuck_beacon" else None
     sim = Simulation(config, controller=controller)
@@ -125,6 +156,7 @@ def test_per_tick_digests_match_golden(name, tmp_path):
 def test_golden_cases_exercise_contact_and_messages():
     golden = json.loads(FIXTURE.read_text())
     assert golden["random_walk"][-1][1] > 0
+    assert golden["spawn_positions"][-1][1] > 0
     assert golden["epuck_beacon"][-1][2] > 0
 
 
