@@ -2,8 +2,9 @@
 
 Disc robots with belts of IR-style ray sensors move on pixel-grid worlds.
 Built for reproducible batch experiments at large populations: fixed
-timestep, seeded SplitMix64 randomness, byte-stable logs, and a uniform-grid
-spatial index so sensing and collision checks stay near-linear in swarm size.
+timestep, seeded SplitMix64 randomness, byte-stable logs, and one binned
+pair search per tick so sensing and collision checks stay near-linear in
+swarm size.
 """
 
 from .bench import BenchRow, bench, format_csv

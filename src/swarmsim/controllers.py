@@ -19,7 +19,6 @@ import numpy as np
 from .kinematics import ActuatorCommand, Limits
 from .rng import RngStream, uniform_batch
 from .sensing import SensorReading, SensorSpec, _pairs_within
-from .world import RobotIndex
 
 DEFAULT_PAYLOAD_CAP = 4096
 
@@ -151,14 +150,14 @@ class RandomWalkController:
 
 
 def deliver_messages(
-    index: RobotIndex, outboxes: Sequence[Broadcast | None]
+    xs: np.ndarray, ys: np.ndarray, outboxes: Sequence[Broadcast | None]
 ) -> tuple[list[list[Message]], int]:
     """Route each broadcast to every other robot within the sender's radius.
 
-    Returns (inboxes, delivered_count), every inbox sorted by sender id. The
-    index must reflect end-of-tick positions. Distances use the expression
-    of `RobotIndex.neighbors_within`, so the routing matches a per-sender
-    query bit for bit.
+    `xs`, `ys` are the end-of-tick centres in id order. Returns (inboxes,
+    delivered_count), every inbox sorted by sender id. Distances use the
+    expression of `RobotIndex.neighbors_within`, so the routing matches a
+    per-sender query bit for bit.
     """
     inboxes: list[list[Message]] = [[] for _ in outboxes]
     sends = np.array([b is not None for b in outboxes], dtype=bool)
@@ -167,7 +166,6 @@ def deliver_messages(
     radius = np.array([0.0 if b is None else b.radius for b in outboxes], dtype=np.float64)
     if not (radius >= 0.0).all():
         raise ValueError("query distance must be non-negative")
-    xs, ys = np.array(index.positions, dtype=np.float64).reshape(-1, 2).T
     pa, pb, _ = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
     src = np.concatenate((pa, pb))
     dst = np.concatenate((pb, pa))

@@ -2,8 +2,10 @@
 
 Tick phases, in order:
 
-1. freeze the pose snapshot: the pose arrays phase 4 left behind. The
-   spatial index, built once at set-up, is still exact from last tick;
+1. freeze the pose snapshot: the pose arrays of `SimState`, as phase 4 of
+   the last tick left them (`SimState.bodies` is a view of them built on
+   read). One pair search over it, the tick's only spatial structure,
+   serves phases 2 and 4;
 2. sense every robot against the snapshot (batch ray casting);
 3. step every controller on the phase-2 readings plus last tick's inbox
    and collision flag;
@@ -12,7 +14,7 @@ Tick phases, in order:
    at the snapshot. Array accept, array cancel, then serial residue: one
    array pass accepts the robots that no order could block and cancels the
    robots that every order blocks; the rest run `resolve_move` one by one in
-   id order;
+   id order, each against its lower-id conflicts from the pair list;
 5. deliver broadcasts using end-of-tick positions (arrive next tick);
 6. accumulate metrics.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +59,13 @@ from .sensing import (
     readings_from_arrays,
     sense_batch,
 )
-from .world import GridMap, RobotIndex, generate_arena, load_map, rebuild_index
+from .world import (  # noqa: F401 -- rebuild_index: kept bound for per-layer profilers
+    GridMap,
+    RobotIndex,
+    generate_arena,
+    load_map,
+    rebuild_index,
+)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -77,16 +85,72 @@ class Metrics:
     steps_per_sec: float = 0.0
 
 
-@dataclass(slots=True)
 class SimState:
-    tick: int
-    grid: GridMap
-    bodies: list[RobotBody]
-    index: RobotIndex
-    inboxes: list[list[Message]]
-    rng_streams: list[RngStream]
-    master_rng: RngStream
-    metrics: Metrics = field(default_factory=Metrics)
+    """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
+    `thetas` and `collided`, in id order, which each tick replaces through
+    `set_poses`. `bodies` is a view of them, rewritten on its first read
+    after they change, so a tick that nobody inspects builds no `Pose`
+    objects; a pose edited through `bodies` does not reach the arrays."""
+
+    __slots__ = (
+        "tick",
+        "grid",
+        "inboxes",
+        "rng_streams",
+        "master_rng",
+        "metrics",
+        "xs",
+        "ys",
+        "thetas",
+        "collided",
+        "_bodies",
+        "_stale",
+    )
+
+    def __init__(
+        self,
+        tick: int,
+        grid: GridMap,
+        bodies: list[RobotBody],
+        inboxes: list[list[Message]],
+        rng_streams: list[RngStream],
+        master_rng: RngStream,
+        metrics: Metrics | None = None,
+    ) -> None:
+        self.tick = tick
+        self.grid = grid
+        self.inboxes = inboxes
+        self.rng_streams = rng_streams
+        self.master_rng = master_rng
+        self.metrics = metrics if metrics is not None else Metrics()
+        self.xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
+        self.ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
+        self.thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
+        self.collided = np.array([b.collided_last_tick for b in bodies], dtype=bool)
+        self._bodies = bodies
+        self._stale = False
+
+    @property
+    def bodies(self) -> list[RobotBody]:
+        if self._stale:
+            self._stale = False
+            for body, x, y, theta, hit in zip(
+                self._bodies,
+                self.xs.tolist(),
+                self.ys.tolist(),
+                self.thetas.tolist(),
+                self.collided.tolist(),
+            ):
+                body.pose = Pose(x, y, theta)
+                body.collided_last_tick = hit
+        return self._bodies
+
+    def set_poses(
+        self, xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray, collided: np.ndarray
+    ) -> None:
+        """Replace the pose arrays; `bodies` follows on its next read."""
+        self.xs, self.ys, self.thetas, self.collided = xs, ys, thetas, collided
+        self._stale = True
 
 
 @dataclass(slots=True)
@@ -176,12 +240,35 @@ def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Co
     raise ValueError(f"unknown controller type {config.controller_type!r}")
 
 
+class _Conflicts:
+    """What `resolve_move` queries in place of a spatial index for one robot
+    of the serial residue: the end-of-tick positions of its lower-id
+    conflicts, the only robots that can block it."""
+
+    __slots__ = ("points",)
+
+    def __init__(self, points: list[tuple[float, float]]) -> None:
+        self.points = points
+
+    def any_within_strict(
+        self, x: float, y: float, d: float, exclude: int | None = None
+    ) -> bool:
+        """`RobotIndex.any_within_strict` over `points`, with its distance
+        expression; the points never hold the querying robot itself."""
+        d2 = d * d
+        for px, py in self.points:
+            dx = px - x
+            dy = py - y
+            if dx * dx + dy * dy < d2:
+                return True
+        return False
+
+
 class Simulation:
     """One configured run: owns the world, bodies, streams, and controller.
 
-    Only `step` moves the bodies: the spatial index and the pose arrays are
-    built from them once and then kept in step tick by tick, so a pose
-    edited from outside between ticks would not be seen."""
+    Only `step` moves the robots, by replacing the pose arrays of `state`;
+    a pose edited through `state.bodies` is not seen by the next tick."""
 
     def __init__(self, config: SimConfig, controller: Controller | None = None) -> None:
         self.config = config
@@ -197,6 +284,8 @@ class Simulation:
         )
         self.spec = SensorSpec(angles, config.sensor_range)
         self.controller = controller or _build_controller(config, self.limits, self.spec)
+        # Cell size of a `RobotIndex` rebuilt over the bodies; the tick keeps
+        # no index.
         self.cell_size = (
             config.index_cell_size
             if config.index_cell_size is not None
@@ -207,28 +296,20 @@ class Simulation:
             tick=0,
             grid=grid,
             bodies=bodies,
-            index=rebuild_index(bodies, self.cell_size),
             inboxes=[[] for _ in bodies],
             rng_streams=streams,
             master_rng=master_rng,
         )
-        # Pose snapshot of the next tick, in id order; phase 4 keeps these
-        # arrays, the bodies and the index in step.
-        self._xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
-        self._ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
-        self._thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
 
     # -- one tick --------------------------------------------------------
 
     def step(self) -> SimState:
         state = self.state
-        bodies = state.bodies
-        n = len(bodies)
         grid = state.grid
 
-        # Phase 1: snapshot. The index already holds these positions.
-        index = state.index
-        xs, ys, thetas = self._xs, self._ys, self._thetas
+        # Phase 1: snapshot, the arrays the last tick left.
+        xs, ys, thetas = state.xs, state.ys, state.thetas
+        n = xs.size
 
         # One pair search serves phases 2 and 4. Every j that can come
         # strictly within 2r of i's candidate, from its snapshot or its
@@ -252,10 +333,11 @@ class Simulation:
             v_arr = np.empty(n)
             w_arr = np.empty(n)
             outboxes = [None] * n
+            collided_last = state.collided.tolist()
             for i in range(n):
                 control_input = ControlInput(
                     readings=tuple(readings_from_arrays(normalized[i], hits[i])),
-                    collided_last_tick=bodies[i].collided_last_tick,
+                    collided_last_tick=collided_last[i],
                     inbox=tuple(state.inboxes[i]),
                     tick=state.tick,
                 )
@@ -279,17 +361,12 @@ class Simulation:
             xs, ys, cx, cy, ctheta, pa[near], pb[near]
         )
         collided = ~at_candidate
-        for body, x, y, theta, hit in zip(
-            bodies, fx.tolist(), fy.tolist(), ctheta.tolist(), collided.tolist()
-        ):
-            body.pose = Pose(x, y, theta)
-            body.collided_last_tick = hit
-        self._xs, self._ys, self._thetas = fx, fy, ctheta
+        state.set_poses(fx, fy, ctheta, collided)
 
-        # Phase 5: messaging at end-of-tick positions (index is up to date).
+        # Phase 5: messaging at end-of-tick positions.
         delivered = 0
         if outboxes is not None and any(b is not None for b in outboxes):
-            state.inboxes, delivered = deliver_messages(index, outboxes)
+            state.inboxes, delivered = deliver_messages(fx, fy, outboxes)
         elif any(state.inboxes):
             state.inboxes = [[] for _ in range(n)]
 
@@ -322,22 +399,20 @@ class Simulation:
           strictly within two radii of it;
         - cancel: the candidate is strictly within two radii of the snapshot
           of some higher id, or of both the snapshot and the candidate of
-          some lower id. It keeps its snapshot position and never touches
-          the index.
+          some lower id. It keeps its snapshot position.
 
-        The rest, the serial residue, run `resolve_move` in id order against
-        the index. Before each, its array-accepted lower-id neighbours are
-        moved into the index; the other accepted robots are committed in
-        bulk at the end.
+        The rest, the serial residue, run `resolve_move` in id order. Only
+        lower ids can block a residue robot: a higher id whose snapshot is
+        close would have canceled it, and a higher id close only at its
+        candidate is still at its snapshot when it resolves. So each one is
+        tested against its lower-id conflicts from the pair list, those whose
+        snapshot or candidate is strictly within two radii of its candidate,
+        at their end-of-tick positions.
 
         Returns the end-of-tick positions, the mask of robots that end at
-        their candidate and the size of the serial residue. Leaves the index
-        exact for the end of tick.
+        their candidate and the size of the serial residue.
         """
-        state = self.state
-        grid = state.grid
-        index = state.index
-        bodies = state.bodies
+        grid = self.state.grid
         r = self.config.robot_radius
         d2 = (2.0 * r) * (2.0 * r)
 
@@ -351,6 +426,7 @@ class Simulation:
         candidates_close = cdx * cdx + cdy * cdy < d2
         a_lower = pa < pb
         cancel = np.zeros(accept.size, dtype=bool)
+        conflict = candidates_close.copy()  # the lower id can block the higher
         for i, j, i_lower in ((pa, pb, a_lower), (pb, pa, ~a_lower)):
             sdx = xs[j] - cx[i]
             sdy = ys[j] - cy[i]
@@ -359,53 +435,46 @@ class Simulation:
             # j > i is still at its snapshot when i resolves; j < i ends at its
             # snapshot or its candidate. Either way no serial order moves i.
             cancel[i[snapshot_close & (i_lower | candidates_close)]] = True
+            conflict |= snapshot_close & ~i_lower
         contested = ~(accept | cancel)
         residue = np.flatnonzero(contested)
+        if not residue.size:
+            return np.where(accept, cx, xs), np.where(accept, cy, ys), accept, 0
 
-        # Array-accepted lower-id neighbours of each residue robot, grouped by
-        # robot and ascending within a group.
+        # Lower-id conflicts of each residue robot, grouped by robot.
         high = np.maximum(pa, pb)
-        low = np.minimum(pa, pb)
-        lower = contested[high] & accept[low]
-        li = high[lower]
-        lj = low[lower]
-        order = np.lexsort((lj, li))
+        conflict &= contested[high]
+        li = high[conflict]
+        order = np.argsort(li, kind="stable")
         li = li[order]
-        lj = lj[order].tolist()
+        lj = np.minimum(pa, pb)[conflict][order].tolist()
         lo = np.searchsorted(li, residue, side="left").tolist()
         hi = np.searchsorted(li, residue, side="right").tolist()
 
-        pending = accept.tolist()  # accepted, index still at the snapshot
-        xs_l = xs.tolist()
-        ys_l = ys.tolist()
-        cx_l = cx.tolist()
-        cy_l = cy.tolist()
-        ct_l = ctheta.tolist()
+        # End-of-tick positions as decided so far: the residue stays at its
+        # snapshot here until it is resolved.
+        fx_l = np.where(accept, cx, xs).tolist()
+        fy_l = np.where(accept, cy, ys).tolist()
+        bodies = self.state._bodies  # ids and radii only: poses are stale here
         moved: list[int] = []
-        for i, a, b in zip(residue.tolist(), lo, hi):
-            for j in lj[a:b]:
-                if pending[j]:
-                    index.move(j, cx_l[j], cy_l[j])
-                    pending[j] = False
-            x = cx_l[i]
-            y = cy_l[i]
-            _, hit = resolve_move(grid, index, bodies[i], Pose(x, y, ct_l[i]))
+        for i, x, y, theta, a, b in zip(
+            residue.tolist(),
+            cx[residue].tolist(),
+            cy[residue].tolist(),
+            ctheta[residue].tolist(),
+            lo,
+            hi,
+        ):
+            conflicts = _Conflicts([(fx_l[j], fy_l[j]) for j in lj[a:b]])
+            _, hit = resolve_move(grid, conflicts, bodies[i], Pose(x, y, theta))
             if not hit:
                 moved.append(i)
-                if x != xs_l[i] or y != ys_l[i]:
-                    index.move(i, x, y)
+                fx_l[i] = x
+                fy_l[i] = y
         at_candidate = accept.copy()
         at_candidate[moved] = True
         fx = np.where(at_candidate, cx, xs)
         fy = np.where(at_candidate, cy, ys)
-        # Accepted robots still at their snapshot in the index that change
-        # bucket (the same floor(pos / cell_size) as `RobotIndex.bucket_of`).
-        cs = index.cell_size
-        rebucket = np.array(pending, dtype=bool)
-        rebucket &= (np.floor(cx / cs) != np.floor(xs / cs)) | (
-            np.floor(cy / cs) != np.floor(ys / cs)
-        )
-        index.move_all(fx, fy, np.flatnonzero(rebucket).tolist())
         return fx, fy, at_candidate, int(residue.size)
 
     def _validate_output(self, output: ControlOutput, robot: int, tick: int) -> None:
@@ -427,14 +496,28 @@ class Simulation:
     # -- invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the no-overlap and in-free-space invariants right now."""
+        """Assert the no-overlap and in-free-space invariants of
+        `state.bodies` right now. Names the lowest robot id that breaks
+        one, its wall overlap before its robot overlap."""
         state = self.state
+        grid = state.grid
+        bodies = state.bodies
         r = self.config.robot_radius
-        for body in state.bodies:
-            if not state.grid.disc_free(body.pose.x, body.pose.y, r):
-                raise AssertionError(f"robot {body.id} overlaps a wall at tick {state.tick}")
-            if state.index.any_within_strict(body.pose.x, body.pose.y, 2.0 * r, exclude=body.id):
-                raise AssertionError(f"robot {body.id} overlaps a robot at tick {state.tick}")
+        n = len(bodies)
+        xs = np.fromiter((b.pose.x for b in bodies), dtype=np.float64, count=n)
+        ys = np.fromiter((b.pose.y for b in bodies), dtype=np.float64, count=n)
+        # The clearance fast path of `GridMap.disc_free`, then its exact scan.
+        near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
+        wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]
+        # Pair distances as in `RobotIndex.any_within_strict`, strictly below 2r.
+        d = 2.0 * r
+        pa, pb, d2 = _pairs_within(xs, ys, d)
+        close = d2 < d * d
+        robot = int(min(pa[close].min(initial=n), pb[close].min(initial=n)))
+        if wall and wall[0] <= robot:
+            raise AssertionError(f"robot {wall[0]} overlaps a wall at tick {state.tick}")
+        if robot < n:
+            raise AssertionError(f"robot {robot} overlaps a robot at tick {state.tick}")
 
 
 def state_digest(state: SimState) -> int:

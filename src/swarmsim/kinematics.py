@@ -111,8 +111,10 @@ def resolve_move(
     if the destination disc is wall-free and no other robot center lies
     strictly within two radii. Returns (pose, collided).
 
-    The caller must resolve moves serially in ascending id order with `index`
-    tracking already-resolved positions.
+    The caller must resolve moves serially in ascending id order, and
+    `index.any_within_strict` must see every robot that can block this one
+    at its position at that point of the order: a `RobotIndex` moved along
+    with the resolved robots, or the engine's list of the robot's conflicts.
     """
     r = body.radius
     if grid.disc_free(candidate.x, candidate.y, r) and not index.any_within_strict(

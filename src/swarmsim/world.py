@@ -292,8 +292,9 @@ class RobotIndex:
     """Uniform-grid index over robot centers.
 
     Buckets map a cell coordinate (floor(x / cell_size), floor(y / cell_size))
-    to the ascending list of robot ids whose center lies in that cell. Built
-    once per run, then kept exact as moves resolve.
+    to the ascending list of robot ids whose center lies in that cell. It
+    serves spawn's rejection sampling and the scalar reference ops
+    (`cast_ray`, `sense_all`); the tick itself keeps no index.
     """
 
     __slots__ = ("cell_size", "buckets", "positions", "radius")
@@ -331,14 +332,6 @@ class RobotIndex:
             if not members:
                 del self.buckets[old]
             insort(self.buckets.setdefault(new, []), robot_id)
-
-    def move_all(self, xs: np.ndarray, ys: np.ndarray, rebucket: Sequence[int]) -> None:
-        """Move every robot i to (xs[i], ys[i]) at once. Only the robots in
-        `rebucket` go through `move`; every other robot must already sit in
-        the bucket of its new position, so only its position is rewritten."""
-        for robot_id in rebucket:
-            self.move(robot_id, xs[robot_id], ys[robot_id])
-        self.positions = list(zip(xs.tolist(), ys.tolist()))
 
     def _bucket_range(self, x: float, y: float, d: float) -> tuple[int, int, int, int]:
         cs = self.cell_size

@@ -9,17 +9,30 @@ transcription of SplitMix64. Library results are checked against these.
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmsim
 from swarmsim import GridMap, Pose, RobotBody, generate_arena
 
 MASK64 = (1 << 64) - 1
 
 # Uneven e-puck-style belt: denser at the front, no ray dead ahead or astern.
 EPUCK_ANGLES = (-2.64, -1.57, -0.80, -0.30, 0.30, 0.80, 1.57, 2.64)
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the directory that holds the imported
+    `swarmsim` package first on PYTHONPATH, so a child `python -m swarmsim`
+    imports the same code without an installed package."""
+    env = dict(os.environ)
+    src = str(Path(swarmsim.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 # --- independent SplitMix64 reference ----------------------------------------

@@ -31,6 +31,7 @@ from swarmsim import (
 )
 from swarmsim.engine import Metrics, SimState
 from conftest import (
+    child_env,
     fine_march_confirms,
     march_ray_oracle,
     neighbors_oracle,
@@ -75,6 +76,7 @@ def test_criterion_02_six_thousand_robots_memory(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-m", "swarmsim", "--config", str(path)],
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=600,
@@ -321,7 +323,6 @@ def test_criterion_10_format_round_trips():
             tick=0,
             grid=grid,
             bodies=bodies,
-            index=rebuild_index(bodies, 16.0),
             inboxes=[[] for _ in bodies],
             rng_streams=[RngStream(i) for i in range(len(bodies))],
             master_rng=RngStream(0),

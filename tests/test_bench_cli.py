@@ -9,6 +9,8 @@ import pytest
 
 from swarmsim import SimConfig, bench, format_csv, main
 
+from conftest import child_env
+
 BASE = SimConfig(
     robot_count=1,
     seed=5,
@@ -173,6 +175,7 @@ def test_module_entrypoint_subprocess(tmp_path):
     config = _write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "swarmsim", "--config", str(config), "--quiet"],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

@@ -212,36 +212,33 @@ def test_random_walk_batch_matches_scalar():
 # --- messaging ---------------------------------------------------------------------
 
 
-def _index_at(points, radius=2.0):
-    bodies = [RobotBody(i, Pose(x, y, 0.0), radius) for i, (x, y) in enumerate(points)]
-    return rebuild_index(bodies, 16.0)
+def _deliver(points, outboxes):
+    xs = np.array([x for x, _ in points], dtype=np.float64)
+    ys = np.array([y for _, y in points], dtype=np.float64)
+    return deliver_messages(xs, ys, outboxes)
 
 
 def test_no_outboxes_no_messages():
-    index = _index_at([(10, 10), (12, 10)])
-    inboxes, delivered = deliver_messages(index, [None, None])
+    inboxes, delivered = _deliver([(10, 10), (12, 10)], [None, None])
     assert inboxes == [[], []] and delivered == 0
 
 
 def test_delivery_within_sender_radius():
-    index = _index_at([(10.0, 10.0), (13.0, 10.0)])
-    inboxes, delivered = deliver_messages(index, [Broadcast(b"hi", 10.0), None])
+    inboxes, delivered = _deliver([(10.0, 10.0), (13.0, 10.0)], [Broadcast(b"hi", 10.0), None])
     assert delivered == 1
     assert inboxes[0] == []
     assert inboxes[1] == [Message(0, b"hi")]
 
 
 def test_zero_radius_reaches_nobody():
-    index = _index_at([(10.0, 10.0), (13.0, 10.0)])
-    inboxes, delivered = deliver_messages(index, [Broadcast(b"x", 0.0), None])
+    inboxes, delivered = _deliver([(10.0, 10.0), (13.0, 10.0)], [Broadcast(b"x", 0.0), None])
     assert delivered == 0 and inboxes == [[], []]
 
 
 def test_inboxes_sorted_by_sender():
     points = [(10.0, 10.0), (14.0, 10.0), (18.0, 10.0)]
-    index = _index_at(points)
     outboxes = [Broadcast(b"a", 50.0), Broadcast(b"b", 50.0), Broadcast(b"c", 50.0)]
-    inboxes, delivered = deliver_messages(index, outboxes)
+    inboxes, delivered = _deliver(points, outboxes)
     assert delivered == 6
     assert [m.sender for m in inboxes[0]] == [1, 2]
     assert [m.sender for m in inboxes[1]] == [0, 2]
@@ -251,9 +248,8 @@ def test_inboxes_sorted_by_sender():
 def test_reciprocity_with_equal_radii():
     rng = random.Random(44)
     points = [(rng.uniform(0, 80), rng.uniform(0, 80)) for _ in range(30)]
-    index = _index_at(points, radius=1.0)
     outboxes = [Broadcast(b"g", 12.0) for _ in points]
-    inboxes, _ = deliver_messages(index, outboxes)
+    inboxes, _ = _deliver(points, outboxes)
     got = {(m.sender, receiver) for receiver, box in enumerate(inboxes) for m in box}
     assert all((j, i) in got for (i, j) in got)
 
@@ -261,14 +257,13 @@ def test_reciprocity_with_equal_radii():
 def test_delivery_matches_naive_all_pairs():
     rng = random.Random(123)
     points = [(rng.uniform(0, 150), rng.uniform(0, 150)) for _ in range(200)]
-    index = _index_at(points, radius=0.5)
     outboxes = []
     for i in range(200):
         if rng.random() < 0.6:
             outboxes.append(Broadcast(bytes([i % 256]), rng.uniform(0, 25)))
         else:
             outboxes.append(None)
-    inboxes, delivered = deliver_messages(index, outboxes)
+    inboxes, delivered = _deliver(points, outboxes)
     expected_total = 0
     for i, broadcast in enumerate(outboxes):
         if broadcast is None:
@@ -298,9 +293,9 @@ def deliver_messages_loop(index, outboxes):
 
 
 def _assert_same_routing(points, outboxes):
-    index = _index_at(points, radius=1.0)
-    got = deliver_messages(index, outboxes)
-    assert got == deliver_messages_loop(index, outboxes)
+    got = _deliver(points, outboxes)
+    bodies = [RobotBody(i, Pose(x, y, 0.0), 1.0) for i, (x, y) in enumerate(points)]
+    assert got == deliver_messages_loop(rebuild_index(bodies, 16.0), outboxes)
     return got
 
 
@@ -344,4 +339,4 @@ def test_array_routing_edge_cases():
     assert _assert_same_routing(points, [None] * 5) == ([[]] * 5, 0)
     assert _assert_same_routing(points[:1], [Broadcast(b"x", 50.0)]) == ([[]], 0)
     with pytest.raises(ValueError, match="non-negative"):
-        deliver_messages(_index_at(points), [Broadcast(b"x", -1.0), None, None, None, None])
+        _deliver(points, [Broadcast(b"x", -1.0), None, None, None, None])

@@ -12,11 +12,13 @@ from swarmsim import (
     Broadcast,
     ControlOutput,
     ControllerError,
+    Pose,
     RngStream,
     SimConfig,
     Simulation,
     SpawnError,
     generate_arena,
+    rebuild_index,
     run,
     spawn,
     state_digest,
@@ -268,6 +270,64 @@ def test_no_overlap_invariant_over_run():
     for _ in range(200):
         sim.step()
         sim.check_invariants()
+
+
+def test_check_invariants_names_the_overlapping_robot():
+    # Robot 0 touches the border wall (the clearance fast path fails, the
+    # exact disc test passes); robots 2 and 3 are exactly 2r apart.
+    poses = ((4.0, 50.0, 0.0), (40.0, 50.0, 0.0), (60.0, 50.0, 0.0), (68.0, 50.0, 0.0))
+    config = make_config(robot_count=4, robot_radius=4.0, spawn_positions=poses)
+    sim = Simulation(config, controller=ConstantController(v=0.0))
+    sim.step()
+    sim.check_invariants()
+    bodies = sim.state.bodies
+    bodies[3].pose = Pose(67.5, 50.0, 0.0)
+    with pytest.raises(AssertionError, match=r"^robot 2 overlaps a robot at tick 1$"):
+        sim.check_invariants()
+    bodies[1].pose = Pose(3.0, 80.5, 0.0)  # across the border wall
+    with pytest.raises(AssertionError, match=r"^robot 1 overlaps a wall at tick 1$"):
+        sim.check_invariants()
+    bodies[0].pose = Pose(10.0, 80.5, 0.0)  # 7 px from robot 1
+    with pytest.raises(AssertionError, match=r"^robot 0 overlaps a robot at tick 1$"):
+        sim.check_invariants()
+    bodies[0].pose = Pose(4.0, 50.0, 0.0)
+    bodies[2].pose = Pose(9.0, 80.5, 0.0)  # robot 1 breaks both: the wall comes first
+    with pytest.raises(AssertionError, match=r"^robot 1 overlaps a wall at tick 1$"):
+        sim.check_invariants()
+
+
+class RadiusBeacon:
+    """Test plugin: robot i (the engine steps plugins in id order) broadcasts
+    with a radius that varies by id and tick, and records what it sent."""
+
+    def __init__(self, robots: int) -> None:
+        self.robots = robots
+        self.calls = 0
+        self.sent = []
+
+    def step(self, control_input, rng):
+        robot = self.calls % self.robots
+        self.calls += 1
+        broadcast = None
+        if (robot + control_input.tick) % 4:
+            broadcast = Broadcast(bytes([robot]), 6.0 * ((robot * 7 + self.calls) % 9))
+        self.sent.append(broadcast)
+        return ControlOutput(ActuatorCommand(2.0, 0.3 * rng.uniform() - 0.15), broadcast)
+
+
+def test_inboxes_match_per_sender_loop_at_end_of_tick():
+    from test_controllers import deliver_messages_loop
+
+    config = make_config(robot_count=80, seed=8, arena_width=120, arena_height=120)
+    ctrl = RadiusBeacon(config.robot_count)
+    sim = Simulation(config, controller=ctrl)
+    for _ in range(8):
+        sim.step()
+        outboxes = ctrl.sent[-config.robot_count :]
+        index = rebuild_index(sim.state.bodies, 16.0)
+        expected, delivered = deliver_messages_loop(index, outboxes)
+        assert sim.state.inboxes == expected
+        assert delivered > 0
 
 
 def test_robot_count_ids_radius_conserved():

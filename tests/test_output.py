@@ -14,7 +14,6 @@ from swarmsim import (
     SimConfig,
     evenly_spaced_angles,
     generate_arena,
-    rebuild_index,
     render_frame,
     robot_color,
     run,
@@ -43,7 +42,6 @@ def _state_with(grid, bodies) -> SimState:
         tick=0,
         grid=grid,
         bodies=bodies,
-        index=rebuild_index(bodies, 16.0),
         inboxes=[[] for _ in bodies],
         rng_streams=[RngStream(i) for i in range(len(bodies))],
         master_rng=RngStream(0),
