@@ -36,7 +36,6 @@ class SimConfig:
     log_path: str | None = None
     frames_every: int | None = None
     frames_dir: str | None = None
-    index_cell_size: float | None = None
     spawn_positions: tuple[tuple[float, float, float], ...] | None = None
     payload_cap: int = 4096
 
@@ -91,7 +90,6 @@ _KEYS = {
     "log.path": ("log_path", str),
     "frames.every": ("frames_every", _parse_int),
     "frames.dir": ("frames_dir", str),
-    "index.cell_size": ("index_cell_size", _parse_float),
     "spawn.positions": ("spawn_positions", _parse_positions),
     "messages.payload_cap": ("payload_cap", _parse_int),
 }
@@ -203,8 +201,6 @@ def _validate(config: SimConfig) -> None:
             raise bad("frames.every must be at least 1")
         if config.frames_dir is None:
             raise bad("frames.every requires frames.dir")
-    if config.index_cell_size is not None and config.index_cell_size <= 0:
-        raise bad("index.cell_size must be positive")
     if config.payload_cap < 0:
         raise bad("messages.payload_cap must be non-negative")
     if config.spawn_positions is not None and len(config.spawn_positions) != config.robot_count:

@@ -284,13 +284,6 @@ class Simulation:
         )
         self.spec = SensorSpec(angles, config.sensor_range)
         self.controller = controller or _build_controller(config, self.limits, self.spec)
-        # Cell size of a `RobotIndex` rebuilt over the bodies; the tick keeps
-        # no index.
-        self.cell_size = (
-            config.index_cell_size
-            if config.index_cell_size is not None
-            else max(2.0 * config.robot_radius, 16.0)
-        )
         self.payload_cap = config.payload_cap
         self.state = SimState(
             tick=0,
@@ -358,7 +351,7 @@ class Simulation:
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
         near = d2 <= move_reach * move_reach
         fx, fy, at_candidate, serial = self._resolve_moves(
-            xs, ys, cx, cy, ctheta, pa[near], pb[near]
+            xs, ys, thetas, cx, cy, ctheta, pa[near], pb[near]
         )
         collided = ~at_candidate
         state.set_poses(fx, fy, ctheta, collided)
@@ -383,6 +376,7 @@ class Simulation:
         self,
         xs: np.ndarray,
         ys: np.ndarray,
+        thetas: np.ndarray,
         cx: np.ndarray,
         cy: np.ndarray,
         ctheta: np.ndarray,
@@ -455,18 +449,21 @@ class Simulation:
         # snapshot here until it is resolved.
         fx_l = np.where(accept, cx, xs).tolist()
         fy_l = np.where(accept, cy, ys).tolist()
-        bodies = self.state._bodies  # ids and radii only: poses are stale here
         moved: list[int] = []
-        for i, x, y, theta, a, b in zip(
+        for i, x, y, theta, sx, sy, stheta, a, b in zip(
             residue.tolist(),
             cx[residue].tolist(),
             cy[residue].tolist(),
             ctheta[residue].tolist(),
+            xs[residue].tolist(),
+            ys[residue].tolist(),
+            thetas[residue].tolist(),
             lo,
             hi,
         ):
             conflicts = _Conflicts([(fx_l[j], fy_l[j]) for j in lj[a:b]])
-            _, hit = resolve_move(grid, conflicts, bodies[i], Pose(x, y, theta))
+            body = RobotBody(i, Pose(sx, sy, stheta), r)
+            _, hit = resolve_move(grid, conflicts, body, Pose(x, y, theta))
             if not hit:
                 moved.append(i)
                 fx_l[i] = x
@@ -496,16 +493,14 @@ class Simulation:
     # -- invariants ------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the no-overlap and in-free-space invariants of
-        `state.bodies` right now. Names the lowest robot id that breaks
+        """Assert the no-overlap and in-free-space invariants of the pose
+        arrays of `state` right now. Names the lowest robot id that breaks
         one, its wall overlap before its robot overlap."""
         state = self.state
         grid = state.grid
-        bodies = state.bodies
+        xs, ys = state.xs, state.ys
         r = self.config.robot_radius
-        n = len(bodies)
-        xs = np.fromiter((b.pose.x for b in bodies), dtype=np.float64, count=n)
-        ys = np.fromiter((b.pose.y for b in bodies), dtype=np.float64, count=n)
+        n = xs.size
         # The clearance fast path of `GridMap.disc_free`, then its exact scan.
         near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
         wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]

@@ -115,6 +115,8 @@ def resolve_move(
     `index.any_within_strict` must see every robot that can block this one
     at its position at that point of the order: a `RobotIndex` moved along
     with the resolved robots, or the engine's list of the robot's conflicts.
+    A canceled move keeps the position of `body.pose`, which must be the
+    robot's own position at that point.
     """
     r = body.radius
     if grid.disc_free(candidate.x, candidate.y, r) and not index.any_within_strict(

@@ -130,7 +130,6 @@ def _random_run_config(rng: random.Random) -> SimConfig:
         sensor_range=rng.uniform(max(v_max, 16.0), 96.0),
         v_max=v_max,
         w_max=rng.uniform(0.1, 1.0),
-        index_cell_size=rng.choice([None, 8.0, 16.0, 48.0]),
     )
 
 

@@ -162,7 +162,6 @@ def _random_config(rng: random.Random):
         f"limits.v_max={rng.uniform(0.1, 5.0)!r}",
         f"limits.w_max={rng.uniform(0.05, 2.0)!r}",
         f"sensors.range={rng.uniform(8.0, 100.0)!r}",
-        f"index.cell_size={rng.uniform(4.0, 64.0)!r}",
         f"messages.payload_cap={rng.randint(0, 10000)}",
     ]
     if rng.random() < 0.5:

@@ -12,7 +12,6 @@ from swarmsim import (
     Broadcast,
     ControlOutput,
     ControllerError,
-    Pose,
     RngStream,
     SimConfig,
     Simulation,
@@ -280,18 +279,22 @@ def test_check_invariants_names_the_overlapping_robot():
     sim = Simulation(config, controller=ConstantController(v=0.0))
     sim.step()
     sim.check_invariants()
-    bodies = sim.state.bodies
-    bodies[3].pose = Pose(67.5, 50.0, 0.0)
+    xs, ys = sim.state.xs, sim.state.ys  # the state the next tick reads
+
+    def place(robot, x, y):
+        xs[robot], ys[robot] = x, y
+
+    place(3, 67.5, 50.0)
     with pytest.raises(AssertionError, match=r"^robot 2 overlaps a robot at tick 1$"):
         sim.check_invariants()
-    bodies[1].pose = Pose(3.0, 80.5, 0.0)  # across the border wall
+    place(1, 3.0, 80.5)  # across the border wall
     with pytest.raises(AssertionError, match=r"^robot 1 overlaps a wall at tick 1$"):
         sim.check_invariants()
-    bodies[0].pose = Pose(10.0, 80.5, 0.0)  # 7 px from robot 1
+    place(0, 10.0, 80.5)  # 7 px from robot 1
     with pytest.raises(AssertionError, match=r"^robot 0 overlaps a robot at tick 1$"):
         sim.check_invariants()
-    bodies[0].pose = Pose(4.0, 50.0, 0.0)
-    bodies[2].pose = Pose(9.0, 80.5, 0.0)  # robot 1 breaks both: the wall comes first
+    place(0, 4.0, 50.0)
+    place(2, 9.0, 80.5)  # robot 1 breaks both: the wall comes first
     with pytest.raises(AssertionError, match=r"^robot 1 overlaps a wall at tick 1$"):
         sim.check_invariants()
 

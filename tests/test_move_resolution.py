@@ -32,13 +32,13 @@ from swarmsim import (
 from swarmsim.sensing import readings_from_arrays
 
 
-def reference_step(sim: Simulation) -> None:
-    """One tick with the per-robot move loop. Plugin controllers must not
-    broadcast."""
+def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
+    """One tick with the per-robot move loop over a `RobotIndex` of buckets
+    `cell_size` wide. Plugin controllers must not broadcast."""
     state = sim.state
     bodies = state.bodies
     n = len(bodies)
-    index = rebuild_index(bodies, sim.cell_size)
+    index = rebuild_index(bodies, cell_size)
     xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
     ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
     thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
@@ -127,14 +127,16 @@ def _pose_bits(sim: Simulation) -> list[tuple[str, str, str, bool]]:
     ]
 
 
-def assert_matches_reference(config: SimConfig, make_controller, ticks: int) -> tuple[int, int]:
-    """Step the engine and the oracle side by side; return the engine's
-    (serial residue, robot-steps) totals."""
+def assert_matches_reference(
+    config: SimConfig, make_controller, ticks: int, cell_size: float = 16.0
+) -> tuple[int, int]:
+    """Step the engine and the oracle (its index `cell_size` wide) side by
+    side; return the engine's (serial residue, robot-steps) totals."""
     sim = Simulation(config, controller=make_controller())
     ref = Simulation(config, controller=make_controller())
     for tick in range(ticks):
         sim.step()
-        reference_step(ref)
+        reference_step(ref, cell_size)
         assert _pose_bits(sim) == _pose_bits(ref), f"tick {tick}"
         assert sim.state.metrics.canceled_moves == ref.state.metrics.canceled_moves
     assert state_digest(sim.state) == state_digest(ref.state)
@@ -163,16 +165,18 @@ def _scripted(config: SimConfig):
 @pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
 @pytest.mark.parametrize("controller_type", ["random_walk", "braitenberg"])
 def test_dense_swarm_matches_per_robot_loop(cell_size, controller_type):
-    config = _config(controller_type=controller_type, index_cell_size=cell_size)
-    serial, steps = assert_matches_reference(config, lambda: None, ticks=40)
+    config = _config(controller_type=controller_type)
+    serial, steps = assert_matches_reference(config, lambda: None, ticks=40, cell_size=cell_size)
     assert 0 < serial < steps  # both the array and the serial path ran
 
 
 @pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
 def test_scripted_commands_match_per_robot_loop(cell_size):
     # v = 0, negative v, clamped commands, turns wrapping past +-pi
-    config = _config(robot_count=90, seed=5, index_cell_size=cell_size, w_max=1.0)
-    serial, steps = assert_matches_reference(config, _scripted(config), ticks=40)
+    config = _config(robot_count=90, seed=5, w_max=1.0)
+    serial, steps = assert_matches_reference(
+        config, _scripted(config), ticks=40, cell_size=cell_size
+    )
     assert 0 < serial < steps
 
 
@@ -220,10 +224,9 @@ def test_obstacle_map_matches_per_robot_loop(tmp_path, cell_size):
         arena_height=None,
         map_path=map_path,
         robot_radius=3.0,
-        index_cell_size=cell_size,
     )
-    assert_matches_reference(config, lambda: None, ticks=40)
-    assert_matches_reference(config, _scripted(config), ticks=40)
+    assert_matches_reference(config, lambda: None, ticks=40, cell_size=cell_size)
+    assert_matches_reference(config, _scripted(config), ticks=40, cell_size=cell_size)
 
 
 def test_map_edge_contacts_and_heading_wrap_match():
@@ -273,14 +276,15 @@ def test_centres_exactly_two_radii_apart(cell_size):
         robot_count=len(poses),
         spawn_positions=tuple(poses),
         robot_radius=r,
-        index_cell_size=cell_size,
     )
     sim = Simulation(config, controller=FixedController(commands))
     sim.step()
     pair = sim.state.bodies[16:18]
     assert not pair[0].collided_last_tick and not pair[1].collided_last_tick
     assert pair[1].pose.x - pair[0].pose.x == 2 * r
-    assert_matches_reference(config, lambda: FixedController(commands), ticks=20)
+    assert_matches_reference(
+        config, lambda: FixedController(commands), ticks=20, cell_size=cell_size
+    )
 
 
 def test_cancel_rules_match_per_robot_loop():
