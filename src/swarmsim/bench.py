@@ -45,8 +45,8 @@ def bench(
 ) -> list[BenchRow]:
     """Run base_config once per population size; per-size failures become
     error rows and the remaining sizes still run."""
-    if not sizes:
-        raise ValueError("bench needs at least one population size")
+    if not sizes or min(sizes) < 0:
+        raise ValueError(f"bench needs one or more population sizes >= 0, got {list(sizes)}")
     run_ticks = base_config.ticks if ticks is None else ticks
     rows: list[BenchRow] = []
     for n in sizes:

@@ -84,10 +84,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError:
             print(f"error: config: --bench expects integers, got {args.bench!r}", file=sys.stderr)
             return 1
-        if not sizes:
-            print("error: config: --bench needs at least one size", file=sys.stderr)
+        try:
+            rows = bench(config, sizes)
+        except ValueError as exc:  # no sizes, or a negative one
+            print(f"error: config: {exc}", file=sys.stderr)
             return 1
-        print(format_csv(bench(config, sizes)), end="")
+        print(format_csv(rows), end="")
         return 0
 
     try:

@@ -183,11 +183,27 @@ def load_world(config: SimConfig) -> GridMap:
     return generate_arena(config.arena_width, config.arena_height)
 
 
+def _overlaps(
+    grid: GridMap, xs: np.ndarray, ys: np.ndarray, r: float
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The discs of radius r at (xs, ys) that overlap a wall, ascending, and
+    the pairs (lo < hi) whose centers are strictly closer than 2r."""
+    # The clearance fast path of `GridMap.disc_free`, then its exact scan.
+    near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
+    wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]
+    # Pair distances as in `RobotIndex.any_within_strict`, strictly below 2r.
+    d = 2.0 * r
+    pa, pb, d2 = _pairs_within(xs, ys, d)
+    close = d2 < d * d
+    return wall, np.minimum(pa[close], pb[close]), np.maximum(pa[close], pb[close])
+
+
 def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[RobotBody]:
     """Place robots: explicit positions if configured, otherwise rejection
     sampling from the master stream (3 draws per attempt: x, y, heading).
     Accepts a position iff the disc is wall-free and at least two radii from
-    every already-accepted center."""
+    every already-accepted center. Explicit positions are checked in one
+    array pass that names the first one a placement in order would reject."""
     n = config.robot_count
     r = config.robot_radius
     if config.spawn_positions is not None:
@@ -196,19 +212,25 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
                 f"spawn.positions lists {len(config.spawn_positions)} poses "
                 f"but robots.count is {n}"
             )
-        bodies = []
-        for i, (x, y, theta) in enumerate(config.spawn_positions):
-            if not grid.disc_free(x, y, r):
-                raise SpawnError(f"spawn.positions[{i}] overlaps a wall at ({x}, {y})")
-            for other in bodies:
-                dx = other.pose.x - x
-                dy = other.pose.y - y
-                if dx * dx + dy * dy < (2.0 * r) * (2.0 * r):
-                    raise SpawnError(
-                        f"spawn.positions[{i}] is closer than two radii to robot {other.id}"
-                    )
-            bodies.append(RobotBody(i, Pose(x, y, wrap_angle(theta)), r))
-        return bodies
+        poses = np.array(config.spawn_positions, dtype=np.float64).reshape(n, 3)
+        finite = np.isfinite(poses).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise SpawnError(f"spawn.positions[{i}] is not finite: {config.spawn_positions[i]}")
+        # Far-off positions may overflow the bins: that only adds candidate pairs.
+        with np.errstate(over="ignore", invalid="ignore"):
+            wall, lo, hi = _overlaps(grid, poses[:, 0], poses[:, 1], r)
+        robot = int(hi.min(initial=n))
+        if wall and wall[0] <= robot:
+            x, y, _ = config.spawn_positions[wall[0]]
+            raise SpawnError(f"spawn.positions[{wall[0]}] overlaps a wall at ({x}, {y})")
+        if robot < n:
+            raise SpawnError(
+                f"spawn.positions[{robot}] is closer than two radii to robot "
+                f"{int(lo[hi == robot].min())}"
+            )
+        positions = enumerate(config.spawn_positions)
+        return [RobotBody(i, Pose(x, y, wrap_angle(theta)), r) for i, (x, y, theta) in positions]
     bodies = []
     probe = RobotIndex(max(2.0 * r, 16.0), radius=r)
     rejections = 0
@@ -283,7 +305,9 @@ class Simulation:
             else evenly_spaced_angles(config.sensor_count)
         )
         self.spec = SensorSpec(angles, config.sensor_range)
-        self.controller = controller or _build_controller(config, self.limits, self.spec)
+        if controller is None:
+            controller = _build_controller(config, self.limits, self.spec)
+        self.controller = controller
         self.payload_cap = config.payload_cap
         self.state = SimState(
             tick=0,
@@ -320,7 +344,8 @@ class Simulation:
         # Phase 3: controllers.
         controller = self.controller
         outboxes: list[Broadcast | None] | None = None
-        if isinstance(controller, (BraitenbergController, RandomWalkController)):
+        # Only the built-in classes themselves: a subclass may override `step`.
+        if type(controller) in (BraitenbergController, RandomWalkController):
             v_arr, w_arr = controller.step_batch(normalized, state.rng_streams)
         else:
             v_arr = np.empty(n)
@@ -497,18 +522,9 @@ class Simulation:
         arrays of `state` right now. Names the lowest robot id that breaks
         one, its wall overlap before its robot overlap."""
         state = self.state
-        grid = state.grid
-        xs, ys = state.xs, state.ys
-        r = self.config.robot_radius
-        n = xs.size
-        # The clearance fast path of `GridMap.disc_free`, then its exact scan.
-        near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
-        wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]
-        # Pair distances as in `RobotIndex.any_within_strict`, strictly below 2r.
-        d = 2.0 * r
-        pa, pb, d2 = _pairs_within(xs, ys, d)
-        close = d2 < d * d
-        robot = int(min(pa[close].min(initial=n), pb[close].min(initial=n)))
+        wall, lo, _ = _overlaps(state.grid, state.xs, state.ys, self.config.robot_radius)
+        n = state.xs.size
+        robot = int(lo.min(initial=n))
         if wall and wall[0] <= robot:
             raise AssertionError(f"robot {wall[0]} overlaps a wall at tick {state.tick}")
         if robot < n:
@@ -519,9 +535,8 @@ def state_digest(state: SimState) -> int:
     """64-bit FNV-1a over the pose stream in id order, with x, y, theta each
     quantized to 1e-6 and packed as signed little-endian 64-bit integers."""
     h = _FNV_OFFSET
-    for body in state.bodies:
-        pose = body.pose
-        for value in (pose.x, pose.y, pose.theta):
+    for pose in zip(state.xs.tolist(), state.ys.tolist(), state.thetas.tolist()):
+        for value in pose:
             q = round(value * 1e6)
             for byte in int(q).to_bytes(8, "little", signed=True):
                 h ^= byte
@@ -569,7 +584,7 @@ def run(config: SimConfig, controller: Controller | None = None) -> RunReport:
             logger.close()
     metrics = sim.state.metrics
     metrics.wall_seconds = wall
-    total_steps = metrics.ticks_run * len(sim.state.bodies)
+    total_steps = metrics.ticks_run * sim.state.xs.size
     metrics.steps_per_sec = total_steps / wall if wall > 0.0 and total_steps else 0.0
     from .config import config_items
 

@@ -33,13 +33,13 @@ class TrajectoryLogger:
 
     def append(self, state) -> None:
         tick = state.tick
-        rows = []
-        for body in state.bodies:
-            pose = body.pose
-            rows.append(
-                f"{tick},{body.id},{pose.x:.6f},{pose.y:.6f},{pose.theta:.6f},"
-                f"{1 if body.collided_last_tick else 0}"
-            )
+        poses = zip(
+            state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist()
+        )
+        rows = [
+            f"{tick},{i},{x:.6f},{y:.6f},{theta:.6f},{1 if hit else 0}"
+            for i, (x, y, theta, hit) in enumerate(poses)
+        ]
         if rows:
             self._file.write("\n".join(rows) + "\n")
 
@@ -109,19 +109,16 @@ def render_frame(state, spec=None, draw_rays: bool = False) -> bytes:
     grid = state.grid
     img = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
     img[:] = np.where(grid.occupancy, 0, 255)[:, :, None]
-    if draw_rays and state.bodies:
+    if draw_rays and state.xs.size:
         if spec is None:
             raise ValueError("draw_rays needs the sensor spec")
         from .sensing import sense_batch
 
-        n = len(state.bodies)
-        xs = np.fromiter((b.pose.x for b in state.bodies), dtype=np.float64, count=n)
-        ys = np.fromiter((b.pose.y for b in state.bodies), dtype=np.float64, count=n)
-        thetas = np.fromiter((b.pose.theta for b in state.bodies), dtype=np.float64, count=n)
+        xs, ys, thetas = state.xs, state.ys, state.thetas
         radius = state.bodies[0].radius
         normalized, _ = sense_batch(grid, xs, ys, thetas, radius, spec)
         angles = np.asarray(spec.angles)
-        for i in range(n):
+        for i in range(xs.size):
             for j, angle in enumerate(angles):
                 bearing = thetas[i] + angle
                 dx = math.cos(bearing)

@@ -32,10 +32,6 @@ KIND_ROBOT = "robot"
 HIT_NONE = -1
 HIT_WALL = -2
 
-# Below this population the batch path tests all robot pairs instead of
-# binning; the candidate sets differ but the reduced result is identical.
-_ALL_PAIRS_LIMIT = 64
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -261,16 +257,8 @@ def _wall_batch(
     rule and crossing expressions as `_wall_hit_scalar`, evaluated with masks
     instead of branches until few rays are left; those resume the scalar
     loop from their current cell."""
-    m = ox.size
-    if m <= _SCALAR_DDA_LIMIT:
-        out = np.empty(m)
-        rays = zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist(), ranges.tolist())
-        for i, ray in enumerate(rays):
-            t = _wall_hit_scalar(grid, *ray)
-            out[i] = np.inf if t is None else t
-        return out
     clearance = grid.clearance
-    t_hit = np.full(m, np.inf)
+    t_hit = np.full(ox.size, np.inf)
     cx = np.floor(ox).astype(np.int64)
     cy = np.floor(oy).astype(np.int64)
     start_blocked = grid.blocked_at(cx, cy)
@@ -371,15 +359,11 @@ def _pairs_within(
     """Robot pairs (a, b), a != b, with center distance <= reach, each
     unordered pair once, and their squared distances computed as
     dx * dx + dy * dy with dx = xs[b] - xs[a], dy = ys[b] - ys[a]. Uses
-    coarse bins of size `reach` above _ALL_PAIRS_LIMIT robots."""
+    coarse bins of size `reach`."""
     n = xs.size
-    if n <= _ALL_PAIRS_LIMIT:
-        pa, pb = np.triu_indices(n, 1)
-        dx = xs[pb] - xs[pa]
-        dy = ys[pb] - ys[pa]
-        d2 = dx * dx + dy * dy
-        keep = np.flatnonzero(d2 <= reach * reach)
-        return pa[keep], pb[keep], d2[keep]
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0)
     bx = np.floor(xs / reach).astype(np.int64)
     by = np.floor(ys / reach).astype(np.int64)
     span = by.max() - by.min() + 3

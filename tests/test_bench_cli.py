@@ -74,6 +74,11 @@ def test_bench_requires_sizes():
         bench(BASE, sizes=[])
 
 
+def test_bench_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="-5"):
+        bench(BASE, sizes=[-5, 3])
+
+
 # --- CLI -------------------------------------------------------------------------
 
 
@@ -169,6 +174,14 @@ def test_bench_flag_prints_csv(tmp_path, capsys):
 
 def test_bad_bench_sizes_exit_1(tmp_path, capsys):
     assert main(["--config", str(_write_config(tmp_path)), "--bench", "a,b"]) == 1
+
+
+def test_negative_bench_size_is_a_config_error(tmp_path, capsys):
+    assert main(["--config", str(_write_config(tmp_path)), "--bench=-5,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: ")
+    assert "-5" in captured.err
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -123,6 +123,61 @@ def test_explicit_positions_validated(arena100):
         spawn(config, arena100, RngStream(1))
 
 
+def _explicit(poses, **kwargs) -> SimConfig:
+    return make_config(robot_count=len(poses), robot_radius=4.0, spawn_positions=poses, **kwargs)
+
+
+def test_explicit_positions_wall_before_robot_at_same_index(arena100):
+    # Position 1 is 4 px from position 0 and 2 px from the border wall.
+    config = _explicit(((6.0, 20.0, 0.0), (2.0, 20.0, 0.0)))
+    message = r"^spawn\.positions\[1\] overlaps a wall at \(2\.0, 20\.0\)$"
+    with pytest.raises(SpawnError, match=message):
+        spawn(config, arena100, RngStream(1))
+
+
+def test_explicit_positions_name_first_index_and_lowest_earlier_partner(arena100):
+    # Position 4 is 6 px from both 1 and 3, which lie right and left of it;
+    # the pair (0, 5) has the lowest member but its later index comes after
+    # 4, and position 6 sits in the wall even later.
+    poses = (
+        (80.0, 80.0, 0.0),
+        (56.0, 50.0, 0.0),
+        (20.0, 20.0, 0.0),
+        (44.0, 50.0, 0.0),
+        (50.0, 50.0, 0.0),
+        (84.0, 80.0, 0.0),
+        (1.0, 1.0, 0.0),
+    )
+    with pytest.raises(
+        SpawnError, match=r"^spawn\.positions\[4\] is closer than two radii to robot 1$"
+    ):
+        spawn(_explicit(poses), arena100, RngStream(1))
+
+
+def test_explicit_positions_lattice_overlap_at_last_index():
+    # 64 x 64 positions 10 px apart; the last one moves to 1 px right of
+    # position 453 (row 7, column 5), still 9 px from that row's column 6.
+    poses = [(10.0 + 10.0 * (i % 64), 10.0 + 10.0 * (i // 64), 0.0) for i in range(4096)]
+    config = _explicit(tuple(poses), arena_width=660, arena_height=660)
+    assert len(spawn(config, generate_arena(660, 660), RngStream(1))) == 4096
+    poses[-1] = (61.0, 80.0, 0.0)
+    config = _explicit(tuple(poses), arena_width=660, arena_height=660)
+    with pytest.raises(
+        SpawnError, match=r"^spawn\.positions\[4095\] is closer than two radii to robot 453$"
+    ):
+        spawn(config, generate_arena(660, 660), RngStream(1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_explicit_positions_non_finite_rejected(arena100, value, slot):
+    bad = [20.0, 40.0, 0.5]
+    bad[slot] = value
+    config = _explicit(((20.0, 20.0, 0.0), tuple(bad)))
+    with pytest.raises(SpawnError, match=r"^spawn\.positions\[1\] is not finite"):
+        spawn(config, arena100, RngStream(1))
+
+
 # --- tick ----------------------------------------------------------------------
 
 
@@ -365,6 +420,43 @@ def test_braitenberg_batch_and_plugin_wrapper_agree():
         assert a.pose.x == pytest.approx(b.pose.x, abs=1e-9)
         assert a.pose.y == pytest.approx(b.pose.y, abs=1e-9)
         assert a.pose.theta == pytest.approx(b.pose.theta, abs=1e-9)
+
+
+def test_builtin_subclass_runs_its_own_step():
+    """Only the exact built-in classes take the batch path: a subclass that
+    overrides `step` is stepped robot by robot through it."""
+    from swarmsim import BraitenbergController, Limits, SensorSpec, evenly_spaced_angles
+
+    class Parked(BraitenbergController):
+        def step(self, control_input, rng):
+            return ControlOutput(ActuatorCommand(0.0, 0.0))
+
+    config = make_config(
+        robot_count=2,
+        controller_type="braitenberg",
+        spawn_positions=((100.0, 100.0, 0.0), (150.0, 150.0, 1.0)),
+    )
+    spec = SensorSpec(evenly_spaced_angles(config.sensor_count), config.sensor_range)
+    sim = Simulation(config, controller=Parked(Limits(config.v_max, config.w_max), spec))
+    for _ in range(3):
+        sim.step()
+    assert sim.state.xs.tolist() == [100.0, 150.0]
+    assert sim.state.ys.tolist() == [100.0, 150.0]
+    assert sim.state.thetas.tolist() == [0.0, 1.0]
+
+
+def test_falsy_plugin_is_not_replaced():
+    class Empty(ConstantController):
+        def __len__(self):
+            return 0
+
+    plugin = Empty(v=0.0)
+    config = make_config(robot_count=1, spawn_positions=((100.0, 100.0, 0.0),))
+    sim = Simulation(config, controller=plugin)
+    sim.step()
+    assert sim.controller is plugin
+    assert len(plugin.seen_inputs) == 1
+    assert sim.state.xs.tolist() == [100.0]
 
 
 def test_run_zero_ticks_reports():

@@ -44,7 +44,7 @@ def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
     thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
     normalized, hits = sense_batch(state.grid, xs, ys, thetas, sim.config.robot_radius, sim.spec)
     controller = sim.controller
-    if isinstance(controller, (BraitenbergController, RandomWalkController)):
+    if type(controller) in (BraitenbergController, RandomWalkController):
         v_arr, w_arr = controller.step_batch(normalized, state.rng_streams)
     else:
         v_arr = np.empty(n)
@@ -75,6 +75,13 @@ def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
         body.pose = new_pose
         body.collided_last_tick = collided
         canceled += collided
+    # The engine's state is the pose arrays: hand the loop's poses back.
+    state.set_poses(
+        np.array([b.pose.x for b in bodies], dtype=np.float64),
+        np.array([b.pose.y for b in bodies], dtype=np.float64),
+        np.array([b.pose.theta for b in bodies], dtype=np.float64),
+        np.array([b.collided_last_tick for b in bodies], dtype=bool),
+    )
     state.inboxes = [[] for _ in range(n)]
     state.metrics.canceled_moves += canceled
     state.metrics.ticks_run += 1
