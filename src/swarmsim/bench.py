@@ -44,7 +44,8 @@ def bench(
     ticks: int | None = None,
 ) -> list[BenchRow]:
     """Run base_config once per population size; per-size failures become
-    error rows and the remaining sizes still run."""
+    error rows and the remaining sizes still run. A `ticks` the config
+    rejects raises `ConfigError` before any size runs."""
     if not sizes or min(sizes) < 0:
         raise ValueError(f"bench needs one or more population sizes >= 0, got {list(sizes)}")
     run_ticks = base_config.ticks if ticks is None else ticks

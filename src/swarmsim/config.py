@@ -1,5 +1,5 @@
 """Experiment configuration: strict properties-format parsing and the CLI
-override merge.
+override merge. A SimConfig checks its own rules whenever it is built.
 
 Format: one ``key = value`` per line, ``#`` comment lines, blank lines
 ignored. Later duplicates win; command-line overrides win over file values.
@@ -38,6 +38,9 @@ class SimConfig:
     frames_dir: str | None = None
     spawn_positions: tuple[tuple[float, float, float], ...] | None = None
     payload_cap: int = 4096
+
+    def __post_init__(self) -> None:
+        _validate(self)
 
 
 def _parse_int(text: str) -> int:
@@ -137,18 +140,27 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> SimConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
     # An explicit angle list defines the belt; derive the count unless the
-    # file pinned it too (in which case the two must agree, checked below).
+    # file pinned it too (in which case the two must agree, which SimConfig
+    # checks when it is built).
     if "sensors.angles" in raw and "sensors.count" not in raw:
         values["sensor_count"] = len(values["sensor_angles"])  # type: ignore[arg-type]
-    config = SimConfig(**values)
-    _validate(config)
-    return config
+    return SimConfig(**values)
 
 
 def _validate(config: SimConfig) -> None:
+    """Every rule a SimConfig obeys however it is built: `parse_config`,
+    direct construction and `dataclasses.replace` all pass through here."""
+
     def bad(message: str) -> ConfigError:
         return ConfigError(message)
 
+    for attr in ("robot_radius", "sensor_range", "v_max", "w_max"):
+        if not math.isfinite(getattr(config, attr)):
+            raise bad(f"{_FIELD_TO_KEY[attr]} must be finite")
+    for attr in ("sensor_angles", "controller_weights"):
+        values = getattr(config, attr)
+        if values is not None and not all(math.isfinite(v) for v in values):
+            raise bad(f"{_FIELD_TO_KEY[attr]} entries must be finite")
     has_map = config.map_path is not None
     has_arena = config.arena_width is not None or config.arena_height is not None
     if has_map and has_arena:
@@ -203,11 +215,15 @@ def _validate(config: SimConfig) -> None:
             raise bad("frames.every requires frames.dir")
     if config.payload_cap < 0:
         raise bad("messages.payload_cap must be non-negative")
-    if config.spawn_positions is not None and len(config.spawn_positions) != config.robot_count:
-        raise bad(
-            f"spawn.positions lists {len(config.spawn_positions)} poses "
-            f"but robots.count is {config.robot_count}"
-        )
+    if config.spawn_positions is not None:
+        if len(config.spawn_positions) != config.robot_count:
+            raise bad(
+                f"spawn.positions lists {len(config.spawn_positions)} poses "
+                f"but robots.count is {config.robot_count}"
+            )
+        for i, pose in enumerate(config.spawn_positions):
+            if len(pose) != 3:
+                raise bad(f"spawn.positions[{i}] {pose!r} is not x,y,theta")
 
 
 def _format_value(value: object) -> str:

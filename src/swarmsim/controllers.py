@@ -20,8 +20,6 @@ from .kinematics import ActuatorCommand, Limits
 from .rng import RngStream, uniform_batch
 from .sensing import SensorReading, SensorSpec, _pairs_within
 
-DEFAULT_PAYLOAD_CAP = 4096
-
 # Rays within this bearing of straight ahead gate the forward speed.
 FRONT_CONE_HALF_ANGLE = math.pi / 4.0
 

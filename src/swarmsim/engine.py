@@ -43,6 +43,7 @@ from .controllers import (
 )
 from .errors import ControllerError, SpawnError
 from .kinematics import (  # noqa: F401 -- apply_command: kept bound for per-layer profilers
+    ActuatorCommand,
     Limits,
     Pose,
     RobotBody,
@@ -207,11 +208,6 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
     n = config.robot_count
     r = config.robot_radius
     if config.spawn_positions is not None:
-        if len(config.spawn_positions) != n:
-            raise SpawnError(
-                f"spawn.positions lists {len(config.spawn_positions)} poses "
-                f"but robots.count is {n}"
-            )
         poses = np.array(config.spawn_positions, dtype=np.float64).reshape(n, 3)
         finite = np.isfinite(poses).all(axis=1)
         if not finite.all():
@@ -255,11 +251,9 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
 
 
 def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Controller:
-    if config.controller_type == "braitenberg":
-        return BraitenbergController(limits, spec, config.controller_weights)
     if config.controller_type == "random_walk":
         return RandomWalkController(limits)
-    raise ValueError(f"unknown controller type {config.controller_type!r}")
+    return BraitenbergController(limits, spec, config.controller_weights)
 
 
 class _Conflicts:
@@ -308,7 +302,6 @@ class Simulation:
         if controller is None:
             controller = _build_controller(config, self.limits, self.spec)
         self.controller = controller
-        self.payload_cap = config.payload_cap
         self.state = SimState(
             tick=0,
             grid=grid,
@@ -347,6 +340,13 @@ class Simulation:
         # Only the built-in classes themselves: a subclass may override `step`.
         if type(controller) in (BraitenbergController, RandomWalkController):
             v_arr, w_arr = controller.step_batch(normalized, state.rng_streams)
+            bad = np.flatnonzero(~(np.isfinite(v_arr) & np.isfinite(w_arr)))
+            if bad.size:
+                robot = int(bad[0])
+                raise ControllerError(
+                    f"robot {robot} tick {state.tick}: non-finite command "
+                    f"(v={float(v_arr[robot])!r}, w={float(w_arr[robot])!r})"
+                )
         else:
             v_arr = np.empty(n)
             w_arr = np.empty(n)
@@ -364,13 +364,6 @@ class Simulation:
                 v_arr[i] = output.command.v
                 w_arr[i] = output.command.w
                 outboxes[i] = output.broadcast
-        bad = np.nonzero(~(np.isfinite(v_arr) & np.isfinite(w_arr)))[0]
-        if bad.size:
-            robot = int(bad[0])
-            raise ControllerError(
-                f"robot {robot} tick {state.tick}: non-finite command "
-                f"(v={v_arr[robot]!r}, w={w_arr[robot]!r})"
-            )
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
@@ -500,15 +493,29 @@ class Simulation:
         return fx, fy, at_candidate, int(residue.size)
 
     def _validate_output(self, output: ControlOutput, robot: int, tick: int) -> None:
+        """Check one plugin output in full, so the first robot with a fault
+        is the one named."""
         if not isinstance(output, ControlOutput):
             raise ControllerError(f"robot {robot} tick {tick}: step returned {type(output).__name__}")
+        command = output.command
+        if not isinstance(command, ActuatorCommand):
+            raise ControllerError(
+                f"robot {robot} tick {tick}: command is {type(command).__name__}, "
+                f"not ActuatorCommand"
+            )
+        if not (math.isfinite(command.v) and math.isfinite(command.w)):
+            raise ControllerError(
+                f"robot {robot} tick {tick}: non-finite command "
+                f"(v={command.v!r}, w={command.w!r})"
+            )
         broadcast = output.broadcast
         if broadcast is None:
             return
-        if len(broadcast.payload) > self.payload_cap:
+        cap = self.config.payload_cap
+        if len(broadcast.payload) > cap:
             raise ControllerError(
                 f"robot {robot} tick {tick}: broadcast payload of "
-                f"{len(broadcast.payload)} bytes exceeds cap {self.payload_cap}"
+                f"{len(broadcast.payload)} bytes exceeds cap {cap}"
             )
         if not (math.isfinite(broadcast.radius) and broadcast.radius >= 0.0):
             raise ControllerError(

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 
 import pytest
 
-from swarmsim import SimConfig, bench, format_csv, main
+from swarmsim import ConfigError, SimConfig, bench, format_csv, main
 
 from conftest import child_env
 
@@ -77,6 +78,16 @@ def test_bench_requires_sizes():
 def test_bench_rejects_negative_sizes():
     with pytest.raises(ValueError, match="-5"):
         bench(BASE, sizes=[-5, 3])
+
+
+def test_bench_rejects_negative_ticks_before_any_size_runs(monkeypatch):
+    def must_not_run(config):
+        raise AssertionError(f"ran {config.robot_count} robots")
+
+    # The package binds the name `bench` to the function, so fetch the module.
+    monkeypatch.setattr(importlib.import_module("swarmsim.bench"), "run", must_not_run)
+    with pytest.raises(ConfigError, match="^ticks must be non-negative$"):
+        bench(BASE, sizes=[3, 1], ticks=-4)
 
 
 # --- CLI -------------------------------------------------------------------------

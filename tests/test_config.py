@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 
-from swarmsim import ConfigError, parse_config, serialize_config
+from swarmsim import ConfigError, SimConfig, parse_config, serialize_config
 
 MINIMAL = """
 arena.width = 256
@@ -201,3 +203,59 @@ def test_negative_counts_rejected():
         parse_config(MINIMAL, overrides=["ticks=-5"])
     with pytest.raises(ConfigError):
         parse_config(MINIMAL, overrides=["robots.radius=0"])
+
+
+# --- checks at construction --------------------------------------------------------
+
+VALID = dict(
+    robot_count=2,
+    seed=1,
+    ticks=3,
+    controller_type="braitenberg",
+    arena_width=64,
+    arena_height=64,
+)
+
+# (changed fields, the rule's message), each accepted when only parse_config checked.
+BAD_FIELDS = [
+    ({"robot_count": -3}, "robots.count must be non-negative"),
+    ({"ticks": -5}, "ticks must be non-negative"),
+    ({"frames_every": 0, "frames_dir": "frames"}, "frames.every must be at least 1"),
+    ({"sensor_range": 1.0}, "sensors.range must be at least limits.v_max"),
+    (
+        {"sensor_count": 4, "sensor_angles": (0.0, 1.0)},
+        "sensors.count is 4 but sensors.angles lists 2 bearings",
+    ),
+    ({"payload_cap": -1}, "messages.payload_cap must be non-negative"),
+    ({"seed": -1}, "seed must be an unsigned 64-bit integer"),
+    (
+        {"arena_width": None, "arena_height": None},
+        "need map.path, or both arena.width and arena.height",
+    ),
+    ({"controller_weights": (math.nan,) * 8}, "controller.weights entries must be finite"),
+    ({"robot_radius": math.nan}, "robots.radius must be finite"),
+    ({"sensor_range": math.inf}, "sensors.range must be finite"),
+    ({"v_max": math.nan}, "limits.v_max must be finite"),
+    ({"w_max": math.inf}, "limits.w_max must be finite"),
+    (
+        {"sensor_count": 2, "sensor_angles": (0.0, -math.inf)},
+        "sensors.angles entries must be finite",
+    ),
+    (
+        {"robot_count": 1, "spawn_positions": ((10.0, 20.0),)},
+        "spawn.positions[0] (10.0, 20.0) is not x,y,theta",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", BAD_FIELDS)
+def test_direct_construction_is_checked(changes, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SimConfig(**{**VALID, **changes})
+
+
+@pytest.mark.parametrize("changes, message", BAD_FIELDS)
+def test_replace_is_checked(changes, message):
+    base = SimConfig(**VALID)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(base, **changes)

@@ -9,6 +9,7 @@ import pytest
 
 from swarmsim import (
     ActuatorCommand,
+    BraitenbergController,
     Broadcast,
     ControlOutput,
     ControllerError,
@@ -315,6 +316,61 @@ def test_non_finite_command_aborts_with_robot_and_tick():
     config = make_config(robot_count=2, spawn_positions=((50.0, 50.0, 0.0), (80.0, 80.0, 0.0)))
     sim = Simulation(config, controller=ConstantController(v=math.nan))
     with pytest.raises(ControllerError, match=r"robot 0 tick 0"):
+        sim.step()
+
+
+def test_non_finite_batch_command_aborts_with_robot_and_tick():
+    # A built-in controller built by hand bypasses the config's finite weights.
+    config = make_config(controller_type="braitenberg")
+    sim = Simulation(config)
+    sim.controller = BraitenbergController(sim.limits, sim.spec, (math.nan,) * 8)
+    with pytest.raises(
+        ControllerError, match=r"^robot 0 tick 0: non-finite command \(v=[0-9.]+, w=nan\)$"
+    ):
+        sim.step()
+
+
+class ScriptedController:
+    """Test plugin: returns outputs[i] for robot i, counting calls in id order."""
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+        self.calls = 0
+
+    def step(self, control_input, rng):
+        output = self.outputs[self.calls % len(self.outputs)]
+        self.calls += 1
+        return output
+
+
+def test_command_that_is_not_an_actuator_command_is_named():
+    config = make_config(robot_count=1, spawn_positions=((50.0, 50.0, 0.0),))
+    sim = Simulation(config, controller=ScriptedController([ControlOutput((1.0, 0.0))]))
+    with pytest.raises(
+        ControllerError, match=r"^robot 0 tick 0: command is tuple, not ActuatorCommand$"
+    ):
+        sim.step()
+
+
+def test_first_faulty_robot_is_named_whatever_the_fault():
+    # Robot 1 commands NaN, robot 4 broadcasts over the cap: robot 1 comes first.
+    config = make_config(
+        robot_count=5,
+        spawn_positions=tuple((20.0 + 30.0 * i, 50.0, 0.0) for i in range(5)),
+        payload_cap=8,
+    )
+    ok = ControlOutput(ActuatorCommand(0.0, 0.0))
+    outputs = [
+        ok,
+        ControlOutput(ActuatorCommand(math.nan, 0.0)),
+        ok,
+        ok,
+        ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast(b"x" * 9, 5.0)),
+    ]
+    sim = Simulation(config, controller=ScriptedController(outputs))
+    with pytest.raises(
+        ControllerError, match=r"^robot 1 tick 0: non-finite command \(v=nan, w=0\.0\)$"
+    ):
         sim.step()
 
 
