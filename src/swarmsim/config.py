@@ -9,6 +9,8 @@ Unknown keys are hard errors so a typo cannot silently change an experiment.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,6 +103,34 @@ _FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 _REQUIRED = ("robots.count", "seed", "ticks", "controller.type")
 
+_INT_FIELDS = (
+    "robot_count",
+    "seed",
+    "ticks",
+    "arena_width",
+    "arena_height",
+    "sensor_count",
+    "frames_every",
+    "payload_cap",
+)
+_OPTIONAL_INT_FIELDS = ("arena_width", "arena_height", "frames_every")
+
+
+def _is_int(value: object) -> bool:
+    """An integer in the sense of `operator.index`, but not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _is_real(value: object) -> bool:
+    """A real number (int, float, numpy scalar, ...), but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _split_assignment(text: str, where: str) -> tuple[str, str]:
     if "=" not in text:
@@ -154,13 +184,30 @@ def _validate(config: SimConfig) -> None:
     def bad(message: str) -> ConfigError:
         return ConfigError(message)
 
+    # Each field's type is checked before any rule compares it. bool is an
+    # int subclass but never a count, a size or a length: it is refused.
+    for attr in _INT_FIELDS:
+        value = getattr(config, attr)
+        if not (_is_int(value) or (value is None and attr in _OPTIONAL_INT_FIELDS)):
+            raise bad(f"{_FIELD_TO_KEY[attr]} must be an integer; got {value!r}")
     for attr in ("robot_radius", "sensor_range", "v_max", "w_max"):
-        if not math.isfinite(getattr(config, attr)):
+        value = getattr(config, attr)
+        if not _is_real(value):
+            raise bad(f"{_FIELD_TO_KEY[attr]} must be a real number; got {value!r}")
+        if not math.isfinite(value):
             raise bad(f"{_FIELD_TO_KEY[attr]} must be finite")
     for attr in ("sensor_angles", "controller_weights"):
         values = getattr(config, attr)
-        if values is not None and not all(math.isfinite(v) for v in values):
+        if values is None:
+            continue
+        if not all(_is_real(v) for v in values):
+            raise bad(f"{_FIELD_TO_KEY[attr]} entries must be real numbers")
+        if not all(math.isfinite(v) for v in values):
             raise bad(f"{_FIELD_TO_KEY[attr]} entries must be finite")
+    if config.spawn_positions is not None:
+        for i, pose in enumerate(config.spawn_positions):
+            if not all(_is_real(v) for v in pose):
+                raise bad(f"spawn.positions[{i}] {pose!r} entries must be real numbers")
     has_map = config.map_path is not None
     has_arena = config.arena_width is not None or config.arena_height is not None
     if has_map and has_arena:

@@ -16,6 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from ._slots import slot_init
 from .kinematics import ActuatorCommand, Limits
 from .rng import RngStream, uniform_batch
 from .sensing import SensorReading, SensorSpec, _pairs_within
@@ -24,12 +25,14 @@ from .sensing import SensorReading, SensorSpec, _pairs_within
 FRONT_CONE_HALF_ANGLE = math.pi / 4.0
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Message:
     sender: int
     payload: bytes
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Broadcast:
     """Outgoing payload delivered to every robot within `radius` px."""
@@ -38,6 +41,7 @@ class Broadcast:
     radius: float
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ControlInput:
     readings: tuple[SensorReading, ...]
@@ -46,6 +50,7 @@ class ControlInput:
     tick: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ControlOutput:
     command: ActuatorCommand

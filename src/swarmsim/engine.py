@@ -348,22 +348,29 @@ class Simulation:
                     f"(v={float(v_arr[robot])!r}, w={float(w_arr[robot])!r})"
                 )
         else:
-            v_arr = np.empty(n)
-            w_arr = np.empty(n)
-            outboxes = [None] * n
-            collided_last = state.collided.tolist()
-            for i in range(n):
-                control_input = ControlInput(
-                    readings=tuple(readings_from_arrays(normalized[i], hits[i])),
-                    collided_last_tick=collided_last[i],
-                    inbox=tuple(state.inboxes[i]),
-                    tick=state.tick,
+            # Robot i's readings are built just before robot i steps, and its
+            # output is checked before robot i + 1 runs.
+            tick = state.tick
+            vs: list[float] = []
+            ws: list[float] = []
+            outboxes = []
+            rows = zip(
+                readings_from_arrays(normalized, hits),
+                state.collided.tolist(),
+                state.inboxes,
+                state.rng_streams,
+            )
+            for i, (readings, collided_last, inbox, stream) in enumerate(rows):
+                output = controller.step(
+                    ControlInput(readings, collided_last, tuple(inbox), tick), stream
                 )
-                output = controller.step(control_input, state.rng_streams[i])
-                self._validate_output(output, i, state.tick)
-                v_arr[i] = output.command.v
-                w_arr[i] = output.command.w
-                outboxes[i] = output.broadcast
+                self._validate_output(output, i, tick)
+                command = output.command
+                vs.append(command.v)
+                ws.append(command.w)
+                outboxes.append(output.broadcast)
+            v_arr = np.array(vs, dtype=np.float64)
+            w_arr = np.array(ws, dtype=np.float64)
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._slots import slot_init
 from .world import GridMap, RobotIndex
 
 _PI = math.pi
@@ -34,6 +35,7 @@ class RobotBody:
     collided_last_tick: bool = False
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ActuatorCommand:
     """Requested speeds for one tick: v in px/tick, w in rad/tick."""

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from ._slots import slot_init
 from .kinematics import RobotBody
 from .world import GridMap, RobotIndex
 
@@ -79,11 +81,16 @@ class RayHit:
     robot: int | None = None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SensorReading:
     normalized: float
     kind: str
     robot: int | None = None
+
+
+# Value types are immutable, so every ray that hits nothing shares one reading.
+_NONE_READING = SensorReading(1.0, KIND_NONE)
 
 
 def _wall_hit_scalar(
@@ -568,15 +575,21 @@ def sense_batch(
 
 
 def readings_from_arrays(
-    normalized_row: np.ndarray, hit_row: np.ndarray
-) -> list[SensorReading]:
-    """Materialize one robot's batch row as SensorReading objects."""
-    out: list[SensorReading] = []
-    for value, code in zip(normalized_row.tolist(), hit_row.tolist()):
-        if code == HIT_NONE:
-            out.append(SensorReading(value, KIND_NONE))
-        elif code == HIT_WALL:
-            out.append(SensorReading(value, KIND_WALL))
-        else:
-            out.append(SensorReading(value, KIND_ROBOT, code))
-    return out
+    normalized: np.ndarray, hits: np.ndarray
+) -> Iterator[tuple[SensorReading, ...]]:
+    """Materialize the (n, k) batch matrices of `sense_batch` as one tuple of
+    SensorReading objects per robot, in id order. Rows are built as they are
+    consumed. Every `none` ray is the shared `_NONE_READING`: its distance is
+    the range itself, so its normalized value is exactly 1.0."""
+    none = _NONE_READING
+    for values, codes in zip(normalized.tolist(), hits.tolist()):
+        yield tuple(
+            [
+                none
+                if code == HIT_NONE
+                else SensorReading(value, KIND_WALL)
+                if code == HIT_WALL
+                else SensorReading(value, KIND_ROBOT, code)
+                for value, code in zip(values, codes)
+            ]
+        )

@@ -7,6 +7,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from swarmsim import ConfigError, SimConfig, parse_config, serialize_config
@@ -245,6 +246,28 @@ BAD_FIELDS = [
         {"robot_count": 1, "spawn_positions": ((10.0, 20.0),)},
         "spawn.positions[0] (10.0, 20.0) is not x,y,theta",
     ),
+    # Types: a float count would spawn ceil(count) robots, a float arena
+    # size or a str radius would fail later with a bare TypeError.
+    ({"robot_count": 2.5}, "robots.count must be an integer; got 2.5"),
+    ({"arena_width": 64.5}, "arena.width must be an integer; got 64.5"),
+    ({"ticks": 2.5}, "ticks must be an integer; got 2.5"),
+    ({"seed": "1"}, "seed must be an integer; got '1'"),
+    ({"robot_count": None}, "robots.count must be an integer; got None"),
+    ({"frames_every": 2.0, "frames_dir": "frames"}, "frames.every must be an integer; got 2.0"),
+    ({"robot_count": True}, "robots.count must be an integer; got True"),
+    ({"payload_cap": False}, "messages.payload_cap must be an integer; got False"),
+    ({"robot_radius": "4"}, "robots.radius must be a real number; got '4'"),
+    ({"v_max": None}, "limits.v_max must be a real number; got None"),
+    ({"w_max": True}, "limits.w_max must be a real number; got True"),
+    (
+        {"sensor_count": 2, "sensor_angles": (0.0, "1")},
+        "sensors.angles entries must be real numbers",
+    ),
+    ({"controller_weights": (1.0,) * 7 + (None,)}, "controller.weights entries must be real numbers"),
+    (
+        {"robot_count": 1, "spawn_positions": ((10.0, "20", 0.0),)},
+        "spawn.positions[0] (10.0, '20', 0.0) entries must be real numbers",
+    ),
 ]
 
 
@@ -259,3 +282,19 @@ def test_replace_is_checked(changes, message):
     base = SimConfig(**VALID)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(base, **changes)
+
+
+def test_integer_and_real_types_other_than_bool_are_accepted():
+    config = SimConfig(
+        **{
+            **VALID,
+            "robot_count": np.int64(2),
+            "seed": np.uint64(1),
+            "arena_width": np.int32(64),
+            "robot_radius": 4,
+            "sensor_range": np.float32(40.0),
+            "sensor_count": 2,
+            "sensor_angles": (0, np.float64(1.0)),
+        }
+    )
+    assert config.robot_count == 2 and config.robot_radius == 4

@@ -374,6 +374,41 @@ def test_first_faulty_robot_is_named_whatever_the_fault():
         sim.step()
 
 
+class RaisingAtController(ScriptedController):
+    """Test plugin: as ScriptedController, but robot `raise_at`'s step raises."""
+
+    def __init__(self, outputs, raise_at):
+        super().__init__(outputs)
+        self.raise_at = raise_at
+        self.stepped = []
+
+    def step(self, control_input, rng):
+        self.stepped.append(self.calls)
+        if self.calls == self.raise_at:
+            raise RuntimeError("controller bug")
+        return super().step(control_input, rng)
+
+
+def test_faulty_output_stops_the_tick_before_later_robots_step():
+    # Robot 3 commands NaN and robot 7's step raises: robot 3's fault is
+    # reported and robot 7 never runs.
+    config = make_config(
+        robot_count=10,
+        spawn_positions=tuple((20.0 + 30.0 * i, 50.0, 0.0) for i in range(10)),
+        arena_width=400,
+    )
+    ok = ControlOutput(ActuatorCommand(0.0, 0.0))
+    outputs = [ok] * 10
+    outputs[3] = ControlOutput(ActuatorCommand(math.nan, 0.0))
+    ctrl = RaisingAtController(outputs, raise_at=7)
+    sim = Simulation(config, controller=ctrl)
+    with pytest.raises(
+        ControllerError, match=r"^robot 3 tick 0: non-finite command \(v=nan, w=0\.0\)$"
+    ):
+        sim.step()
+    assert ctrl.stepped == [0, 1, 2, 3]
+
+
 def test_no_overlap_invariant_over_run():
     config = make_config(robot_count=25, robot_radius=3.0, seed=5)
     sim = Simulation(config)

@@ -29,7 +29,20 @@ from swarmsim import (
     sense_batch,
     state_digest,
 )
-from swarmsim.sensing import readings_from_arrays
+from swarmsim.sensing import HIT_NONE, HIT_WALL, SensorReading
+
+
+def reference_readings(normalized_row: np.ndarray, hit_row: np.ndarray) -> tuple:
+    """One robot's batch row as SensorReading objects, ray by ray."""
+    readings = []
+    for value, code in zip(normalized_row, hit_row):
+        if code == HIT_NONE:
+            readings.append(SensorReading(float(value), "none"))
+        elif code == HIT_WALL:
+            readings.append(SensorReading(float(value), "wall"))
+        else:
+            readings.append(SensorReading(float(value), "robot", int(code)))
+    return tuple(readings)
 
 
 def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
@@ -52,7 +65,7 @@ def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
         for i in range(n):
             output = controller.step(
                 ControlInput(
-                    readings=tuple(readings_from_arrays(normalized[i], hits[i])),
+                    readings=reference_readings(normalized[i], hits[i]),
                     collided_last_tick=bodies[i].collided_last_tick,
                     inbox=(),
                     tick=state.tick,

@@ -22,7 +22,13 @@ from swarmsim import (
     sense_all,
     sense_batch,
 )
-from swarmsim.sensing import HIT_NONE, HIT_WALL
+from swarmsim.sensing import (
+    _NONE_READING,
+    HIT_NONE,
+    HIT_WALL,
+    SensorReading,
+    readings_from_arrays,
+)
 
 from conftest import (
     EPUCK_ANGLES,
@@ -458,6 +464,47 @@ def test_batch_matches_scalar_in_walled_crowd(monkeypatch, angles, dda_limit):
     reach = np.where(rob_hit, normalized * spec.max_range, spec.max_range).max(axis=1)
     newly_skipped = (clear > reach + radius + 2.0) & (clear <= spec.max_range + radius + 2.0)
     assert np.count_nonzero(newly_skipped) >= 20, np.count_nonzero(newly_skipped)
+
+
+@pytest.mark.parametrize(
+    "max_range, kinds_seen",
+    [(40.0, {"wall", "robot"}), (4.0, {"none", "wall", "robot"})],
+)
+def test_readings_from_arrays_match_sense_all(max_range, kinds_seen):
+    # The e-puck belt in the walled crowd; at the short range many rays hit
+    # nothing.
+    radius = 2.0
+    grid, bodies = _walled_crowd(7, radius)
+    spec = SensorSpec(EPUCK_ANGLES, max_range)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    rows = list(readings_from_arrays(normalized, hits))
+    assert len(rows) == len(bodies)
+    index = rebuild_index(bodies, 16.0)
+    kinds = set()
+    for body, row in zip(bodies, rows):
+        assert type(row) is tuple
+        expected = sense_all(body, spec, grid, index)
+        assert len(row) == len(expected)
+        for j, (got, want) in enumerate(zip(row, expected)):
+            assert (got.kind, got.robot) == (want.kind, want.robot), (body.id, j)
+            assert abs(got.normalized - want.normalized) <= 1e-12, (body.id, j)
+            if got.kind == "none":
+                assert got is _NONE_READING and got.normalized == 1.0
+            kinds.add(got.kind)
+    assert kinds == kinds_seen
+    assert _NONE_READING == SensorReading(1.0, "none")
+
+
+def test_readings_from_arrays_yields_rows_one_by_one():
+    normalized = np.array([[1.0, 0.25], [0.5, 1.0]])
+    hits = np.array([[HIT_NONE, HIT_WALL], [1, HIT_NONE]])
+    rows = readings_from_arrays(normalized, hits)
+    assert iter(rows) is rows  # an iterator, not a list built up front
+    assert next(rows) == (_NONE_READING, SensorReading(0.25, "wall"))
+    assert next(rows) == (SensorReading(0.5, "robot", 1), _NONE_READING)
+    assert next(rows, None) is None
+    assert list(readings_from_arrays(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))) == []
 
 
 @pytest.mark.parametrize("dda_limit", [0, None])
