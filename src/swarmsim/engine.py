@@ -213,9 +213,7 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
         if not finite.all():
             i = int(np.argmin(finite))
             raise SpawnError(f"spawn.positions[{i}] is not finite: {config.spawn_positions[i]}")
-        # Far-off positions may overflow the bins: that only adds candidate pairs.
-        with np.errstate(over="ignore", invalid="ignore"):
-            wall, lo, hi = _overlaps(grid, poses[:, 0], poses[:, 1], r)
+        wall, lo, hi = _overlaps(grid, poses[:, 0], poses[:, 1], r)
         robot = int(hi.min(initial=n))
         if wall and wall[0] <= robot:
             x, y, _ = config.spawn_positions[wall[0]]

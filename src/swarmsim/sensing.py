@@ -123,35 +123,53 @@ def _wall_resume_scalar(
 
     Traversal is a DDA over cell boundaries, accelerated by the map clearance
     field: inside a cell whose nearest obstacle center is D cells away, no
-    entry can occur within D - 2, so the ray skips ahead that far in one hop.
-    Boundary-crossing distances are always computed directly from the origin,
-    so hops do not perturb the reported distance, and an entry at exactly
-    max_range is still found.
+    entry into an obstacle of the map can occur within D - 2, so the ray
+    skips ahead that far in one hop, after which no such entry comes before
+    t_cur + 1. The closed-world border is not in the field: the ray's border
+    entry t_b is computed up front with the crossing expression of the last
+    row or column, so a hop that passes t_b - 1 ends the ray at t_b.
+    Boundary-crossing distances are always computed directly from the
+    origin, so hops do not perturb the reported distance, and an entry at
+    exactly max_range is still found.
     """
     w, h = grid.width, grid.height
     occ = grid.occupancy
     clearance = grid.clearance
     if dirx > 0.0:
         step_x, off_x, inv_x = 1, 1.0, 1.0 / dirx
+        t_b = (w - 1 + off_x - ox) * inv_x
     elif dirx < 0.0:
         step_x, off_x, inv_x = -1, 0.0, 1.0 / dirx
+        t_b = (0 + off_x - ox) * inv_x
     else:
         step_x, off_x, inv_x = 0, 0.0, 0.0  # axis-parallel: never crosses x
+        t_b = math.inf
     if diry > 0.0:
         step_y, off_y, inv_y = 1, 1.0, 1.0 / diry
+        t_b = min(t_b, (h - 1 + off_y - oy) * inv_y)
     elif diry < 0.0:
         step_y, off_y, inv_y = -1, 0.0, 1.0 / diry
+        t_b = min(t_b, (0 + off_y - oy) * inv_y)
     else:
         step_y, off_y, inv_y = 0, 0.0, 0.0
+    # A hop past `stop` ends the ray: past t_b - 1 it meets the border
+    # first, and past max_range the border is out of range too.
+    stop = min(t_b - 1.0, max_range)
     while True:
         hop = float(clearance[cy, cx]) - 2.0
         if hop >= 1.0:
             t_cur = t_cur + hop
-            if t_cur > max_range:
-                return None
+            if t_cur > stop:
+                return t_b if t_b <= max_range else None
             cx = math.floor(ox + t_cur * dirx)
             cy = math.floor(oy + t_cur * diry)
-            continue  # landing cell is guaranteed in range and free
+            if not (0 <= cx < w and 0 <= cy < h):
+                # The landing point lies inside the map; only rounding in a
+                # ray within ~1e-12 of parallel to an edge floors it one cell
+                # outside, and the clamp takes that back.
+                cx = min(max(cx, 0), w - 1)
+                cy = min(max(cy, 0), h - 1)
+            continue
         t_x = (cx + off_x - ox) * inv_x if step_x else math.inf
         t_y = (cy + off_y - oy) * inv_y if step_y else math.inf
         if t_x <= t_y:
@@ -261,9 +279,10 @@ def _wall_batch(
 ) -> np.ndarray:
     """Clearance-hopping DDA for a flat batch of rays, each with its own
     range; returns entry distances (inf = no wall within range). Same hop
-    rule and crossing expressions as `_wall_hit_scalar`, evaluated with masks
-    instead of branches until few rays are left; those resume the scalar
-    loop from their current cell."""
+    rule, closed-form border entry and crossing expressions as
+    `_wall_resume_scalar`, evaluated with masks instead of branches until few
+    rays are left; those resume the scalar loop from their current cell."""
+    w, h = grid.width, grid.height
     clearance = grid.clearance
     t_hit = np.full(ox.size, np.inf)
     cx = np.floor(ox).astype(np.int64)
@@ -291,6 +310,13 @@ def _wall_batch(
         inv_y = np.where(step_y != 0, 1.0 / diry, 0.0)
     par_x = step_x == 0
     par_y = step_y == 0
+    edge_x = np.where(step_x > 0, w - 1, 0)
+    edge_y = np.where(step_y > 0, h - 1, 0)
+    t_b = np.minimum(
+        np.where(par_x, np.inf, (edge_x + off_x - ox) * inv_x),
+        np.where(par_y, np.inf, (edge_y + off_y - oy) * inv_y),
+    )
+    stop = np.minimum(t_b - 1.0, ranges)  # a hop past it ends the ray, as in the scalar loop
     t_cur = np.zeros(idx.size)
 
     while idx.size > _SCALAR_DDA_LIMIT:
@@ -298,7 +324,11 @@ def _wall_batch(
         hopping = hop >= 1.0
         stepping = ~hopping
         t_cur = np.where(hopping, t_cur + hop, t_cur)
-        alive = ~(hopping & (t_cur > ranges))
+        ended = hopping & (t_cur > stop)
+        if ended.any():
+            at_border = np.flatnonzero(ended & (t_b <= ranges))
+            t_hit[idx[at_border]] = t_b[at_border]
+        alive = ~ended
         t_x = np.where(par_x, np.inf, (cx + off_x - ox) * inv_x)
         t_y = np.where(par_y, np.inf, (cy + off_y - oy) * inv_y)
         go_x = stepping & (t_x <= t_y)
@@ -306,8 +336,9 @@ def _wall_batch(
         alive &= ~(stepping & (t_enter > ranges))
         hop_move = hopping & alive
         if hop_move.any():
-            new_cx = np.floor(ox + t_cur * dirx).astype(np.int64)
-            new_cy = np.floor(oy + t_cur * diry).astype(np.int64)
+            # The clamp undoes a floor past the edge, as in the scalar loop.
+            new_cx = np.clip(np.floor(ox + t_cur * dirx).astype(np.int64), 0, w - 1)
+            new_cy = np.clip(np.floor(oy + t_cur * diry).astype(np.int64), 0, h - 1)
             cx = np.where(hop_move, new_cx, cx)
             cy = np.where(hop_move, new_cy, cy)
         go_x &= alive
@@ -339,6 +370,8 @@ def _wall_batch(
             inv_y = inv_y[keep]
             par_x = par_x[keep]
             par_y = par_y[keep]
+            t_b = t_b[keep]
+            stop = stop[keep]
             t_cur = t_cur[keep]
 
     # Every live ray sits in a free in-range cell at t_cur: the state the
@@ -371,8 +404,11 @@ def _pairs_within(
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
-    bx = np.floor(xs / reach).astype(np.int64)
-    by = np.floor(ys / reach).astype(np.int64)
+    # Bins are bounded before the cast. Clipping is 1-Lipschitz, so robots in
+    # neighbouring bins stay neighbours: far-off robots only share the edge
+    # bins, which adds candidates, and the keys below stay under 2**63.
+    bx = np.clip(np.floor(xs / reach), -(1 << 30), 1 << 30).astype(np.int64)
+    by = np.clip(np.floor(ys / reach), -(1 << 30), 1 << 30).astype(np.int64)
     span = by.max() - by.min() + 3
     key = (bx - bx.min() + 1) * span + (by - by.min() + 1)
     order = np.argsort(key, kind="stable")
@@ -404,7 +440,9 @@ def _pairs_within(
     sy = ys[order]
     dx = sx[sb] - sx[sa]
     dy = sy[sb] - sy[sa]
-    d2 = dx * dx + dy * dy
+    # Two robots past ~1e154 in one edge bin square to inf: out of reach.
+    with np.errstate(over="ignore"):
+        d2 = dx * dx + dy * dy
     keep = np.flatnonzero(d2 <= reach * reach)
     return order[sa[keep]], order[sb[keep]], d2[keep]
 
@@ -520,9 +558,10 @@ def sense_batch(
     Robot disc hits come first. Each ray then looks for a wall only up to
     its nearest robot hit: a wall entry at exactly that distance is still
     found (ties go to the wall) and any later one loses to the robot. Robots
-    whose clearance-field cell shows no obstacle within their longest such
-    reach skip the wall traversal entirely; the skip is conservative, never
-    changing results.
+    whose cell shows no obstacle and no border within their longest such
+    reach (`GridMap.clearance_at`) skip the wall traversal entirely; the
+    skip is conservative, never changing results. In the traversal, a ray
+    whose first hop reaches the border ends there in closed form.
     """
     if not (np.abs(thetas) <= math.pi).all():
         raise ValueError("headings must lie in [-pi, pi]")

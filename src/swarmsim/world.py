@@ -49,23 +49,33 @@ class GridMap:
     @property
     def clearance(self) -> np.ndarray:
         """Per-cell Chebyshev distance (in cells) to the nearest obstacle cell
-        center, counting out-of-range cells as obstacles.
+        center of the map itself; the closed-world border is not part of the
+        field (a map without obstacles reads width + height + 2 everywhere).
 
         Chebyshev distance lower-bounds Euclidean distance, so the field is a
         safe conservative skip test: if clearance[cy, cx] > d + 0.71, no
-        obstacle cell center lies within Euclidean distance d of any point in
-        cell (cx, cy). Built lazily once per map.
+        obstacle cell center of the map lies within Euclidean distance d of
+        any point in cell (cx, cy). Queries that must also clear the
+        out-of-range cells use `clearance_at`; the ray traversal computes
+        where a ray enters the border in closed form. Built lazily once per
+        map.
         """
         if self._clearance is None:
             self._clearance = _chebyshev_clearance(self.occupancy)
         return self._clearance
 
     def clearance_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """`clearance` of the cells holding the points (xs, ys); 0 for a
-        point outside the map."""
-        cx = np.floor(xs).astype(np.int64)
-        cy = np.floor(ys).astype(np.int64)
-        return self._cells(self.clearance, cx, cy, 0)
+        """Clearance of the cells holding the points (xs, ys), counting
+        out-of-range cells as obstacles: the smaller of `clearance` and the
+        distance min(cx + 1, cy + 1, width - cx, height - cy) to the nearest
+        out-of-range cell center; 0 for a point outside the map."""
+        # Bounding before the cast keeps far-off points outside, and finite.
+        cx = np.clip(np.floor(xs), -1, self.width).astype(np.int64)
+        cy = np.clip(np.floor(ys), -1, self.height).astype(np.int64)
+        border = np.minimum(
+            np.minimum(cx + 1, cy + 1), np.minimum(self.width - cx, self.height - cy)
+        )
+        return np.minimum(self._cells(self.clearance, cx, cy, 0), border)
 
     def blocked_at(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
         """`is_obstacle` over integer cell arrays: True outside the map."""
@@ -78,18 +88,22 @@ class GridMap:
 
     def disc_free(self, x: float, y: float, r: float) -> bool:
         """True iff no cell whose center is within Euclidean distance r of
-        (x, y) is an obstacle (closed-world cells included)."""
+        (x, y) is an obstacle (closed-world cells included). A point whose
+        cell clears r + 0.71 in both the field and the border distance is
+        free without a scan."""
         if r <= 0:
             raise ValueError("disc radius must be positive")
         cx = math.floor(x)
         cy = math.floor(y)
-        if 0 <= cx < self.width and 0 <= cy < self.height:
+        w, h = self.width, self.height
+        if 0 <= cx < w and 0 <= cy < h:
             # (x, y) is within sqrt(2)/2 of its cell center, so this bound
-            # clears every obstacle center within r of the point itself.
-            if self.clearance[cy, cx] > r + 0.71:
+            # clears every obstacle center within r of the point itself,
+            # out-of-range cells included.
+            clear = min(self.clearance[cy, cx], cx + 1, cy + 1, w - cx, h - cy)
+            if clear > r + 0.71:
                 return True
         occ = self.occupancy
-        w, h = self.width, self.height
         r2 = r * r
         cy0 = math.ceil(y - r - 0.5)
         cy1 = math.floor(y + r - 0.5)
@@ -114,8 +128,8 @@ def generate_arena(width: int, height: int) -> GridMap:
 
 
 def _chebyshev_clearance(occ: np.ndarray) -> np.ndarray:
-    """Two-pass chamfer transform with unit weights (exact Chebyshev metric),
-    then merged with the distance to the nearest out-of-range cell center."""
+    """Two-pass chamfer transform with unit weights (exact Chebyshev metric)
+    to the nearest obstacle cell of `occ`."""
     h, w = occ.shape
     big = np.int32(w + h + 2)
     d = np.where(occ, np.int32(0), big).astype(np.int32)
@@ -138,11 +152,6 @@ def _chebyshev_clearance(occ: np.ndarray) -> np.ndarray:
             np.minimum(row[:-1], dn[1:] + 1, out=row[:-1])
         rev = row[::-1]
         rev[:] = np.minimum.accumulate(rev - ar) + ar
-    border_x = np.minimum(ar + 1, np.int32(w) - ar)
-    ay = np.arange(h, dtype=np.int32)
-    border_y = np.minimum(ay + 1, np.int32(h) - ay)
-    np.minimum(d, border_x[None, :], out=d)
-    np.minimum(d, border_y[:, None], out=d)
     return d
 
 

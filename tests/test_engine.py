@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import warnings
 
 import pytest
 
@@ -177,6 +179,22 @@ def test_explicit_positions_non_finite_rejected(arena100, value, slot):
     config = _explicit(((20.0, 20.0, 0.0), tuple(bad)))
     with pytest.raises(SpawnError, match=r"^spawn\.positions\[1\] is not finite"):
         spawn(config, arena100, RngStream(1))
+
+
+@pytest.mark.parametrize("far", [1e18, 1e300])
+def test_explicit_positions_far_off_rejected_without_warnings(arena100, far):
+    # Far-off positions are bounded before any integer cast; two of them
+    # share an edge bin of the pair search.
+    poses = ((50.0, 50.0, 0.0), (far, far, 0.0), (-far, far, 0.0), (far / 2, far, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape(f"spawn.positions[1] overlaps a wall at ({far!r}, {far!r})")
+        with pytest.raises(SpawnError, match=f"^{message}$"):
+            spawn(_explicit(poses), arena100, RngStream(1))
+        poses = ((50.0, 50.0, 0.0), (52.0, 50.0, 0.0), (far, -far, 0.0), (-far, -far, 0.0))
+        message = r"^spawn\.positions\[1\] is closer than two radii to robot 0$"
+        with pytest.raises(SpawnError, match=message):
+            spawn(_explicit(poses), arena100, RngStream(1))
 
 
 # --- tick ----------------------------------------------------------------------

@@ -612,6 +612,195 @@ def test_wall_batch_tail_handoff_matches_scalar(monkeypatch):
             assert _wall_batch(grid, ox, oy, dirx, diry, ranges).tolist() == expected, limit
 
 
+# --- the border in closed form, against the border-merged traversal -----------------
+
+
+def _merged_clearance(grid: GridMap) -> np.ndarray:
+    """The clearance field with the distance to the nearest out-of-range cell
+    merged in, as the traversal hopped on before the border left the field."""
+    ar = np.arange(grid.width)
+    ay = np.arange(grid.height)
+    border = np.minimum(
+        np.minimum(ar + 1, grid.width - ar)[None, :],
+        np.minimum(ay + 1, grid.height - ay)[:, None],
+    )
+    return np.minimum(grid.clearance, border)
+
+
+def _reference_wall_hit(grid, merged, ox, oy, dirx, diry, max_range) -> float:
+    """Test-only reference: the clearance-hopping DDA on the border-merged
+    field, so a ray walks its last cells to the border one crossing at a
+    time. Returns inf for no wall within range."""
+    w, h = grid.width, grid.height
+    occ = grid.occupancy
+    cx = math.floor(ox)
+    cy = math.floor(oy)
+    if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
+        return 0.0
+    if dirx > 0.0:
+        step_x, off_x, inv_x = 1, 1.0, 1.0 / dirx
+    elif dirx < 0.0:
+        step_x, off_x, inv_x = -1, 0.0, 1.0 / dirx
+    else:
+        step_x, off_x, inv_x = 0, 0.0, 0.0
+    if diry > 0.0:
+        step_y, off_y, inv_y = 1, 1.0, 1.0 / diry
+    elif diry < 0.0:
+        step_y, off_y, inv_y = -1, 0.0, 1.0 / diry
+    else:
+        step_y, off_y, inv_y = 0, 0.0, 0.0
+    t_cur = 0.0
+    while True:
+        hop = float(merged[cy, cx]) - 2.0
+        if hop >= 1.0:
+            t_cur = t_cur + hop
+            if t_cur > max_range:
+                return math.inf
+            cx = math.floor(ox + t_cur * dirx)
+            cy = math.floor(oy + t_cur * diry)
+            continue
+        t_x = (cx + off_x - ox) * inv_x if step_x else math.inf
+        t_y = (cy + off_y - oy) * inv_y if step_y else math.inf
+        if t_x <= t_y:
+            t_enter = t_x
+            if t_enter > max_range:
+                return math.inf
+            cx += step_x
+        else:
+            t_enter = t_y
+            if t_enter > max_range:
+                return math.inf
+            cy += step_y
+        if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
+            return t_enter
+        t_cur = t_enter
+
+
+def _border_rays(rng, w: int, h: int, m: int):
+    """Rays that probe the border: random ones, rays within 1e-9 rad of
+    parallel to each edge from the outermost rows and columns, origins on an
+    edge and just outside it, and axis-parallel rays."""
+    ox = rng.uniform(-0.5, w + 0.5, m)
+    oy = rng.uniform(-0.5, h + 0.5, m)
+    angle = rng.uniform(-math.pi, math.pi, m)
+    q = m // 8
+    # along the bottom/top rows (x-bound bearings) and the outer columns
+    tilt = rng.choice([1e-9, -1e-9, 1e-12, -1e-12, 1e-15, -1e-15, 3e-17, 0.0], 4 * q)
+    oy[:q] = rng.uniform(0.0, min(1.0, h), q)
+    oy[q : 2 * q] = h - rng.uniform(0.0, min(1.0, h), q)
+    ox[2 * q : 3 * q] = rng.uniform(0.0, min(1.0, w), q)
+    ox[3 * q : 4 * q] = w - rng.uniform(0.0, min(1.0, w), q)
+    angle[: 2 * q] = rng.choice([0.0, -math.pi], 2 * q)
+    angle[2 * q : 4 * q] = rng.choice([math.pi / 2, -math.pi / 2], 2 * q)
+    angle[: 4 * q] += tilt
+    # origins exactly on an edge, the last float inside it, and just outside
+    edge_x = rng.choice([0.0, np.nextafter(w, 0.0), float(w), -1e-12, w + 1e-12], q)
+    edge_y = rng.choice([0.0, np.nextafter(h, 0.0), float(h), -1e-12, h + 1e-12], q)
+    ox[4 * q : 5 * q] = edge_x
+    oy[5 * q : 6 * q] = edge_y
+    dirx = np.cos(angle)
+    diry = np.sin(angle)
+    # axis-parallel: one direction component exactly 0.0
+    dirx[6 * q : 7 * q] = 0.0
+    diry[6 * q : 7 * q] = rng.choice([1.0, -1.0], q)
+    diry[7 * q : 8 * q] = 0.0
+    dirx[7 * q : 8 * q] = rng.choice([1.0, -1.0], q)
+    return ox, oy, dirx, diry
+
+
+def _assert_same_floats(got, want, context) -> None:
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), context
+
+
+def test_closed_form_border_matches_merged_traversal(monkeypatch):
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    rng = np.random.default_rng(23)
+    grids = [generate_arena(1, 1), generate_arena(37, 5), generate_arena(64, 64)]
+    pyrng = random.Random(23)
+    for _ in range(12):
+        w, h = pyrng.randint(1, 48), pyrng.randint(1, 48)
+        grids.append(random_grid(pyrng, w, h, pyrng.choice([0.02, 0.1, 0.3])))
+    m = 400
+    default = sensing._SCALAR_DDA_LIMIT
+    for grid in grids:
+        merged = _merged_clearance(grid)
+        ox, oy, dirx, diry = _border_rays(rng, grid.width, grid.height, m)
+        rays = list(zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist()))
+        far = np.array([_reference_wall_hit(grid, merged, *ray, math.inf) for ray in rays])
+        assert np.isfinite(far).all()  # the closed world ends every ray
+        mixed = rng.uniform(0.0, 60.0, m)
+        mixed[::5] = math.inf
+        for ranges in (np.full(m, math.inf), far, np.nextafter(far, -1.0), mixed):
+            want = [
+                _reference_wall_hit(grid, merged, *ray, t) for ray, t in zip(rays, ranges.tolist())
+            ]
+            scalar = [_wall_hit_scalar(grid, *ray, t) for ray, t in zip(rays, ranges.tolist())]
+            scalar = [math.inf if t is None else t for t in scalar]
+            _assert_same_floats(scalar, want, (grid.width, grid.height))
+            for limit in (0, default, m + 1):
+                monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", limit)
+                got = _wall_batch(grid, ox, oy, dirx, diry, ranges)
+                _assert_same_floats(got, want, (grid.width, grid.height, limit))
+            monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", default)
+
+
+def test_hop_landing_floored_past_the_edge_stays_in_the_map(monkeypatch):
+    # A ray 2e-18 rad off the top edge, in the last row: its first hop lands
+    # at t = 1488, where oy + t * diry rounds up to exactly 50.0, one row
+    # outside the map. The ray must still meet the obstacle at x = 1500 in
+    # the last row (entry at 1489.5), not end at the border entry (2000).
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    occ = np.zeros((50, 3000), dtype=bool)
+    occ[49, 1500] = True
+    grid = GridMap(3000, 50, occ)
+    oy = float(np.nextafter(50.0, 0.0))
+    diry = (50.0 - oy) / 2000.0
+    assert math.floor(oy + 1488.0 * diry) == 50
+    want = _reference_wall_hit(grid, _merged_clearance(grid), 10.5, oy, 1.0, diry, math.inf)
+    assert want == 1489.5
+    assert _wall_hit_scalar(grid, 10.5, oy, 1.0, diry, math.inf) == want
+    for limit in (0, sensing._SCALAR_DDA_LIMIT):
+        monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", limit)
+        ray = [np.array([v]) for v in (10.5, oy, 1.0, diry, math.inf)]
+        assert _wall_batch(grid, *ray).tolist() == [want]
+
+
+def test_border_bound_ray_reads_the_field_once(monkeypatch):
+    # On a map without obstacles a ray ends at its border entry after one
+    # hop, however shallow its angle to the edge it meets.
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    grid = generate_arena(300, 120)
+    counting = _CountingArray(grid.clearance)
+    grid._clearance = counting
+    merged = _merged_clearance(generate_arena(300, 120))
+    rng = np.random.default_rng(3)
+    m = 200
+    ox = rng.uniform(5.0, 295.0, m)
+    oy = rng.uniform(110.0, 119.9, m)
+    angle = rng.uniform(1e-4, 0.05, m) * rng.choice([1.0, -1.0], m)
+    angle[::2] = math.pi / 2 - angle[::2]  # towards the top edge, steep ones too
+    dirx = np.cos(angle)
+    diry = np.sin(angle)
+    want = []
+    for ray in zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist()):
+        want.append(_reference_wall_hit(grid, merged, *ray, math.inf))
+        counting.reads = 0
+        assert _wall_hit_scalar(grid, *ray, math.inf) == want[-1]
+        assert counting.reads == 1
+    monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", 0)
+    counting.reads = 0
+    assert _wall_batch(grid, ox, oy, dirx, diry, np.full(m, math.inf)).tolist() == want
+    assert counting.reads == 1
+
+
 def test_sensor_spec_validation():
     with pytest.raises(ValueError):
         SensorSpec((), 10.0)
@@ -690,3 +879,27 @@ def test_pairs_within_small_swarm_all_pairs():
     for n in (0, 1):
         pa, pb, d2 = _pairs_within(xs[:n], ys[:n], 5.0)
         assert pa.size == pb.size == d2.size == 0
+
+
+def test_pairs_within_far_off_coordinates_equal_brute_force():
+    from swarmsim.sensing import _pairs_within
+
+    rng = np.random.default_rng(17)
+    near = rng.uniform(0.0, 30.0, (40, 2))
+    far = [(s * v, t * v) for v in (1e18, 1e300) for s in (1, -1) for t in (1, -1)]
+    far += [(1e300, 1e300), (1e300, 1e300), (5e299, 1e300), (-1e18, 1e18 + 256.0)]
+    far += [(1e18, -3.0), (1e18 + 2.0, -3.0), (4.0e9, 1.0), (4.0e9 + 3.0, 1.0)]
+    xs = np.concatenate([near[:, 0], [x for x, _ in far]])
+    ys = np.concatenate([near[:, 1], [y for _, y in far]])
+    reach = 5.0
+    want = set()
+    for i in range(xs.size):  # Python floats: a far-off square is inf, no warning
+        for j in range(xs.size):
+            dx = float(xs[j]) - float(xs[i])
+            dy = float(ys[j]) - float(ys[i])
+            if i != j and dx * dx + dy * dy <= reach * reach:
+                want.add((i, j))
+    assert {(48, 49), (52, 53), (54, 55)} <= want  # far-off pairs within reach
+    pa, pb, _ = _pairs_within(xs, ys, reach)
+    got = list(zip(pa.tolist(), pb.tolist())) + list(zip(pb.tolist(), pa.tolist()))
+    assert len(got) == len(set(got)) and set(got) == want

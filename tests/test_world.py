@@ -175,35 +175,72 @@ def test_disc_free_matches_bruteforce_on_random_scenes():
         )
 
 
+def _chebyshev_oracle(grid, cx: int, cy: int) -> tuple[int, int]:
+    """(distance to the nearest obstacle cell of the map, width + height + 2
+    without one; distance to the nearest out-of-range cell), both Chebyshev
+    between cell centers, by exhaustive scan."""
+    inner = grid.width + grid.height + 2
+    for oy, ox in np.argwhere(grid.occupancy):
+        inner = min(inner, max(abs(int(ox) - cx), abs(int(oy) - cy)))
+    return inner, min(cx + 1, cy + 1, grid.width - cx, grid.height - cy)
+
+
 def test_clearance_field_is_exact_chebyshev():
+    # The field covers the map's own obstacles only; the border is left to
+    # the queries (below) and to the ray traversal.
     rng = random.Random(7)
     for _ in range(50):
         grid = random_grid(rng, rng.randint(2, 16), rng.randint(2, 16), rng.uniform(0, 0.3))
-        obstacles = np.argwhere(grid.occupancy)
         field = grid.clearance
         for cy in range(grid.height):
             for cx in range(grid.width):
-                border = min(cx + 1, cy + 1, grid.width - cx, grid.height - cy)
-                best = border
-                for oy, ox in obstacles:
-                    best = min(best, max(abs(int(ox) - cx), abs(int(oy) - cy)))
-                assert field[cy, cx] == best
+                assert field[cy, cx] == _chebyshev_oracle(grid, cx, cy)[0]
+    assert (generate_arena(7, 5).clearance == 14).all()
 
 
 def test_array_lookups_match_scalar_queries():
     rng = random.Random(11)
-    grid = random_grid(rng, 13, 9, 0.2)
-    xs = np.array([rng.uniform(-3.0, 16.0) for _ in range(400)] + [0.0, -1e-9, 13.0, 12.999])
-    ys = np.array([rng.uniform(-3.0, 12.0) for _ in range(400)] + [0.0, 4.5, 4.5, 8.999])
-    cx = np.floor(xs).astype(np.int64)
-    cy = np.floor(ys).astype(np.int64)
-    inside = (cx >= 0) & (cy >= 0) & (cx < 13) & (cy < 9)
-    assert 0 < np.count_nonzero(inside) < xs.size
-    blocked = grid.blocked_at(cx, cy)
-    clear = grid.clearance_at(xs, ys)
-    for i in range(xs.size):
-        assert blocked[i] == grid.is_obstacle(int(cx[i]), int(cy[i]))
-        assert clear[i] == (grid.clearance[cy[i], cx[i]] if inside[i] else 0)
+    for fill in (0.2, 0.0):
+        grid = random_grid(rng, 13, 9, fill)
+        xs = np.array([rng.uniform(-3.0, 16.0) for _ in range(400)] + [0.0, -1e-9, 13.0, 12.999])
+        ys = np.array([rng.uniform(-3.0, 12.0) for _ in range(400)] + [0.0, 4.5, 4.5, 8.999])
+        cx = np.floor(xs).astype(np.int64)
+        cy = np.floor(ys).astype(np.int64)
+        inside = (cx >= 0) & (cy >= 0) & (cx < 13) & (cy < 9)
+        assert 0 < np.count_nonzero(inside) < xs.size
+        blocked = grid.blocked_at(cx, cy)
+        clear = grid.clearance_at(xs, ys)
+        for i in range(xs.size):
+            assert blocked[i] == grid.is_obstacle(int(cx[i]), int(cy[i]))
+            if inside[i]:
+                border = min(cx[i] + 1, cy[i] + 1, 13 - cx[i], 9 - cy[i])
+                assert clear[i] == min(grid.clearance[cy[i], cx[i]], border)
+            else:
+                assert clear[i] == 0
+
+
+def test_lookups_keep_the_border_merged_values():
+    # The values callers read are those of a field that counts out-of-range
+    # cells as obstacles: the border-merged clearance, and exact disc tests.
+    rng = random.Random(13)
+    for _ in range(40):
+        grid = random_grid(rng, rng.randint(2, 16), rng.randint(2, 16), rng.choice([0.0, 0.1]))
+        w, h = grid.width, grid.height
+        merged = np.array(
+            [[min(_chebyshev_oracle(grid, cx, cy)) for cx in range(w)] for cy in range(h)]
+        )
+        xs = np.array([rng.uniform(-2.0, w + 2.0) for _ in range(60)])
+        ys = np.array([rng.uniform(-2.0, h + 2.0) for _ in range(60)])
+        clear = grid.clearance_at(xs, ys)
+        for x, y, got in zip(xs.tolist(), ys.tolist(), clear.tolist()):
+            cx, cy = math.floor(x), math.floor(y)
+            inside = 0 <= cx < w and 0 <= cy < h
+            assert got == (merged[cy, cx] if inside else 0), (x, y)
+            for r in (0.5, 1.5, 3.0):
+                assert grid.disc_free(x, y, r) == disc_free_oracle(grid, x, y, r), (x, y, r)
+    # Far-off points read 0 without overflowing the cell cast.
+    far = np.array([1e18, -1e18, 1e300, -1e300])
+    assert grid.clearance_at(far, far[::-1]).tolist() == [0, 0, 0, 0]
 
 
 def test_immutable_occupancy(arena100):
