@@ -38,23 +38,17 @@ class BenchRow:
         )
 
 
-def bench(
-    base_config: SimConfig,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    ticks: int | None = None,
-) -> list[BenchRow]:
-    """Run base_config once per population size; per-size failures become
-    error rows and the remaining sizes still run. A `ticks` the config
-    rejects raises `ConfigError` before any size runs."""
+def bench(base_config: SimConfig, sizes: Sequence[int] = DEFAULT_SIZES) -> list[BenchRow]:
+    """Run base_config for its `ticks` once per population size; per-size
+    failures become error rows and the remaining sizes still run."""
     if not sizes or min(sizes) < 0:
         raise ValueError(f"bench needs one or more population sizes >= 0, got {list(sizes)}")
-    run_ticks = base_config.ticks if ticks is None else ticks
+    run_ticks = base_config.ticks
     rows: list[BenchRow] = []
     for n in sizes:
         config = replace(
             base_config,
             robot_count=n,
-            ticks=run_ticks,
             log_path=None,
             frames_every=None,
             frames_dir=None,

@@ -158,9 +158,10 @@ def deliver_messages(
     """Route each broadcast to every other robot within the sender's radius.
 
     `xs`, `ys` are the end-of-tick centres in id order. Returns (inboxes,
-    delivered_count), every inbox sorted by sender id. Distances use the
-    expression of `RobotIndex.neighbors_within`, so the routing matches a
-    per-sender query bit for bit.
+    delivered_count), every inbox sorted by sender id. Robot j receives the
+    broadcast of sender i iff dx * dx + dy * dy <= radius * radius, with
+    dx = xs[j] - xs[i] and dy = ys[j] - ys[i], so the routing matches a
+    per-sender scan of the centres bit for bit.
     """
     inboxes: list[list[Message]] = [[] for _ in outboxes]
     sends = np.array([b is not None for b in outboxes], dtype=bool)

@@ -192,7 +192,7 @@ def _overlaps(
     # The clearance fast path of `GridMap.disc_free`, then its exact scan.
     near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
     wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]
-    # Pair distances as in `RobotIndex.any_within_strict`, strictly below 2r.
+    # Pair distances as in `resolve_move`, strictly below 2r.
     d = 2.0 * r
     pa, pb, d2 = _pairs_within(xs, ys, d)
     close = d2 < d * d
@@ -226,7 +226,7 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
         positions = enumerate(config.spawn_positions)
         return [RobotBody(i, Pose(x, y, wrap_angle(theta)), r) for i, (x, y, theta) in positions]
     bodies = []
-    probe = RobotIndex(max(2.0 * r, 16.0), radius=r)
+    probe = RobotIndex(max(2.0 * r, 16.0))
     rejections = 0
     limit = 1000 * n
     two_pi = 2.0 * math.pi
@@ -252,30 +252,6 @@ def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Co
     if config.controller_type == "random_walk":
         return RandomWalkController(limits)
     return BraitenbergController(limits, spec, config.controller_weights)
-
-
-class _Conflicts:
-    """What `resolve_move` queries in place of a spatial index for one robot
-    of the serial residue: the end-of-tick positions of its lower-id
-    conflicts, the only robots that can block it."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points: list[tuple[float, float]]) -> None:
-        self.points = points
-
-    def any_within_strict(
-        self, x: float, y: float, d: float, exclude: int | None = None
-    ) -> bool:
-        """`RobotIndex.any_within_strict` over `points`, with its distance
-        expression; the points never hold the querying robot itself."""
-        d2 = d * d
-        for px, py in self.points:
-            dx = px - x
-            dy = py - y
-            if dx * dx + dy * dy < d2:
-                return True
-        return False
 
 
 class Simulation:
@@ -436,8 +412,8 @@ class Simulation:
         accept = grid.clearance_at(cx, cy) > r + 0.71
 
         # (pa, pb): every unordered snapshot pair within the contact reach.
-        # Distances use the expression of `RobotIndex.any_within_strict`, so the
-        # strict test agrees with the serial path bit for bit.
+        # Distances use the expression of `resolve_move`, so the strict test
+        # agrees with the serial path bit for bit.
         cdx = cx[pb] - cx[pa]
         cdy = cy[pb] - cy[pa]
         candidates_close = cdx * cdx + cdy * cdy < d2
@@ -484,9 +460,9 @@ class Simulation:
             lo,
             hi,
         ):
-            conflicts = _Conflicts([(fx_l[j], fy_l[j]) for j in lj[a:b]])
+            blockers = [(fx_l[j], fy_l[j]) for j in lj[a:b]]
             body = RobotBody(i, Pose(sx, sy, stheta), r)
-            _, hit = resolve_move(grid, conflicts, body, Pose(x, y, theta))
+            _, hit = resolve_move(grid, blockers, body, Pose(x, y, theta))
             if not hit:
                 moved.append(i)
                 fx_l[i] = x
@@ -508,7 +484,11 @@ class Simulation:
                 f"robot {robot} tick {tick}: command is {type(command).__name__}, "
                 f"not ActuatorCommand"
             )
-        if not (math.isfinite(command.v) and math.isfinite(command.w)):
+        try:
+            finite = math.isfinite(command.v) and math.isfinite(command.w)
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
             raise ControllerError(
                 f"robot {robot} tick {tick}: non-finite command "
                 f"(v={command.v!r}, w={command.w!r})"
@@ -516,15 +496,26 @@ class Simulation:
         broadcast = output.broadcast
         if broadcast is None:
             return
+        payload = broadcast.payload
+        if not isinstance(payload, bytes):
+            raise ControllerError(
+                f"robot {robot} tick {tick}: broadcast payload is "
+                f"{type(payload).__name__}, not bytes"
+            )
         cap = self.config.payload_cap
-        if len(broadcast.payload) > cap:
+        if len(payload) > cap:
             raise ControllerError(
                 f"robot {robot} tick {tick}: broadcast payload of "
-                f"{len(broadcast.payload)} bytes exceeds cap {cap}"
+                f"{len(payload)} bytes exceeds cap {cap}"
             )
-        if not (math.isfinite(broadcast.radius) and broadcast.radius >= 0.0):
+        radius = broadcast.radius
+        try:
+            valid = math.isfinite(radius) and radius >= 0.0
+        except TypeError:  # not a real number
+            valid = False
+        if not valid:
             raise ControllerError(
-                f"robot {robot} tick {tick}: broadcast radius {broadcast.radius!r} invalid"
+                f"robot {robot} tick {tick}: broadcast radius {radius!r} invalid"
             )
 
     # -- invariants ------------------------------------------------------

@@ -3,18 +3,21 @@
 One tick: clamp the commanded speeds, rotate, then translate along the new
 heading. A translation that would overlap a wall or another robot is
 canceled outright (the heading change always sticks), which keeps the
-global no-overlap invariant without any contact dynamics.
+global no-overlap invariant without any contact dynamics. `resolve_move` is
+the per-robot form of that rule: it tests one candidate against the walls
+and a plain list of blocker centres.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._slots import slot_init
-from .world import GridMap, RobotIndex
+from .world import GridMap
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -107,22 +110,32 @@ def apply_commands(
 
 
 def resolve_move(
-    grid: GridMap, index: RobotIndex, body: RobotBody, candidate: Pose
+    grid: GridMap,
+    blockers: Sequence[tuple[float, float]],
+    body: RobotBody,
+    candidate: Pose,
 ) -> tuple[Pose, bool]:
     """Adopt the candidate heading unconditionally; adopt the translation only
-    if the destination disc is wall-free and no other robot center lies
-    strictly within two radii. Returns (pose, collided).
+    if the destination disc is wall-free and no blocker center lies strictly
+    within two radii. Returns (pose, collided).
 
-    The caller must resolve moves serially in ascending id order, and
-    `index.any_within_strict` must see every robot that can block this one
-    at its position at that point of the order: a `RobotIndex` moved along
-    with the resolved robots, or the engine's list of the robot's conflicts.
+    The caller must resolve moves serially in ascending id order. `blockers`
+    holds the (x, y) centres of the robots that can block this one, at their
+    positions at that point of the order, and never the robot itself: all
+    other robots, or the engine's list of the robot's lower-id conflicts.
     A canceled move keeps the position of `body.pose`, which must be the
     robot's own position at that point.
     """
     r = body.radius
-    if grid.disc_free(candidate.x, candidate.y, r) and not index.any_within_strict(
-        candidate.x, candidate.y, 2.0 * r, exclude=body.id
-    ):
-        return candidate, False
+    x = candidate.x
+    y = candidate.y
+    if grid.disc_free(x, y, r):
+        d2 = (2.0 * r) * (2.0 * r)
+        for px, py in blockers:
+            dx = px - x
+            dy = py - y
+            if dx * dx + dy * dy < d2:
+                break
+        else:
+            return candidate, False
     return Pose(body.pose.x, body.pose.y, candidate.theta), True

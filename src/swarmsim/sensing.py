@@ -5,7 +5,8 @@ obstacle cell (continuous DDA traversal over cell boundaries), the nearest
 other robot disc (closed-form ray-circle intersection), or the maximum range.
 Distances are normalized by the range; exact wall/robot ties go to the wall.
 
-`cast_ray` / `sense_all` are the reference per-ray operations. `sense_batch`
+`cast_ray` / `sense_all` are the reference per-ray operations; they take the
+robot centres as a plain list in id order and scan all of them. `sense_batch`
 is the vectorized whole-swarm path the engine runs every tick; it computes
 the same quantities with the same floating-point expressions and is checked
 against the scalar path by the test suite. Its disc hits take one path for
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._slots import slot_init
 from .kinematics import RobotBody
-from .world import GridMap, RobotIndex
+from .world import GridMap
 
 KIND_NONE = "none"
 KIND_WALL = "wall"
@@ -188,7 +189,8 @@ def _wall_resume_scalar(
 
 
 def _robot_hit_scalar(
-    index: RobotIndex,
+    centers: Sequence[tuple[float, float]],
+    rho: float,
     ox: float,
     oy: float,
     dirx: float,
@@ -196,16 +198,15 @@ def _robot_hit_scalar(
     max_range: float,
     self_id: int | None,
 ) -> tuple[float, int] | None:
-    """Nearest ray/disc intersection among indexed robots, or None. Ids break
-    exact distance ties (candidates are scanned in ascending id order)."""
-    rho = index.radius
-    if rho <= 0.0 or not index.positions:
-        return None
+    """Nearest ray/disc intersection among all robots but `self_id`, or
+    None. Centres are scanned in id order, so the lowest id wins an exact
+    distance tie."""
     best_t = math.inf
     best_id = -1
     rho2 = rho * rho
-    for j in index.neighbors_within(ox, oy, max_range + rho, exclude=self_id):
-        px, py = index.positions[j]
+    for j, (px, py) in enumerate(centers):
+        if j == self_id:
+            continue
         to_x = px - ox
         to_y = py - oy
         b = to_x * dirx + to_y * diry
@@ -223,18 +224,21 @@ def _robot_hit_scalar(
 
 def cast_ray(
     grid: GridMap,
-    index: RobotIndex,
+    centers: Sequence[tuple[float, float]],
+    radius: float,
     origin: tuple[float, float],
     direction: float,
     max_range: float,
     self_id: int | None = None,
 ) -> RayHit:
-    """Cast one ray from `origin` at absolute bearing `direction`."""
+    """Cast one ray from `origin` at absolute bearing `direction` against
+    the walls and the discs of the given radius at `centers`, the (x, y)
+    robot centres in id order; the disc of robot `self_id` is ignored."""
     ox, oy = origin
     dirx = math.cos(direction)
     diry = math.sin(direction)
     wall_t = _wall_hit_scalar(grid, ox, oy, dirx, diry, max_range)
-    robot = _robot_hit_scalar(index, ox, oy, dirx, diry, max_range, self_id)
+    robot = _robot_hit_scalar(centers, radius, ox, oy, dirx, diry, max_range, self_id)
     if wall_t is not None and (robot is None or wall_t <= robot[0]):
         return RayHit(wall_t, KIND_WALL)
     if robot is not None:
@@ -243,9 +247,14 @@ def cast_ray(
 
 
 def sense_all(
-    body: RobotBody, spec: SensorSpec, grid: GridMap, index: RobotIndex
+    body: RobotBody,
+    spec: SensorSpec,
+    grid: GridMap,
+    centers: Sequence[tuple[float, float]],
 ) -> list[SensorReading]:
-    """One reading per spec angle, in spec order. Ray i starts on the body
+    """One reading per spec angle, in spec order, against the robots whose
+    centres `centers` lists in id order (the body's own entry is skipped by
+    id). Every robot has the body's radius. Ray i starts on the body
     perimeter at bearing theta + angles[i] and points outward, so a touching
     obstacle reads ~0."""
     pose = body.pose
@@ -255,7 +264,7 @@ def sense_all(
         bearing = pose.theta + angle
         ox = pose.x + body.radius * math.cos(bearing)
         oy = pose.y + body.radius * math.sin(bearing)
-        hit = cast_ray(grid, index, (ox, oy), bearing, spec.max_range, body.id)
+        hit = cast_ray(grid, centers, body.radius, (ox, oy), bearing, spec.max_range, body.id)
         readings.append(SensorReading(hit.dist * inv_range, hit.kind, hit.robot))
     return readings
 

@@ -1,4 +1,5 @@
-"""Occupancy-grid world: PGM map loading, collision queries, spatial index.
+"""Occupancy-grid world: PGM map loading, collision queries, and the robot
+index spawn probes while it places robots.
 
 The world is a pixel grid (1 cell = 1 px = 1 distance unit). Cells are free
 or obstacle; everything outside the grid counts as obstacle (closed world),
@@ -298,23 +299,21 @@ def load_map(data: bytes) -> GridMap:
 
 
 class RobotIndex:
-    """Uniform-grid index over robot centers.
+    """Uniform-grid index over robot centers: spawn's incremental probe.
 
     Buckets map a cell coordinate (floor(x / cell_size), floor(y / cell_size))
-    to the ascending list of robot ids whose center lies in that cell. It
-    serves spawn's rejection sampling and the scalar reference ops
-    (`cast_ray`, `sense_all`); the tick itself keeps no index.
+    to the ascending list of robot ids whose center lies in that cell. The
+    tick and the scalar reference ops keep no index.
     """
 
-    __slots__ = ("cell_size", "buckets", "positions", "radius")
+    __slots__ = ("cell_size", "buckets", "positions")
 
-    def __init__(self, cell_size: float, radius: float = 0.0) -> None:
+    def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self.cell_size = float(cell_size)
         self.buckets: dict[tuple[int, int], list[int]] = {}
         self.positions: list[tuple[float, float]] = []
-        self.radius = radius
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -330,6 +329,7 @@ class RobotIndex:
         self.positions.append((x, y))
         insort(self.buckets.setdefault(self.bucket_of(x, y), []), robot_id)
 
+    # `move` and `rebuild_index` stay only because perfbench/tracer.py binds them.
     def move(self, robot_id: int, x: float, y: float) -> None:
         ox, oy = self.positions[robot_id]
         self.positions[robot_id] = (x, y)
@@ -342,69 +342,21 @@ class RobotIndex:
                 del self.buckets[old]
             insort(self.buckets.setdefault(new, []), robot_id)
 
-    def _bucket_range(self, x: float, y: float, d: float) -> tuple[int, int, int, int]:
+    def any_within_strict(self, x: float, y: float, d: float) -> bool:
+        """True iff some indexed robot has center strictly closer than d to
+        (x, y). Early-exits."""
         cs = self.cell_size
-        return (
-            math.floor((x - d) / cs),
-            math.floor((x + d) / cs),
-            math.floor((y - d) / cs),
-            math.floor((y + d) / cs),
-        )
-
-    def neighbors_within(
-        self, x: float, y: float, d: float, exclude: int | None = None
-    ) -> list[int]:
-        """Ids of robots whose center is within distance d of (x, y),
-        ascending, with `exclude` omitted."""
-        if d < 0:
-            raise ValueError("query distance must be non-negative")
-        bx0, bx1, by0, by1 = self._bucket_range(x, y, d)
-        d2 = d * d
-        positions = self.positions
-        out: list[int] = []
-        boxes = (bx1 - bx0 + 1) * (by1 - by0 + 1)
-        if boxes <= 2 * len(self.buckets) + 8:
-            get = self.buckets.get
-            for by in range(by0, by1 + 1):
-                for bx in range(bx0, bx1 + 1):
-                    members = get((bx, by))
-                    if not members:
-                        continue
-                    for j in members:
-                        px, py = positions[j]
-                        dx = px - x
-                        dy = py - y
-                        if dx * dx + dy * dy <= d2 and j != exclude:
-                            out.append(j)
-        else:
-            for (bx, by), members in self.buckets.items():
-                if bx0 <= bx <= bx1 and by0 <= by <= by1:
-                    for j in members:
-                        px, py = positions[j]
-                        dx = px - x
-                        dy = py - y
-                        if dx * dx + dy * dy <= d2 and j != exclude:
-                            out.append(j)
-        out.sort()
-        return out
-
-    def any_within_strict(
-        self, x: float, y: float, d: float, exclude: int | None = None
-    ) -> bool:
-        """True iff some robot other than `exclude` has center strictly
-        closer than d to (x, y). Early-exits; used by move resolution."""
-        bx0, bx1, by0, by1 = self._bucket_range(x, y, d)
+        bx0 = math.floor((x - d) / cs)
+        bx1 = math.floor((x + d) / cs)
         d2 = d * d
         positions = self.positions
         get = self.buckets.get
-        for by in range(by0, by1 + 1):
+        for by in range(math.floor((y - d) / cs), math.floor((y + d) / cs) + 1):
             for bx in range(bx0, bx1 + 1):
                 members = get((bx, by))
                 if not members:
                     continue
                 for j in members:
-                    if j == exclude:
-                        continue
                     px, py = positions[j]
                     dx = px - x
                     dy = py - y
@@ -415,8 +367,7 @@ class RobotIndex:
 
 def rebuild_index(bodies: Sequence, cell_size: float) -> RobotIndex:
     """Fresh index over current body centers (bodies ordered by id)."""
-    radius = bodies[0].radius if bodies else 0.0
-    index = RobotIndex(cell_size, radius=radius)
+    index = RobotIndex(cell_size)
     for body in bodies:
         index.add(body.id, body.pose.x, body.pose.y)
     return index

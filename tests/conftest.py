@@ -97,6 +97,12 @@ def place_bodies(
     return bodies
 
 
+def centers_of(bodies: list[RobotBody]) -> list[tuple[float, float]]:
+    """The (x, y) centres of `bodies`, in their order: the robot list the
+    scalar reference ops take."""
+    return [(b.pose.x, b.pose.y) for b in bodies]
+
+
 # --- brute-force oracles -------------------------------------------------------
 
 
@@ -130,6 +136,45 @@ def neighbors_oracle(
         if (px - x) ** 2 + (py - y) ** 2 <= d * d:
             out.append(i)
     return out
+
+
+def any_within_strict_oracle(
+    positions: list[tuple[float, float]], x: float, y: float, d: float
+) -> bool:
+    """Naive O(n) scan: is some center strictly closer than d?"""
+    return any((px - x) ** 2 + (py - y) ** 2 < d * d for px, py in positions)
+
+
+def pairs_oracle(
+    positions: list[tuple[float, float]], reach: float
+) -> dict[tuple[int, int], float]:
+    """Naive O(n^2) scan: {(i, j): d2} for every i < j with d2 <= reach^2,
+    where d2 = dx * dx + dy * dy, dx = x_j - x_i and dy = y_j - y_i."""
+    out = {}
+    for j, (xj, yj) in enumerate(positions):
+        for i, (xi, yi) in enumerate(positions[:j]):
+            dx = xj - xi
+            dy = yj - yi
+            d2 = dx * dx + dy * dy
+            if d2 <= reach * reach:
+                out[(i, j)] = d2
+    return out
+
+
+def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float) -> None:
+    """`_pairs_within` returns exactly the oracle's pairs, once each, with
+    bit-equal squared distances."""
+    from swarmsim.sensing import _pairs_within
+
+    xs = np.array([p[0] for p in positions], dtype=np.float64)
+    ys = np.array([p[1] for p in positions], dtype=np.float64)
+    pa, pb, d2 = _pairs_within(xs, ys, reach)
+    got = {
+        (min(a, b), max(a, b)): value
+        for a, b, value in zip(pa.tolist(), pb.tolist(), d2.tolist())
+    }
+    assert len(got) == pa.size and (pa != pb).all()
+    assert got == pairs_oracle(positions, reach)
 
 
 def march_ray_oracle(

@@ -31,10 +31,12 @@ from swarmsim import (
 )
 from swarmsim.engine import Metrics, SimState
 from conftest import (
+    any_within_strict_oracle,
+    assert_pairs_match_oracle,
+    centers_of,
     child_env,
     fine_march_confirms,
     march_ray_oracle,
-    neighbors_oracle,
     place_bodies,
     random_grid,
     reference_splitmix64,
@@ -175,11 +177,11 @@ def test_criterion_05_raycast_oracle_equivalence():
             continue
         direction = rng.uniform(-math.pi, math.pi)
         max_range = rng.uniform(5.0, 40.0)
-        index = rebuild_index(bodies, 16.0)
-        hit = cast_ray(grid, index, origin, direction, max_range)
+        centers = centers_of(bodies)
+        hit = cast_ray(grid, centers, radius, origin, direction, max_range)
         wall_t, robot_hits = march_ray_oracle(
             grid,
-            [(b.pose.x, b.pose.y) for b in bodies],
+            centers,
             radius,
             origin,
             direction,
@@ -193,7 +195,7 @@ def test_criterion_05_raycast_oracle_equivalence():
             # blind below its step; confirm by sampling at 1e-6 px instead
             assert fine_march_confirms(
                 grid,
-                [(b.pose.x, b.pose.y) for b in bodies],
+                centers,
                 radius,
                 origin,
                 direction,
@@ -218,6 +220,7 @@ def test_criterion_05_raycast_oracle_equivalence():
 
 
 def test_criterion_06_neighbor_index_equals_naive_scan():
+    # Spawn's probe and the tick's pair search, against naive scans.
     rng = random.Random(666)
     for trial in range(1000):
         n = rng.randint(0, 80)
@@ -231,11 +234,11 @@ def test_criterion_06_neighbor_index_equals_naive_scan():
             x = rng.uniform(-10, span + 10)
             y = rng.uniform(-10, span + 10)
             d = rng.uniform(0, span / 2)
-            exclude = rng.randrange(n) if n and rng.random() < 0.5 else None
-            assert index.neighbors_within(x, y, d, exclude) == neighbors_oracle(
-                points, x, y, d, exclude
+            assert index.any_within_strict(x, y, d) == any_within_strict_oracle(
+                points, x, y, d
             ), trial
-    print("\nACCEPTANCE 6 PASS: 1000 configurations, grid queries equal naive scan")
+        assert_pairs_match_oracle(points, d)
+    print("\nACCEPTANCE 6 PASS: 1000 configurations, probe and pair search equal naive scans")
 
 
 def test_criterion_07_no_overlap_over_ten_thousand_ticks():

@@ -14,16 +14,13 @@ from swarmsim import (
     ControlInput,
     Limits,
     Message,
-    Pose,
     RandomWalkController,
     RngStream,
-    RobotBody,
     SensorReading,
     SensorSpec,
     default_avoidance_weights,
     deliver_messages,
     evenly_spaced_angles,
-    rebuild_index,
     stream_seed,
 )
 
@@ -276,26 +273,29 @@ def test_delivery_matches_naive_all_pairs():
     assert delivered == sum(len(box) for box in inboxes)
 
 
-def deliver_messages_loop(index, outboxes):
-    """Per-sender routing through `RobotIndex.neighbors_within`, the form
+def deliver_messages_loop(points, outboxes):
+    """Per-sender routing over the centres `points`, in id order: the form
     `deliver_messages` had before it routed in arrays; kept as its oracle."""
     inboxes = [[] for _ in range(len(outboxes))]
     delivered = 0
     for sender, broadcast in enumerate(outboxes):
         if broadcast is None:
             continue
-        x, y = index.positions[sender]
+        x, y = points[sender]
+        r2 = broadcast.radius * broadcast.radius
         message = Message(sender, broadcast.payload)
-        for receiver in index.neighbors_within(x, y, broadcast.radius, exclude=sender):
-            inboxes[receiver].append(message)
-            delivered += 1
+        for receiver, (px, py) in enumerate(points):
+            dx = px - x
+            dy = py - y
+            if dx * dx + dy * dy <= r2 and receiver != sender:
+                inboxes[receiver].append(message)
+                delivered += 1
     return inboxes, delivered
 
 
 def _assert_same_routing(points, outboxes):
     got = _deliver(points, outboxes)
-    bodies = [RobotBody(i, Pose(x, y, 0.0), 1.0) for i, (x, y) in enumerate(points)]
-    assert got == deliver_messages_loop(rebuild_index(bodies, 16.0), outboxes)
+    assert got == deliver_messages_loop(points, outboxes)
     return got
 
 

@@ -20,7 +20,6 @@ from swarmsim import (
     Simulation,
     SpawnError,
     generate_arena,
-    rebuild_index,
     run,
     spawn,
     state_digest,
@@ -392,6 +391,38 @@ def test_first_faulty_robot_is_named_whatever_the_fault():
         sim.step()
 
 
+@pytest.mark.parametrize(
+    "output, message",
+    [
+        (
+            ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast(None, 5.0)),
+            r"broadcast payload is NoneType, not bytes",
+        ),
+        (
+            ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast("abc", 5.0)),
+            r"broadcast payload is str, not bytes",
+        ),
+        (
+            ControlOutput(ActuatorCommand("1", 0.0)),
+            r"non-finite command \(v='1', w=0\.0\)",
+        ),
+        (
+            ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast(b"x", "5")),
+            r"broadcast radius '5' invalid",
+        ),
+    ],
+    ids=["payload-none", "payload-str", "command-str", "radius-str"],
+)
+def test_ill_typed_output_is_a_controller_error_naming_the_robot(output, message):
+    config = make_config(
+        robot_count=3, spawn_positions=tuple((20.0 + 30.0 * i, 50.0, 0.0) for i in range(3))
+    )
+    ok = ControlOutput(ActuatorCommand(0.0, 0.0))
+    sim = Simulation(config, controller=ScriptedController([ok, output, ok]))
+    with pytest.raises(ControllerError, match=rf"^robot 1 tick 0: {message}$"):
+        sim.step()
+
+
 class RaisingAtController(ScriptedController):
     """Test plugin: as ScriptedController, but robot `raise_at`'s step raises."""
 
@@ -491,8 +522,8 @@ def test_inboxes_match_per_sender_loop_at_end_of_tick():
     for _ in range(8):
         sim.step()
         outboxes = ctrl.sent[-config.robot_count :]
-        index = rebuild_index(sim.state.bodies, 16.0)
-        expected, delivered = deliver_messages_loop(index, outboxes)
+        points = list(zip(sim.state.xs.tolist(), sim.state.ys.tolist()))
+        expected, delivered = deliver_messages_loop(points, outboxes)
         assert sim.state.inboxes == expected
         assert delivered > 0
 

@@ -14,12 +14,11 @@ from swarmsim import (
     RobotBody,
     apply_command,
     generate_arena,
-    rebuild_index,
     resolve_move,
     wrap_angle,
 )
 
-from conftest import grid_from_ascii
+from conftest import centers_of, grid_from_ascii
 
 LIMITS = Limits(2.0, math.pi)
 
@@ -114,8 +113,7 @@ def test_limits_must_be_positive():
 
 def test_free_candidate_adopted(arena100):
     body = RobotBody(0, Pose(50, 50, 0), 3.0)
-    index = rebuild_index([body], 16.0)
-    pose, collided = resolve_move(arena100, index, body, Pose(51, 50, 0.3))
+    pose, collided = resolve_move(arena100, [], body, Pose(51, 50, 0.3))
     assert not collided
     assert (pose.x, pose.y, pose.theta) == (51, 50, 0.3)
 
@@ -131,8 +129,7 @@ def test_wall_overlap_keeps_position_adopts_heading():
         """
     )
     body = RobotBody(0, Pose(2.0, 3.5, 0.0), 1.5)
-    index = rebuild_index([body], 16.0)
-    pose, collided = resolve_move(grid, index, body, Pose(4.5, 3.5, 0.7))
+    pose, collided = resolve_move(grid, [], body, Pose(4.5, 3.5, 0.7))
     assert collided
     assert (pose.x, pose.y) == (2.0, 3.5)
     assert pose.theta == 0.7
@@ -146,13 +143,12 @@ def test_sequential_two_robot_resolution():
     arena = generate_arena(100, 100)
     a = RobotBody(0, Pose(10, 10, 0), 2.0)
     b = RobotBody(1, Pose(13, 10, 0), 2.0)
-    index = rebuild_index([a, b], 16.0)
 
-    pose_a, collided_a = resolve_move(arena, index, a, Pose(11, 10, 0))
+    pose_a, collided_a = resolve_move(arena, centers_of([b]), a, Pose(11, 10, 0))
     assert collided_a and (pose_a.x, pose_a.y) == (10, 10)
-    a.pose = pose_a  # no index move needed: position unchanged
+    a.pose = pose_a
 
-    pose_b, collided_b = resolve_move(arena, index, b, Pose(14, 10, 0))
+    pose_b, collided_b = resolve_move(arena, centers_of([a]), b, Pose(14, 10, 0))
     assert not collided_b and (pose_b.x, pose_b.y) == (14, 10)
 
 
@@ -160,8 +156,7 @@ def test_exactly_two_radii_is_allowed():
     arena = generate_arena(100, 100)
     a = RobotBody(0, Pose(10, 10, 0), 2.0)
     b = RobotBody(1, Pose(20, 10, 0), 2.0)
-    index = rebuild_index([a, b], 16.0)
-    pose, collided = resolve_move(arena, index, b, Pose(14, 10, 0))
+    pose, collided = resolve_move(arena, centers_of([a]), b, Pose(14, 10, 0))
     assert not collided and pose.x == 14
 
 
@@ -169,8 +164,7 @@ def test_just_under_two_radii_is_blocked():
     arena = generate_arena(100, 100)
     a = RobotBody(0, Pose(10, 10, 0), 2.0)
     b = RobotBody(1, Pose(20, 10, 0), 2.0)
-    index = rebuild_index([a, b], 16.0)
-    pose, collided = resolve_move(arena, index, b, Pose(13.999, 10, 1.0))
+    pose, collided = resolve_move(arena, centers_of([a]), b, Pose(13.999, 10, 1.0))
     assert collided
     assert (pose.x, pose.y, pose.theta) == (20, 10, 1.0)
 
@@ -179,6 +173,5 @@ def test_rotation_in_place_never_collides():
     arena = generate_arena(30, 30)
     a = RobotBody(0, Pose(10, 10, 0), 2.0)
     b = RobotBody(1, Pose(14, 10, 0), 2.0)  # touching at exactly 2r
-    index = rebuild_index([a, b], 16.0)
-    pose, collided = resolve_move(arena, index, a, Pose(10, 10, 2.7))
+    pose, collided = resolve_move(arena, centers_of([b]), a, Pose(10, 10, 2.7))
     assert not collided and pose.theta == 2.7

@@ -2,9 +2,9 @@
 per-robot loop.
 
 The oracle below is the tick as it ran before moves were resolved in
-arrays: rebuild the index from the bodies, sense, step the controller, then
-`apply_command` -> `resolve_move` -> `index.move` for every robot in id
-order. Both simulations start from the same config, so every pose,
+arrays: sense, step the controller, then `apply_command` -> `resolve_move`
+for every robot in id order, each against the current centres of all the
+other robots. Both simulations start from the same config, so every pose,
 collision flag and counter must come out bit-equal.
 """
 
@@ -24,12 +24,13 @@ from swarmsim import (
     SimConfig,
     Simulation,
     apply_command,
-    rebuild_index,
     resolve_move,
     sense_batch,
     state_digest,
 )
 from swarmsim.sensing import HIT_NONE, HIT_WALL, SensorReading
+
+from conftest import centers_of
 
 
 def reference_readings(normalized_row: np.ndarray, hit_row: np.ndarray) -> tuple:
@@ -45,13 +46,14 @@ def reference_readings(normalized_row: np.ndarray, hit_row: np.ndarray) -> tuple
     return tuple(readings)
 
 
-def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
-    """One tick with the per-robot move loop over a `RobotIndex` of buckets
-    `cell_size` wide. Plugin controllers must not broadcast."""
+def reference_step(sim: Simulation) -> None:
+    """One tick with the per-robot move loop: robot i sees robots below i at
+    their new positions and robots above i at the snapshot. Plugin
+    controllers must not broadcast."""
     state = sim.state
     bodies = state.bodies
     n = len(bodies)
-    index = rebuild_index(bodies, cell_size)
+    centers = centers_of(bodies)
     xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
     ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
     thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
@@ -81,10 +83,9 @@ def reference_step(sim: Simulation, cell_size: float = 16.0) -> None:
         candidate = apply_command(
             body.pose, ActuatorCommand(float(v_arr[i]), float(w_arr[i])), sim.limits
         )
-        moved_from = body.pose
-        new_pose, collided = resolve_move(state.grid, index, body, candidate)
-        if not collided and (new_pose.x != moved_from.x or new_pose.y != moved_from.y):
-            index.move(i, new_pose.x, new_pose.y)
+        others = centers[:i] + centers[i + 1 :]
+        new_pose, collided = resolve_move(state.grid, others, body, candidate)
+        centers[i] = (new_pose.x, new_pose.y)
         body.pose = new_pose
         body.collided_last_tick = collided
         canceled += collided
@@ -148,15 +149,15 @@ def _pose_bits(sim: Simulation) -> list[tuple[str, str, str, bool]]:
 
 
 def assert_matches_reference(
-    config: SimConfig, make_controller, ticks: int, cell_size: float = 16.0
+    config: SimConfig, make_controller, ticks: int
 ) -> tuple[int, int]:
-    """Step the engine and the oracle (its index `cell_size` wide) side by
-    side; return the engine's (serial residue, robot-steps) totals."""
+    """Step the engine and the oracle side by side; return the engine's
+    (serial residue, robot-steps) totals."""
     sim = Simulation(config, controller=make_controller())
     ref = Simulation(config, controller=make_controller())
     for tick in range(ticks):
         sim.step()
-        reference_step(ref, cell_size)
+        reference_step(ref)
         assert _pose_bits(sim) == _pose_bits(ref), f"tick {tick}"
         assert sim.state.metrics.canceled_moves == ref.state.metrics.canceled_moves
     assert state_digest(sim.state) == state_digest(ref.state)
@@ -182,21 +183,26 @@ def _scripted(config: SimConfig):
     return lambda: ScriptedController(config.v_max, config.w_max)
 
 
-@pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
+# Sensor ranges: the engine's one pair search runs at the larger of the
+# sensing reach (range + 2r) and the move reach (2r + 2 v_max), and phase 4
+# filters it down to the move reach. At range 4 the two reaches coincide; at
+# 64, the default, the search holds far more pairs than phase 4 keeps.
+SENSOR_RANGES = [4.0, 16.0, 64.0]
+
+
+@pytest.mark.parametrize("sensor_range", SENSOR_RANGES)
 @pytest.mark.parametrize("controller_type", ["random_walk", "braitenberg"])
-def test_dense_swarm_matches_per_robot_loop(cell_size, controller_type):
-    config = _config(controller_type=controller_type)
-    serial, steps = assert_matches_reference(config, lambda: None, ticks=40, cell_size=cell_size)
+def test_dense_swarm_matches_per_robot_loop(sensor_range, controller_type):
+    config = _config(controller_type=controller_type, sensor_range=sensor_range)
+    serial, steps = assert_matches_reference(config, lambda: None, ticks=40)
     assert 0 < serial < steps  # both the array and the serial path ran
 
 
-@pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
-def test_scripted_commands_match_per_robot_loop(cell_size):
+@pytest.mark.parametrize("sensor_range", SENSOR_RANGES)
+def test_scripted_commands_match_per_robot_loop(sensor_range):
     # v = 0, negative v, clamped commands, turns wrapping past +-pi
-    config = _config(robot_count=90, seed=5, w_max=1.0)
-    serial, steps = assert_matches_reference(
-        config, _scripted(config), ticks=40, cell_size=cell_size
-    )
+    config = _config(robot_count=90, seed=5, w_max=1.0, sensor_range=sensor_range)
+    serial, steps = assert_matches_reference(config, _scripted(config), ticks=40)
     assert 0 < serial < steps
 
 
@@ -235,8 +241,8 @@ def _obstacle_p2(tmp_path, size: int, seed: int) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
-def test_obstacle_map_matches_per_robot_loop(tmp_path, cell_size):
+@pytest.mark.parametrize("sensor_range", SENSOR_RANGES)
+def test_obstacle_map_matches_per_robot_loop(tmp_path, sensor_range):
     map_path = _obstacle_p2(tmp_path, 128, seed=3)
     config = _config(
         robot_count=80,
@@ -244,9 +250,10 @@ def test_obstacle_map_matches_per_robot_loop(tmp_path, cell_size):
         arena_height=None,
         map_path=map_path,
         robot_radius=3.0,
+        sensor_range=sensor_range,
     )
-    assert_matches_reference(config, lambda: None, ticks=40, cell_size=cell_size)
-    assert_matches_reference(config, _scripted(config), ticks=40, cell_size=cell_size)
+    assert_matches_reference(config, lambda: None, ticks=40)
+    assert_matches_reference(config, _scripted(config), ticks=40)
 
 
 def test_map_edge_contacts_and_heading_wrap_match():
@@ -272,8 +279,8 @@ def test_map_edge_contacts_and_heading_wrap_match():
     assert_matches_reference(config, _scripted(config), ticks=60)
 
 
-@pytest.mark.parametrize("cell_size", [4.0, 16.0, 64.0])
-def test_centres_exactly_two_radii_apart(cell_size):
+@pytest.mark.parametrize("sensor_range", SENSOR_RANGES)
+def test_centres_exactly_two_radii_apart(sensor_range):
     r = 4.0
     # Rows at exact 2r spacing with headings 0 and -pi (cos exactly +-1):
     # each robot's candidate lands exactly 2r from a neighbour's snapshot or
@@ -296,15 +303,14 @@ def test_centres_exactly_two_radii_apart(cell_size):
         robot_count=len(poses),
         spawn_positions=tuple(poses),
         robot_radius=r,
+        sensor_range=sensor_range,
     )
     sim = Simulation(config, controller=FixedController(commands))
     sim.step()
     pair = sim.state.bodies[16:18]
     assert not pair[0].collided_last_tick and not pair[1].collided_last_tick
     assert pair[1].pose.x - pair[0].pose.x == 2 * r
-    assert_matches_reference(
-        config, lambda: FixedController(commands), ticks=20, cell_size=cell_size
-    )
+    assert_matches_reference(config, lambda: FixedController(commands), ticks=20)
 
 
 def test_cancel_rules_match_per_robot_loop():

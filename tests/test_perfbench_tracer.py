@@ -12,7 +12,7 @@ import importlib.util
 from pathlib import Path
 
 import swarmsim.engine as engine
-from swarmsim import SimConfig, Simulation
+from swarmsim import SimConfig, Simulation, state_digest
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -22,6 +22,21 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _traced_tick(module, config: SimConfig) -> tuple[Simulation, object]:
+    """Install the tracer, build `config` and run one tick under it, then
+    restore the originals."""
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        sim = Simulation(config)
+        with tracer.span("engine.step"):
+            sim.step()
+        tracer.end_tick(0)
+    finally:
+        tracer.enable(False)
+    return sim, tracer
 
 
 def test_tracer_installs_steps_and_restores():
@@ -35,18 +50,34 @@ def test_tracer_installs_steps_and_restores():
         arena_width=200,
         arena_height=200,
     )
-    tracer = module.Tracer()
-    tracer.install()
-    try:
-        sim = Simulation(config)
-        with tracer.span("engine.step"):
-            sim.step()
-        tracer.end_tick(0)
-    finally:
-        tracer.enable(False)
+    sim, tracer = _traced_tick(module, config)
     for attr, original in originals.items():
         assert getattr(engine, attr) is original
     names = {span[1] for span in tracer.spans}
     assert {"world.load_map", "engine.spawn", "sensing.sense_batch"} <= names
     assert sim.state.tick == 1
     sim.check_invariants()
+
+
+def test_tracer_reaches_the_per_robot_wrappers_in_a_crowd():
+    # 40 walkers on 64x64: spawn probes its index for every attempt, and the
+    # first tick sends robots through the serial residue.
+    module = _load_tracer()
+    config = SimConfig(
+        robot_count=40,
+        seed=4,
+        ticks=1,
+        controller_type="random_walk",
+        arena_width=64,
+        arena_height=64,
+    )
+    sim, tracer = _traced_tick(module, config)
+    counts: dict[str, int] = {}
+    for _, name, _, count, _ in tracer.call_rows:
+        counts[name] = counts.get(name, 0) + count
+    assert counts.get("kinematics.resolve_move", 0) > 0
+    assert counts.get("world.any_within_strict", 0) > 0
+    assert counts["kinematics.resolve_move"] == sim.state.metrics.serial_moves
+    untraced = Simulation(config)
+    untraced.step()
+    assert state_digest(sim.state) == state_digest(untraced.state)

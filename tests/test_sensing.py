@@ -18,7 +18,6 @@ from swarmsim import (
     evenly_spaced_angles,
     generate_arena,
     load_map,
-    rebuild_index,
     sense_all,
     sense_batch,
 )
@@ -32,6 +31,7 @@ from swarmsim.sensing import (
 
 from conftest import (
     EPUCK_ANGLES,
+    centers_of,
     fine_march_confirms,
     grid_from_ascii,
     march_ray_oracle,
@@ -40,17 +40,12 @@ from conftest import (
 )
 
 
-def _empty_index(radius: float = 0.0):
-    return rebuild_index([], 16.0) if radius == 0.0 else None
-
-
 # --- documented point cases -------------------------------------------------------
 
 
 def test_free_ray_reports_full_range():
     grid = generate_arena(200, 200)
-    index = rebuild_index([], 16.0)
-    hit = cast_ray(grid, index, (100.0, 100.0), 0.37, 50.0)
+    hit = cast_ray(grid, [], 1.0, (100.0, 100.0), 0.37, 50.0)
     assert hit.dist == 50.0 and hit.kind == "none" and hit.robot is None
 
 
@@ -58,7 +53,7 @@ def test_wall_column_exact_distance():
     occ = np.zeros((41, 200), dtype=bool)
     occ[:, 10] = True
     grid = GridMap(200, 41, occ)
-    hit = cast_ray(grid, rebuild_index([], 16.0), (5.5, 20.5), 0.0, 50.0)
+    hit = cast_ray(grid, [], 1.0, (5.5, 20.5), 0.0, 50.0)
     assert hit.dist == pytest.approx(4.5, abs=1e-12)
     assert hit.kind == "wall"
 
@@ -68,8 +63,7 @@ def test_robot_disc_closer_than_wall():
     occ[:, 10] = True
     grid = GridMap(200, 41, occ)
     blocker = RobotBody(0, Pose(8.5, 20.5, 0.0), 2.0)
-    index = rebuild_index([blocker], 16.0)
-    hit = cast_ray(grid, index, (5.5, 20.5), 0.0, 50.0)
+    hit = cast_ray(grid, centers_of([blocker]), 2.0, (5.5, 20.5), 0.0, 50.0)
     assert hit.dist == pytest.approx(1.0, abs=1e-12)
     assert hit.kind == "robot" and hit.robot == 0
 
@@ -77,9 +71,8 @@ def test_robot_disc_closer_than_wall():
 def test_self_never_reported():
     grid = generate_arena(100, 100)
     me = RobotBody(0, Pose(50.0, 50.0, 0.0), 3.0)
-    index = rebuild_index([me], 16.0)
     # ray starts on my perimeter pointing inward across my own disc
-    hit = cast_ray(grid, index, (53.0, 50.0), math.pi, 20.0, self_id=0)
+    hit = cast_ray(grid, centers_of([me]), 3.0, (53.0, 50.0), math.pi, 20.0, self_id=0)
     assert hit.kind == "none"
 
 
@@ -87,8 +80,7 @@ def test_touching_robot_reads_near_zero():
     grid = generate_arena(100, 100)
     a = RobotBody(0, Pose(50.0, 50.0, 0.0), 2.0)
     b = RobotBody(1, Pose(54.0, 50.0, 0.0), 2.0)
-    index = rebuild_index([a, b], 16.0)
-    readings = sense_all(a, SensorSpec((0.0,), 32.0), grid, index)
+    readings = sense_all(a, SensorSpec((0.0,), 32.0), grid, centers_of([a, b]))
     assert readings[0].kind == "robot" and readings[0].robot == 1
     assert readings[0].normalized == pytest.approx(0.0, abs=1e-12)
 
@@ -101,7 +93,7 @@ def test_origin_inside_wall_cell_reads_zero():
         .....
         """
     )
-    hit = cast_ray(grid, rebuild_index([], 16.0), (2.5, 1.5), 0.0, 10.0)
+    hit = cast_ray(grid, [], 1.0, (2.5, 1.5), 0.0, 10.0)
     assert hit.dist == 0.0 and hit.kind == "wall"
 
 
@@ -111,8 +103,7 @@ def test_wall_beats_robot_on_tie():
     occ[:, 10] = True
     grid = GridMap(30, 21, occ)
     blocker = RobotBody(0, Pose(12.0, 10.5, 0.0), 2.0)
-    index = rebuild_index([blocker], 16.0)
-    hit = cast_ray(grid, index, (5.0, 10.5), 0.0, 20.0)
+    hit = cast_ray(grid, centers_of([blocker]), 2.0, (5.0, 10.5), 0.0, 20.0)
     assert hit.dist == 5.0
     assert hit.kind == "wall"
 
@@ -123,8 +114,7 @@ def test_wall_beats_robot_on_tie():
 def test_lone_robot_all_readings_clear():
     grid = generate_arena(400, 400)
     body = RobotBody(0, Pose(200, 200, 0.8), 3.0)
-    index = rebuild_index([body], 16.0)
-    readings = sense_all(body, SensorSpec(evenly_spaced_angles(8), 64.0), grid, index)
+    readings = sense_all(body, SensorSpec(evenly_spaced_angles(8), 64.0), grid, centers_of([body]))
     assert len(readings) == 8
     assert all(r.normalized == 1.0 and r.kind == "none" for r in readings)
 
@@ -133,9 +123,8 @@ def test_mirror_symmetry_facing_wall():
     grid = generate_arena(200, 200)
     # facing +x, wall is the closed-world boundary at x=200
     body = RobotBody(0, Pose(150.0, 100.0, 0.0), 3.0)
-    index = rebuild_index([body], 16.0)
     spec = SensorSpec(evenly_spaced_angles(8), 64.0)
-    readings = sense_all(body, spec, grid, index)
+    readings = sense_all(body, spec, grid, centers_of([body]))
     # angles i and k-i are mirrored across the heading
     for i, j in ((1, 7), (2, 6), (3, 5)):
         assert readings[i].normalized == pytest.approx(readings[j].normalized, abs=1e-9)
@@ -144,14 +133,15 @@ def test_mirror_symmetry_facing_wall():
 def test_reading_count_and_order_follow_spec():
     grid = generate_arena(100, 100)
     body = RobotBody(0, Pose(50, 50, 0), 2.0)
-    index = rebuild_index([body], 16.0)
+    centers = centers_of([body])
     angles = (0.0, -1.0, 2.0, 0.5)
-    readings = sense_all(body, SensorSpec(angles, 20.0), grid, index)
+    readings = sense_all(body, SensorSpec(angles, 20.0), grid, centers)
     assert len(readings) == 4
     direct = [
         cast_ray(
             grid,
-            index,
+            centers,
+            2.0,
             (50 + 2.0 * math.cos(a), 50 + 2.0 * math.sin(a)),
             a,
             20.0,
@@ -167,10 +157,10 @@ def test_sensing_is_pure():
     rng = random.Random(10)
     grid = random_grid(rng, 40, 40, 0.08)
     bodies = place_bodies(rng, grid, 6, 1.5)
-    index = rebuild_index(bodies, 16.0)
+    centers = centers_of(bodies)
     spec = SensorSpec(evenly_spaced_angles(6), 30.0)
-    first = [sense_all(b, spec, grid, index) for b in bodies]
-    second = [sense_all(b, spec, grid, index) for b in bodies]
+    first = [sense_all(b, spec, grid, centers) for b in bodies]
+    second = [sense_all(b, spec, grid, centers) for b in bodies]
     assert first == second
 
 
@@ -183,15 +173,15 @@ def test_monotonicity_adding_obstacle_never_increases_readings():
             bodies = place_bodies(rng, grid, 3, 1.2, max_tries=4000)
         except RuntimeError:
             continue
-        index = rebuild_index(bodies, 16.0)
+        centers = centers_of(bodies)
         spec = SensorSpec(evenly_spaced_angles(5), 25.0)
-        before = [sense_all(b, spec, grid, index) for b in bodies]
+        before = [sense_all(b, spec, grid, centers) for b in bodies]
         occ = grid.occupancy.copy()
         free_cells = np.argwhere(~occ)
         cy, cx = free_cells[rng.randrange(len(free_cells))]
         occ[cy, cx] = True
         denser = GridMap(width, height, occ)
-        after = [sense_all(b, spec, denser, index) for b in bodies]
+        after = [sense_all(b, spec, denser, centers) for b in bodies]
         for rows_before, rows_after in zip(before, after):
             for rb, ra in zip(rows_before, rows_after):
                 assert ra.normalized <= rb.normalized + 1e-12
@@ -238,9 +228,8 @@ def test_cast_ray_matches_marching_oracle():
             continue
         direction = rng.uniform(-math.pi, math.pi)
         max_range = rng.uniform(5.0, 40.0)
-        index = rebuild_index(bodies, 16.0)
-        hit = cast_ray(grid, index, origin, direction, max_range)
-        positions = [(b.pose.x, b.pose.y) for b in bodies]
+        positions = centers_of(bodies)
+        hit = cast_ray(grid, positions, radius, origin, direction, max_range)
         wall_t, robot_hits = march_ray_oracle(
             grid, positions, radius, origin, direction, max_range
         )
@@ -276,9 +265,9 @@ def _batch_inputs(bodies):
 
 
 def _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits):
-    index = rebuild_index(bodies, 16.0)
+    centers = centers_of(bodies)
     for i, body in enumerate(bodies):
-        for j, reading in enumerate(sense_all(body, spec, grid, index)):
+        for j, reading in enumerate(sense_all(body, spec, grid, centers)):
             assert abs(normalized[i, j] - reading.normalized) <= 1e-12, (i, j)
             code = {"none": HIT_NONE, "wall": HIT_WALL}.get(reading.kind, reading.robot)
             assert int(hits[i, j]) == code, (i, j)
@@ -376,8 +365,7 @@ def test_exact_robot_tie_goes_to_smaller_id(angles, low_below):
     grid = generate_arena(40, 40)
     spec = SensorSpec(angles, 30.0)
     ray = angles.index(0.0)
-    index = rebuild_index(bodies, 16.0)
-    reading = sense_all(bodies[2], spec, grid, index)[ray]
+    reading = sense_all(bodies[2], spec, grid, centers_of(bodies))[ray]
     assert (reading.kind, reading.robot, reading.normalized) == ("robot", 0, 8.0 / 30.0)
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
@@ -448,7 +436,6 @@ def test_batch_matches_scalar_in_walled_crowd(monkeypatch, angles, dda_limit):
     # Most rays meet a robot before any wall, and many robots have every ray
     # capped short of the clearance-field bound: their wall pass is skipped,
     # where without the cap it would run (clearance within range + r + 2).
-    empty = rebuild_index([], 16.0)
     rob_hit = hits >= 0
     occluded = 0
     for i, j in zip(*np.nonzero(rob_hit)):
@@ -458,7 +445,7 @@ def test_batch_matches_scalar_in_walled_crowd(monkeypatch, angles, dda_limit):
             body.pose.x + radius * math.cos(bearing),
             body.pose.y + radius * math.sin(bearing),
         )
-        occluded += cast_ray(grid, empty, origin, bearing, spec.max_range).kind == "wall"
+        occluded += cast_ray(grid, [], radius, origin, bearing, spec.max_range).kind == "wall"
     assert occluded > 0.5 * hits.size, occluded
     clear = grid.clearance[np.floor(ys).astype(int), np.floor(xs).astype(int)]
     reach = np.where(rob_hit, normalized * spec.max_range, spec.max_range).max(axis=1)
@@ -480,11 +467,11 @@ def test_readings_from_arrays_match_sense_all(max_range, kinds_seen):
     normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
     rows = list(readings_from_arrays(normalized, hits))
     assert len(rows) == len(bodies)
-    index = rebuild_index(bodies, 16.0)
+    centers = centers_of(bodies)
     kinds = set()
     for body, row in zip(bodies, rows):
         assert type(row) is tuple
-        expected = sense_all(body, spec, grid, index)
+        expected = sense_all(body, spec, grid, centers)
         assert len(row) == len(expected)
         for j, (got, want) in enumerate(zip(row, expected)):
             assert (got.kind, got.robot) == (want.kind, want.robot), (body.id, j)

@@ -1,4 +1,5 @@
-"""Grid map loading, collision queries, and spatial index behavior."""
+"""Grid map loading, collision queries, spawn's robot index, and the pair
+search."""
 
 from __future__ import annotations
 
@@ -18,7 +19,14 @@ from swarmsim import (
     rebuild_index,
 )
 
-from conftest import disc_free_oracle, grid_from_ascii, neighbors_oracle, random_grid
+from conftest import (
+    any_within_strict_oracle,
+    assert_pairs_match_oracle,
+    disc_free_oracle,
+    grid_from_ascii,
+    pairs_oracle,
+    random_grid,
+)
 
 
 # --- PGM loading ---------------------------------------------------------------
@@ -258,7 +266,7 @@ def _bodies(points: list[tuple[float, float]], radius: float = 2.0) -> list[Robo
 def test_rebuild_empty():
     index = rebuild_index([], 16.0)
     assert not index.buckets
-    assert index.neighbors_within(5, 5, 100) == []
+    assert not index.any_within_strict(5, 5, 100)
 
 
 def test_two_close_robots_share_bucket_sorted():
@@ -279,18 +287,25 @@ def test_bucket_membership_matches_floor_division():
 
 
 def test_neighbors_basic_distance_filter():
-    index = rebuild_index(_bodies([(50.0, 50.0), (50.0, 55.0), (50.0, 70.0)]), 16.0)
-    assert index.neighbors_within(50.0, 50.0, 10.0, exclude=0) == [1]
+    points = [(50.0, 50.0), (50.0, 55.0), (50.0, 70.0)]
+    index = rebuild_index(_bodies(points), 16.0)
+    assert not index.any_within_strict(50.0, 40.0, 10.0)  # robot 0 exactly 10 away
+    assert index.any_within_strict(50.0, 40.0, 10.5)
+    assert pairs_oracle(points, 10.0) == {(0, 1): 25.0}
+    assert_pairs_match_oracle(points, 10.0)
 
 
 def test_neighbors_exclude_and_sorted():
     points = [(30.0, 30.0), (31.0, 30.0), (29.0, 30.0), (30.0, 31.0)]
     index = rebuild_index(_bodies(points), 4.0)
-    assert index.neighbors_within(30.0, 30.0, 5.0) == [0, 1, 2, 3]
-    assert index.neighbors_within(30.0, 30.0, 5.0, exclude=2) == [0, 1, 3]
+    assert index.buckets == {(7, 7): [0, 1, 2, 3]}
+    # every unordered pair once, no robot paired with itself
+    assert len(pairs_oracle(points, 5.0)) == 6
+    assert_pairs_match_oracle(points, 5.0)
 
 
 def test_neighbors_match_naive_scan_on_random_configs():
+    # Spawn's probe and the tick's pair search, against naive scans.
     rng = random.Random(99)
     for trial in range(1000):
         n = rng.randint(0, 60)
@@ -300,10 +315,10 @@ def test_neighbors_match_naive_scan_on_random_configs():
         x = rng.uniform(-30, 130)
         y = rng.uniform(-30, 130)
         d = rng.uniform(0, 60)
-        exclude = rng.randrange(n) if n and rng.random() < 0.5 else None
-        assert index.neighbors_within(x, y, d, exclude) == neighbors_oracle(
-            points, x, y, d, exclude
-        ), (trial, points, x, y, d, exclude)
+        assert index.any_within_strict(x, y, d) == any_within_strict_oracle(
+            points, x, y, d
+        ), (trial, points, x, y, d)
+        assert_pairs_match_oracle(points, d)
 
 
 def test_move_keeps_invariants():
@@ -322,8 +337,12 @@ def test_move_keeps_invariants():
     for members in index.buckets.values():
         seen.extend(members)
     assert sorted(seen) == list(range(40))
-    x, y, d = 50.0, 50.0, 33.0
-    assert index.neighbors_within(x, y, d) == neighbors_oracle(positions, x, y, d)
+    for x in range(0, 101, 10):
+        for y in range(0, 101, 10):
+            for d in (3.0, 9.0, 33.0):
+                assert index.any_within_strict(x, y, d) == any_within_strict_oracle(
+                    positions, x, y, d
+                ), (x, y, d)
 
 
 def test_any_within_strict_is_strict():
