@@ -52,7 +52,7 @@ from .kinematics import (  # noqa: F401 -- apply_command: kept bound for per-lay
     resolve_move,
     wrap_angle,
 )
-from .rng import MASK64, RngStream, stream_seed
+from .rng import MASK64, RngStream, stream_seed, uniform_run
 from .sensing import (
     SensorSpec,
     _pairs_within,
@@ -62,7 +62,6 @@ from .sensing import (
 )
 from .world import (  # noqa: F401 -- rebuild_index: kept bound for per-layer profilers
     GridMap,
-    RobotIndex,
     generate_arena,
     load_map,
     rebuild_index,
@@ -74,6 +73,10 @@ _FNV_PRIME = 0x100000001B3
 # Added to the phase-4 pair reach, far above the rounding in |candidate -
 # snapshot| <= v_max, so the pair search never misses a contact.
 _CONTACT_MARGIN = 1e-6
+
+# Larger than every per-tick temporary of the benchmark workloads, and below
+# glibc's 32 MiB cap on its dynamic mmap threshold; see Simulation.__init__.
+_HEAP_WARMUP_BYTES = 24 << 20
 
 
 @dataclass(slots=True)
@@ -184,19 +187,28 @@ def load_world(config: SimConfig) -> GridMap:
     return generate_arena(config.arena_width, config.arena_height)
 
 
+def _walled(grid: GridMap, xs: np.ndarray, ys: np.ndarray, r: float) -> list[int]:
+    """The discs of radius r at (xs, ys) that overlap a wall, ascending: the
+    clearance fast path of `GridMap.disc_free`, then its exact scan."""
+    near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
+    return [i for i in near_wall if not grid.disc_free(float(xs[i]), float(ys[i]), r)]
+
+
+def _close_pairs(xs: np.ndarray, ys: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (lo < hi) whose centers are strictly closer than 2r, with
+    the distances of `resolve_move`."""
+    d = 2.0 * r
+    pa, pb, d2 = _pairs_within(xs, ys, d)
+    close = d2 < d * d
+    return np.minimum(pa[close], pb[close]), np.maximum(pa[close], pb[close])
+
+
 def _overlaps(
     grid: GridMap, xs: np.ndarray, ys: np.ndarray, r: float
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The discs of radius r at (xs, ys) that overlap a wall, ascending, and
     the pairs (lo < hi) whose centers are strictly closer than 2r."""
-    # The clearance fast path of `GridMap.disc_free`, then its exact scan.
-    near_wall = np.flatnonzero(grid.clearance_at(xs, ys) <= r + 0.71).tolist()
-    wall = [i for i in near_wall if not grid.disc_free(xs[i], ys[i], r)]
-    # Pair distances as in `resolve_move`, strictly below 2r.
-    d = 2.0 * r
-    pa, pb, d2 = _pairs_within(xs, ys, d)
-    close = d2 < d * d
-    return wall, np.minimum(pa[close], pb[close]), np.maximum(pa[close], pb[close])
+    return (_walled(grid, xs, ys, r), *_close_pairs(xs, ys, r))
 
 
 def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[RobotBody]:
@@ -225,27 +237,100 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
             )
         positions = enumerate(config.spawn_positions)
         return [RobotBody(i, Pose(x, y, wrap_angle(theta)), r) for i, (x, y, theta) in positions]
-    bodies = []
-    probe = RobotIndex(max(2.0 * r, 16.0))
+    xs, ys, thetas = _sample_positions(grid, master_rng, n, r)
+    rows = enumerate(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
+    return [RobotBody(i, Pose(x, y, theta), r) for i, (x, y, theta) in rows]
+
+
+# Most attempts one spawn chunk draws.
+_SPAWN_CHUNK_MAX = 1 << 16
+
+
+def _sample_positions(
+    grid: GridMap, master_rng: RngStream, n: int, r: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rejection sampling with the draws and the outcome of testing the
+    attempts one at a time, in order. SplitMix64 is counter-based, so a
+    chunk of attempts is drawn as one array and tested in arrays: against
+    the walls, against the placed robots, and for pairs within the chunk.
+    An attempt close to an earlier attempt of its chunk is accepted only if
+    none of those was; a short loop in attempt order decides these. The
+    master stream ends 3 draws per attempt made further on. Raises
+    SpawnError at the rejection after 1000 * n."""
+    placed_x = np.empty(0)
+    placed_y = np.empty(0)
+    placed_theta = np.empty(0)
+    attempts = 0
     rejections = 0
     limit = 1000 * n
     two_pi = 2.0 * math.pi
-    while len(bodies) < n:
-        x = master_rng.uniform() * grid.width
-        y = master_rng.uniform() * grid.height
-        theta = -math.pi + master_rng.uniform() * two_pi
-        if grid.disc_free(x, y, r) and not probe.any_within_strict(x, y, 2.0 * r):
-            rid = len(bodies)
-            bodies.append(RobotBody(rid, Pose(x, y, theta), r))
-            probe.add(rid, x, y)
-        else:
-            rejections += 1
-            if rejections > limit:
-                raise SpawnError(
-                    f"map too dense: placed {len(bodies)} of {n} robots "
-                    f"after {rejections} rejections"
-                )
-    return bodies
+    # A chunk of s attempts over an area A meets about 18 * s * r**2 / A
+    # others of the chunk per attempt in `_pairs_within`: capping s near
+    # sqrt(A) / r keeps a chunk on a small crowded map from going quadratic.
+    most = min(max(64, int(24.0 * math.sqrt(grid.width * grid.height) / r)), _SPAWN_CHUNK_MAX)
+    rate = 1.0
+    while placed_x.size < n:
+        need = n - placed_x.size
+        # Enough attempts at the last chunk's acceptance rate, with slack.
+        size = min(int(need / rate * 1.25) + 16, most)
+        u = uniform_run(master_rng, 3 * attempts, 3 * size)
+        x = u[0::3] * grid.width
+        y = u[1::3] * grid.height
+        theta = -math.pi + u[2::3] * two_pi
+
+        free = np.ones(size, dtype=bool)
+        free[_walled(grid, x, y, r)] = False
+        cand = np.flatnonzero(free)
+        m = placed_x.size
+        lo, hi = _close_pairs(
+            np.concatenate((placed_x, x[cand])), np.concatenate((placed_y, y[cand])), r
+        )
+        # Ranks into `cand`, in attempt order: blocked by a placed robot, or
+        # close to an earlier attempt of the chunk. Placed robots are never
+        # close to each other, so a pair with lo < m has hi >= m.
+        viable = np.ones(cand.size, dtype=bool)
+        viable[hi[lo < m] - m] = False
+        inner = lo >= m
+        early = lo[inner] - m
+        late = hi[inner] - m
+        both = viable[early] & viable[late]
+        accepted = viable
+        if both.any():
+            early = early[both]
+            late = late[both]
+            order = np.argsort(late, kind="stable")
+            late = late[order]
+            early = early[order].tolist()
+            ranks, starts = np.unique(late, return_index=True)
+            ends = starts[1:].tolist() + [late.size]
+            ok = accepted.tolist()
+            for rank, a, b in zip(ranks.tolist(), starts.tolist(), ends):
+                ok[rank] = not any(ok[j] for j in early[a:b])
+            accepted = np.array(ok, dtype=bool)
+        taken = np.zeros(size, dtype=bool)
+        taken[cand[accepted]] = True
+
+        # The chunk ends early at the n-th placement or the rejection past
+        # the limit; its later draws are not used.
+        placed_by = np.cumsum(taken)
+        rejected_by = np.arange(1, size + 1) - placed_by
+        done = (placed_by >= need) | (rejected_by > limit - rejections)
+        used = int(np.argmax(done)) + 1 if done.any() else size
+        keep = np.flatnonzero(taken[:used])
+        rate = (keep.size + 1) / (used + 1)
+        attempts += used
+        rejections += used - keep.size
+        placed_x = np.concatenate((placed_x, x[keep]))
+        placed_y = np.concatenate((placed_y, y[keep]))
+        placed_theta = np.concatenate((placed_theta, theta[keep]))
+        if rejections > limit:
+            master_rng.jump(3 * attempts)
+            raise SpawnError(
+                f"map too dense: placed {placed_x.size} of {n} robots "
+                f"after {rejections} rejections"
+            )
+    master_rng.jump(3 * attempts)
+    return placed_x, placed_y, placed_theta
 
 
 def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Controller:
@@ -284,6 +369,14 @@ class Simulation:
             rng_streams=streams,
             master_rng=master_rng,
         )
+        # Free one untouched block of _HEAP_WARMUP_BYTES. Under glibc's
+        # dynamic mmap threshold (mallopt(3)) that raises the threshold to
+        # its size and the trim threshold to twice that, so the tick's
+        # temporaries stay in the heap and are not mapped afresh, page by
+        # page, every tick. It comes last, so set-up's own temporaries were
+        # still unmapped when freed. The block is never touched, so it costs
+        # no resident memory; other allocators ignore it.
+        np.empty(_HEAP_WARMUP_BYTES, dtype=np.uint8)
 
     # -- one tick --------------------------------------------------------
 
@@ -496,6 +589,11 @@ class Simulation:
         broadcast = output.broadcast
         if broadcast is None:
             return
+        if not isinstance(broadcast, Broadcast):
+            raise ControllerError(
+                f"robot {robot} tick {tick}: broadcast is {type(broadcast).__name__}, "
+                f"not Broadcast"
+            )
         payload = broadcast.payload
         if not isinstance(payload, bytes):
             raise ControllerError(

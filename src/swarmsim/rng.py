@@ -45,6 +45,11 @@ class RngStream:
     def copy(self) -> RngStream:
         return RngStream(self.state)
 
+    def jump(self, steps: int) -> None:
+        """Advance `steps` steps at once: SplitMix64 is counter-based, so
+        its state after k steps is the seed plus k increments."""
+        self.state = (self.state + steps * GOLDEN_GAMMA) & MASK64
+
 
 def uniform_batch(streams: Sequence[RngStream]) -> np.ndarray:
     """One `uniform` draw from each stream, bit-identical to the scalar form:
@@ -53,6 +58,21 @@ def uniform_batch(streams: Sequence[RngStream]) -> np.ndarray:
     state += np.uint64(GOLDEN_GAMMA)
     for stream, value in zip(streams, state.tolist()):
         stream.state = value
+    return _uniform_of_states(state)
+
+
+def uniform_run(stream: RngStream, first: int, count: int) -> np.ndarray:
+    """Draws first + 1 .. first + count of `stream` from its current state,
+    as `uniform` would return them, without advancing it: draw k is the
+    output for state + k * GOLDEN_GAMMA (mod 2**64)."""
+    state = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    state *= np.uint64(GOLDEN_GAMMA)
+    state += np.uint64(stream.state)
+    return _uniform_of_states(state)
+
+
+def _uniform_of_states(state: np.ndarray) -> np.ndarray:
+    """The `uniform` output of each already-advanced uint64 state."""
     z = state ^ (state >> np.uint64(30))
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -462,6 +463,26 @@ def _pairs_within(
 _WINDOW_BINS = 1024
 
 
+@lru_cache(maxsize=16)
+def _window_table(angles: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The bearing-window table of `_disc_hits_windowed` for one belt, built
+    once per belt: the sorted belt laid out over five turns from -5pi, and
+    the ray of each slot. Heading-relative bearings lie in [-2pi, 3pi], so
+    every window lies inside. Measured in bins from -5pi, `table[i]` is the
+    first slot at or after bin i. Both arrays are read-only."""
+    belt = np.asarray(angles, dtype=np.float64)
+    order = np.argsort(belt, kind="stable")
+    turns = 2.0 * math.pi * np.arange(-2, 3)
+    slots = (belt[order][None, :] + turns[:, None]).ravel()
+    ray_of_slot = np.tile(order, 5)
+    per_rad = _WINDOW_BINS / (2.0 * math.pi)
+    edges = np.arange(5 * _WINDOW_BINS + 1) / per_rad - 5.0 * math.pi
+    table = np.searchsorted(slots, edges).astype(np.int32)
+    table.setflags(write=False)
+    ray_of_slot.setflags(write=False)
+    return table, ray_of_slot
+
+
 def _disc_hits_windowed(
     pa: np.ndarray,
     pb: np.ndarray,
@@ -474,7 +495,7 @@ def _disc_hits_windowed(
     diry: np.ndarray,
     rho: float,
     max_range: float,
-    angles: np.ndarray,
+    angles: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest disc hits for any belt: expand only the rays whose
     bearing can geometrically reach each candidate disc. Takes each
@@ -497,16 +518,8 @@ def _disc_hits_windowed(
         half_width = np.where(
             d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi
         ) + 1e-6
-    # The sorted belt laid out over five turns from -5pi. Heading-relative
-    # bearings lie in [-2pi, 3pi], so every window lies inside. Measured in
-    # bins from -5pi, `table[i]` is the first slot at or after bin i.
-    order = np.argsort(angles, kind="stable")
-    turns = 2.0 * math.pi * np.arange(-2, 3)
-    slots = (angles[order][None, :] + turns[:, None]).ravel()
-    ray_of_slot = np.tile(order, 5)
+    table, ray_of_slot = _window_table(angles)
     per_rad = _WINDOW_BINS / (2.0 * math.pi)
-    edges = np.arange(5 * _WINDOW_BINS + 1) / per_rad - 5.0 * math.pi
-    table = np.searchsorted(slots, edges).astype(np.int32)
     half_bins = half_width * per_rad
     rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
     others: list[np.ndarray] = []
@@ -589,7 +602,7 @@ def sense_batch(
     else:
         pa, pb = pairs
     rob_t, rob_id = _disc_hits_windowed(
-        pa, pb, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, angles
+        pa, pb, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, tuple(spec.angles)
     )
 
     cap = np.minimum(rob_t, max_range)

@@ -1,5 +1,5 @@
-"""Occupancy-grid world: PGM map loading, collision queries, and the robot
-index spawn probes while it places robots.
+"""Occupancy-grid world: PGM map loading, collision queries, and a robot
+index that the program no longer uses but the per-layer tracer still binds.
 
 The world is a pixel grid (1 cell = 1 px = 1 distance unit). Cells are free
 or obstacle; everything outside the grid counts as obstacle (closed world),
@@ -59,7 +59,8 @@ class GridMap:
         any point in cell (cx, cy). Queries that must also clear the
         out-of-range cells use `clearance_at`; the ray traversal computes
         where a ray enters the border in closed form. Built lazily once per
-        map.
+        map; on a map without obstacles it is a read-only broadcast of the
+        constant, which holds no map-sized buffer.
         """
         if self._clearance is None:
             self._clearance = _chebyshev_clearance(self.occupancy)
@@ -124,16 +125,20 @@ class GridMap:
 
 
 def generate_arena(width: int, height: int) -> GridMap:
-    """All-free grid; the closed-world boundary provides the surrounding wall."""
-    return GridMap(width, height, np.zeros((height, width), dtype=np.bool_))
+    """All-free grid; the closed-world boundary provides the surrounding wall.
+    Its occupancy is a read-only broadcast of False: no map-sized buffer."""
+    return GridMap(width, height, np.broadcast_to(np.False_, (height, width)))
 
 
 def _chebyshev_clearance(occ: np.ndarray) -> np.ndarray:
     """Two-pass chamfer transform with unit weights (exact Chebyshev metric)
-    to the nearest obstacle cell of `occ`."""
+    to the nearest obstacle cell of `occ`; without obstacles, a read-only
+    broadcast of the constant width + height + 2."""
     h, w = occ.shape
     big = np.int32(w + h + 2)
-    d = np.where(occ, np.int32(0), big).astype(np.int32)
+    if not occ.any():
+        return np.broadcast_to(big, (h, w))
+    d = np.where(occ, np.int32(0), big)
     ar = np.arange(w, dtype=np.int32)
     for y in range(h):
         row = d[y]
@@ -299,11 +304,13 @@ def load_map(data: bytes) -> GridMap:
 
 
 class RobotIndex:
-    """Uniform-grid index over robot centers: spawn's incremental probe.
+    """Uniform-grid index over robot centers.
 
     Buckets map a cell coordinate (floor(x / cell_size), floor(y / cell_size))
-    to the ascending list of robot ids whose center lies in that cell. The
-    tick and the scalar reference ops keep no index.
+    to the ascending list of robot ids whose center lies in that cell.
+    Nothing in the program keeps an index any more; it stays, with
+    `rebuild_index`, only because perfbench/tracer.py binds it. The tests use
+    it as the probe of the sequential spawn oracle.
     """
 
     __slots__ = ("cell_size", "buckets", "positions")
@@ -329,7 +336,6 @@ class RobotIndex:
         self.positions.append((x, y))
         insort(self.buckets.setdefault(self.bucket_of(x, y), []), robot_id)
 
-    # `move` and `rebuild_index` stay only because perfbench/tracer.py binds them.
     def move(self, robot_id: int, x: float, y: float) -> None:
         ox, oy = self.positions[robot_id]
         self.positions[robot_id] = (x, y)

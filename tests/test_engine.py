@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import platform
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -24,6 +27,8 @@ from swarmsim import (
     spawn,
     state_digest,
 )
+
+from conftest import child_env
 
 
 def make_config(**kwargs) -> SimConfig:
@@ -410,8 +415,12 @@ def test_first_faulty_robot_is_named_whatever_the_fault():
             ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast(b"x", "5")),
             r"broadcast radius '5' invalid",
         ),
+        (
+            ControlOutput(ActuatorCommand(0.0, 0.0), "hello"),
+            r"broadcast is str, not Broadcast",
+        ),
     ],
-    ids=["payload-none", "payload-str", "command-str", "radius-str"],
+    ids=["payload-none", "payload-str", "command-str", "radius-str", "broadcast-str"],
 )
 def test_ill_typed_output_is_a_controller_error_naming_the_robot(output, message):
     config = make_config(
@@ -674,3 +683,39 @@ def test_sense_phase_uses_snapshot_not_partial_moves():
     # perimeter, so the gap each sees is 30 - 2*2 = 26 px
     assert first_inputs[0].readings[0].normalized == pytest.approx(26.0 / 64.0)
     assert first_inputs[1].readings[0].normalized == pytest.approx(26.0 / 64.0)
+
+
+_FAULTS_PER_TICK = """
+import resource
+from swarmsim import SimConfig, Simulation
+
+config = SimConfig(
+    robot_count=2000, seed=1, ticks=30, controller_type="random_walk",
+    arena_width=512, arena_height=512,
+)
+sim = Simulation(config)
+for _ in range(10):
+    sim.step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    sim.step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_steady_ticks_map_no_fresh_pages():
+    # 2000 walkers on 512x512 in a fresh process. Set-up frees a large
+    # untouched block so that glibc keeps the tick's temporaries in its heap;
+    # without that, each tick faulted in thousands of fresh pages.
+    pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the heap warm-up acts through glibc's dynamic mmap threshold")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_TICK],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20

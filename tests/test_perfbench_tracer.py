@@ -60,8 +60,9 @@ def test_tracer_installs_steps_and_restores():
 
 
 def test_tracer_reaches_the_per_robot_wrappers_in_a_crowd():
-    # 40 walkers on 64x64: spawn probes its index for every attempt, and the
-    # first tick sends robots through the serial residue.
+    # 40 walkers on 64x64: spawn scans the walls exactly for the attempts
+    # near the border, and the first tick sends robots through the serial
+    # residue.
     module = _load_tracer()
     config = SimConfig(
         robot_count=40,
@@ -76,7 +77,7 @@ def test_tracer_reaches_the_per_robot_wrappers_in_a_crowd():
     for _, name, _, count, _ in tracer.call_rows:
         counts[name] = counts.get(name, 0) + count
     assert counts.get("kinematics.resolve_move", 0) > 0
-    assert counts.get("world.any_within_strict", 0) > 0
+    assert counts.get("world.disc_free", 0) > 0
     assert counts["kinematics.resolve_move"] == sim.state.metrics.serial_moves
     untraced = Simulation(config)
     untraced.step()

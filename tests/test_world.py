@@ -1,10 +1,11 @@
-"""Grid map loading, collision queries, spawn's robot index, and the pair
+"""Grid map loading, collision queries, the robot index, and the pair
 search."""
 
 from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,42 @@ def test_lookups_keep_the_border_merged_values():
     # Far-off points read 0 without overflowing the cell cast.
     far = np.array([1e18, -1e18, 1e300, -1e300])
     assert grid.clearance_at(far, far[::-1]).tolist() == [0, 0, 0, 0]
+
+
+def test_open_arena_holds_no_map_sized_buffer():
+    # As arrays, the occupancy of an 8192x8192 arena would take 64 MiB and
+    # its clearance field 256 MiB; both are read-only broadcasts of one value.
+    side = 8192
+    tracemalloc.start()
+    try:
+        grid = generate_arena(side, side)
+        assert grid.occupancy.strides == (0, 0)
+        clearance = grid.clearance
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for field in (grid.occupancy, clearance):
+        assert field.shape == (side, side)
+        assert field.strides == (0, 0)
+        assert not field.flags.writeable
+    assert not grid.occupancy.any()
+    assert clearance[0, 0] == clearance[side - 1, side - 1] == 2 * side + 2
+    # The border still bounds every query.
+    xs = np.array([0.0, 0.5, 8191.9, 4096.0, -0.1, 8192.0, 4096.5])
+    ys = np.array([0.0, 4096.0, 8191.9, 0.2, 10.0, 5.0, 4096.5])
+    assert grid.clearance_at(xs, ys).tolist() == [1, 1, 1, 1, 0, 0, 4096]
+    cx = np.array([-1, 0, 8191, 8192, 5, 4096])
+    cy = np.array([0, 0, 8191, 3, -1, 4096])
+    assert grid.blocked_at(cx, cy).tolist() == [True, False, False, True, True, False]
+    rng = random.Random(17)
+    for _ in range(200):
+        x = rng.choice([rng.uniform(-1.0, 6.0), rng.uniform(side - 6.0, side + 1.0)])
+        y = rng.uniform(-1.0, side + 1.0)
+        r = rng.uniform(0.5, 4.0)
+        assert grid.disc_free(x, y, r) == disc_free_oracle(grid, x, y, r), (x, y, r)
+        assert grid.disc_free(y, x, r) == disc_free_oracle(grid, y, x, r), (y, x, r)
+    assert grid.disc_free(4096.0, 4096.0, 100.0)
 
 
 def test_immutable_occupancy(arena100):
