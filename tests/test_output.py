@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from swarmsim import (
     RobotBody,
     SensorSpec,
     SimConfig,
+    Simulation,
     evenly_spaced_angles,
     generate_arena,
     render_frame,
@@ -193,3 +195,51 @@ def test_frames_written_by_run(tmp_path):
     assert names == ["frame_000000.ppm", "frame_000002.ppm", "frame_000004.ppm"]
     for name in names:
         assert (frames / name).read_bytes().startswith(b"P6\n128 128\n255\n")
+
+
+def _frame_sims(tmp_path):
+    """A run with no robots, and one with 40 on a map with obstacles after
+    three ticks."""
+    rng = random.Random(17)
+    grid = random_grid(rng, 80, 60, 0.03)
+    pixels = bytes(0 if blocked else 255 for blocked in grid.occupancy.ravel().tolist())
+    map_path = tmp_path / "map.pgm"
+    map_path.write_bytes(b"P5\n80 60\n255\n" + pixels)
+    empty = Simulation(_config(robot_count=0, arena_width=20, arena_height=12))
+    crowd = Simulation(
+        _config(
+            robot_count=40,
+            robot_radius=2.0,
+            seed=8,
+            controller_type="braitenberg",
+            map_path=str(map_path),
+            arena_width=None,
+            arena_height=None,
+        )
+    )
+    for _ in range(3):
+        crowd.step()
+    return empty, crowd
+
+
+# sha256 of (frame without rays, frame with rays), recorded before the
+# renderer read the pose arrays instead of `state.bodies`.
+_FRAME_HASHES = {
+    "empty": (
+        "760c4e20ad6674415631f95bcc80ec42ca2579bef870faf33f19e453108bf734",
+        "760c4e20ad6674415631f95bcc80ec42ca2579bef870faf33f19e453108bf734",
+    ),
+    "crowd": (
+        "0c4750ae092758d0eb6fdb26e896c5d0c33638dcce9aed47048235441cd8a5ba",
+        "744f9c3eac3aee61caf3c044999e97f6da361f6372d6361036ba811cdd823246",
+    ),
+}
+
+
+def test_frames_match_recorded_bytes(tmp_path):
+    for name, sim in zip(("empty", "crowd"), _frame_sims(tmp_path)):
+        got = (
+            hashlib.sha256(render_frame(sim.state)).hexdigest(),
+            hashlib.sha256(render_frame(sim.state, sim.spec, draw_rays=True)).hexdigest(),
+        )
+        assert got == _FRAME_HASHES[name], name
