@@ -2,10 +2,10 @@
 
 Tick phases, in order:
 
-1. freeze the pose snapshot: the pose arrays of `SimState`, as phase 4 of
-   the last tick left them (`SimState.bodies` is a view of them built on
-   read). One pair search over it, the tick's only spatial structure,
-   serves phases 2 and 4;
+1. freeze the pose snapshot: the pose arrays of `SimState`, as spawn or
+   phase 4 of the last tick left them (`SimState.bodies` is built from them
+   only when read). One pair search over it, the tick's only spatial
+   structure, serves phases 2 and 4;
 2. sense every robot against the snapshot (batch ray casting);
 3. step every controller on the phase-2 readings plus last tick's inbox
    and collision flag;
@@ -91,14 +91,15 @@ class Metrics:
 
 class SimState:
     """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
-    `thetas` and `collided`, in id order, which each tick replaces through
-    `set_poses`. `bodies` is a view of them, rewritten on its first read
-    after they change, so a tick that nobody inspects builds no `Pose`
-    objects; a pose edited through `bodies` does not reach the arrays."""
+    `thetas` and `collided` (all False at set-up), in id order, which each
+    tick replaces through `set_poses`. `bodies` is built from them on its
+    first read after they change, so a run that nobody inspects builds no
+    `Pose` objects; a pose edited through `bodies` does not reach the arrays."""
 
     __slots__ = (
         "tick",
         "grid",
+        "radius",
         "inboxes",
         "rng_streams",
         "master_rng",
@@ -108,14 +109,16 @@ class SimState:
         "thetas",
         "collided",
         "_bodies",
-        "_stale",
     )
 
     def __init__(
         self,
         tick: int,
         grid: GridMap,
-        bodies: list[RobotBody],
+        radius: float,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        thetas: np.ndarray,
         inboxes: list[list[Message]],
         rng_streams: list[RngStream],
         master_rng: RngStream,
@@ -123,30 +126,21 @@ class SimState:
     ) -> None:
         self.tick = tick
         self.grid = grid
+        self.radius = radius
         self.inboxes = inboxes
         self.rng_streams = rng_streams
         self.master_rng = master_rng
         self.metrics = metrics if metrics is not None else Metrics()
-        self.xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
-        self.ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
-        self.thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
-        self.collided = np.array([b.collided_last_tick for b in bodies], dtype=bool)
-        self._bodies = bodies
-        self._stale = False
+        self.set_poses(xs, ys, thetas, np.zeros(xs.size, dtype=bool))
 
     @property
     def bodies(self) -> list[RobotBody]:
-        if self._stale:
-            self._stale = False
-            for body, x, y, theta, hit in zip(
-                self._bodies,
-                self.xs.tolist(),
-                self.ys.tolist(),
-                self.thetas.tolist(),
-                self.collided.tolist(),
-            ):
-                body.pose = Pose(x, y, theta)
-                body.collided_last_tick = hit
+        if self._bodies is None:
+            r = self.radius
+            rows = zip(*(a.tolist() for a in (self.xs, self.ys, self.thetas, self.collided)))
+            self._bodies = [
+                RobotBody(i, Pose(x, y, theta), r, hit) for i, (x, y, theta, hit) in enumerate(rows)
+            ]
         return self._bodies
 
     def set_poses(
@@ -154,7 +148,7 @@ class SimState:
     ) -> None:
         """Replace the pose arrays; `bodies` follows on its next read."""
         self.xs, self.ys, self.thetas, self.collided = xs, ys, thetas, collided
-        self._stale = True
+        self._bodies = None
 
 
 @dataclass(slots=True)
@@ -211,12 +205,15 @@ def _overlaps(
     return (_walled(grid, xs, ys, r), *_close_pairs(xs, ys, r))
 
 
-def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[RobotBody]:
-    """Place robots: explicit positions if configured, otherwise rejection
-    sampling from the master stream (3 draws per attempt: x, y, heading).
-    Accepts a position iff the disc is wall-free and at least two radii from
-    every already-accepted center. Explicit positions are checked in one
-    array pass that names the first one a placement in order would reject."""
+def spawn(
+    config: SimConfig, grid: GridMap, master_rng: RngStream
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Robot poses as float64 arrays (xs, ys, thetas) in id order: explicit
+    positions if configured, headings wrapped, otherwise rejection sampling
+    from the master stream (3 draws per attempt: x, y, heading). Accepts a
+    position iff the disc is wall-free and at least two radii from every
+    already-accepted center. Explicit positions are checked in one array
+    pass that names the first one a placement in order would reject."""
     n = config.robot_count
     r = config.robot_radius
     if config.spawn_positions is not None:
@@ -235,11 +232,9 @@ def spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list[Robot
                 f"spawn.positions[{robot}] is closer than two radii to robot "
                 f"{int(lo[hi == robot].min())}"
             )
-        positions = enumerate(config.spawn_positions)
-        return [RobotBody(i, Pose(x, y, wrap_angle(theta)), r) for i, (x, y, theta) in positions]
-    xs, ys, thetas = _sample_positions(grid, master_rng, n, r)
-    rows = enumerate(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
-    return [RobotBody(i, Pose(x, y, theta), r) for i, (x, y, theta) in rows]
+        thetas = [wrap_angle(theta) for _, _, theta in config.spawn_positions]
+        return poses[:, 0].copy(), poses[:, 1].copy(), np.array(thetas, dtype=np.float64)
+    return _sample_positions(grid, master_rng, n, r)
 
 
 # Most attempts one spawn chunk draws.
@@ -340,7 +335,7 @@ def _build_controller(config: SimConfig, limits: Limits, spec: SensorSpec) -> Co
 
 
 class Simulation:
-    """One configured run: owns the world, bodies, streams, and controller.
+    """One configured run: owns the world, pose arrays, streams and controller.
 
     Only `step` moves the robots, by replacing the pose arrays of `state`;
     a pose edited through `state.bodies` is not seen by the next tick."""
@@ -349,8 +344,7 @@ class Simulation:
         self.config = config
         grid = load_world(config)
         master_rng = RngStream(config.seed)
-        bodies = spawn(config, grid, master_rng)
-        streams = [RngStream(stream_seed(config.seed, body.id)) for body in bodies]
+        xs, ys, thetas = spawn(config, grid, master_rng)
         self.limits = Limits(config.v_max, config.w_max)
         angles = (
             tuple(config.sensor_angles)
@@ -364,9 +358,12 @@ class Simulation:
         self.state = SimState(
             tick=0,
             grid=grid,
-            bodies=bodies,
-            inboxes=[[] for _ in bodies],
-            rng_streams=streams,
+            radius=config.robot_radius,
+            xs=xs,
+            ys=ys,
+            thetas=thetas,
+            inboxes=[[] for _ in range(xs.size)],
+            rng_streams=[RngStream(stream_seed(config.seed, i)) for i in range(xs.size)],
             master_rng=master_rng,
         )
         # Free one untouched block of _HEAP_WARMUP_BYTES. Under glibc's

@@ -109,13 +109,13 @@ def render_frame(state, spec=None, draw_rays: bool = False) -> bytes:
     grid = state.grid
     img = np.empty((grid.height, grid.width, 3), dtype=np.uint8)
     img[:] = np.where(grid.occupancy, 0, 255)[:, :, None]
+    radius = state.radius
     if draw_rays and state.xs.size:
         if spec is None:
             raise ValueError("draw_rays needs the sensor spec")
         from .sensing import sense_batch
 
         xs, ys, thetas = state.xs, state.ys, state.thetas
-        radius = state.bodies[0].radius
         normalized, _ = sense_batch(grid, xs, ys, thetas, radius, spec)
         angles = np.asarray(spec.angles)
         for i in range(xs.size):
@@ -134,8 +134,8 @@ def render_frame(state, spec=None, draw_rays: bool = False) -> bytes:
                     math.floor(oy + dist * dy),
                     _GRAY,
                 )
-    for body in state.bodies:
-        _draw_disc(img, body.pose.x, body.pose.y, body.radius, robot_color(body.id))
+    for i, (x, y) in enumerate(zip(state.xs.tolist(), state.ys.tolist())):
+        _draw_disc(img, x, y, radius, robot_color(i))
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()
 

@@ -132,13 +132,13 @@ def generate_arena(width: int, height: int) -> GridMap:
 
 def _chebyshev_clearance(occ: np.ndarray) -> np.ndarray:
     """Two-pass chamfer transform with unit weights (exact Chebyshev metric)
-    to the nearest obstacle cell of `occ`; without obstacles, a read-only
-    broadcast of the constant width + height + 2."""
+    to the nearest obstacle cell of `occ`, as int32. Without obstacles, a
+    read-only int64 broadcast of width + height + 2, which fits any map; a
+    zero-stride `occ` (a generated arena) is tested on its one element."""
     h, w = occ.shape
-    big = np.int32(w + h + 2)
-    if not occ.any():
-        return np.broadcast_to(big, (h, w))
-    d = np.where(occ, np.int32(0), big)
+    if not (occ[0, 0] if occ.strides == (0, 0) else occ.any()):
+        return np.broadcast_to(np.int64(w + h + 2), (h, w))
+    d = np.where(occ, np.int32(0), np.int32(w + h + 2))
     ar = np.arange(w, dtype=np.int32)
     for y in range(h):
         row = d[y]
@@ -226,6 +226,8 @@ def _p2_pixels_fast(data: bytes, start: int, count: int, maxval: int) -> np.ndar
     few tokens -- and the caller's token loop then gives the same pixels or
     the precise error."""
     body = np.frombuffer(data, dtype=np.uint8, offset=start)
+    if body.size < 2 * count - 1:  # too short for `count` tokens
+        return None
     out = np.empty(count, dtype=np.uint8)
     filled = 0
     pos = 0
@@ -293,9 +295,9 @@ def load_map(data: bytes) -> GridMap:
     else:
         values = _p2_pixels_fast(data, scan.pos, count, maxval)
         if values is None:
-            values = np.empty(count, dtype=np.uint8)
-            for i in range(count):
-                values[i] = scan.int_token("pixel value", 0, maxval)
+            # Grown per token: a header larger than its file fails unallocated.
+            tokens = (scan.int_token("pixel value", 0, maxval) for _ in range(count))
+            values = np.fromiter(tokens, dtype=np.uint8)
     occupancy = (values < OBSTACLE_THRESHOLD).reshape(height, width)
     return GridMap(width, height, occupancy)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import swarmsim
-from swarmsim import GridMap, Pose, RobotBody, generate_arena
+from swarmsim import GridMap, Pose, RngStream, RobotBody, SimState, generate_arena
 
 MASK64 = (1 << 64) - 1
 
@@ -101,6 +101,24 @@ def centers_of(bodies: list[RobotBody]) -> list[tuple[float, float]]:
     """The (x, y) centres of `bodies`, in their order: the robot list the
     scalar reference ops take."""
     return [(b.pose.x, b.pose.y) for b in bodies]
+
+
+def state_of(grid: GridMap, bodies: list[RobotBody]) -> SimState:
+    """A tick-0 `SimState` holding the poses of `bodies`, in their order,
+    at the first body's radius (test-only)."""
+    poses = [(b.pose.x, b.pose.y, b.pose.theta) for b in bodies]
+    xs, ys, thetas = np.array(poses, dtype=np.float64).reshape(-1, 3).T.copy()
+    return SimState(
+        tick=0,
+        grid=grid,
+        radius=bodies[0].radius if bodies else 1.0,
+        xs=xs,
+        ys=ys,
+        thetas=thetas,
+        inboxes=[[] for _ in bodies],
+        rng_streams=[RngStream(i) for i in range(len(bodies))],
+        master_rng=RngStream(0),
+    )
 
 
 # --- brute-force oracles -------------------------------------------------------

@@ -29,7 +29,6 @@ from swarmsim import (
     serialize_config,
     stream_seed,
 )
-from swarmsim.engine import Metrics, SimState
 from conftest import (
     any_within_strict_oracle,
     assert_pairs_match_oracle,
@@ -39,6 +38,7 @@ from conftest import (
     march_ray_oracle,
     place_bodies,
     random_grid,
+    state_of,
     reference_splitmix64,
 )
 
@@ -321,15 +321,7 @@ def test_criterion_10_format_round_trips():
             bodies = place_bodies(rng, grid, rng.randint(0, 3), 1.0, max_tries=1500)
         except RuntimeError:
             bodies = []
-        state = SimState(
-            tick=0,
-            grid=grid,
-            bodies=bodies,
-            inboxes=[[] for _ in bodies],
-            rng_streams=[RngStream(i) for i in range(len(bodies))],
-            master_rng=RngStream(0),
-            metrics=Metrics(),
-        )
+        state = state_of(grid, bodies)
         data = render_frame(state)
         header = f"P6\n{width} {height}\n255\n".encode()
         assert len(data) == len(header) + 3 * width * height

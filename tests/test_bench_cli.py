@@ -199,3 +199,17 @@ def test_module_entrypoint_subprocess(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_p2_header_larger_than_its_file_exit_2(tmp_path, capsys):
+    map_path = tmp_path / "huge.pgm"
+    map_path.write_bytes(b"P2 1073741824 1073741824 255 0 0")
+    path = tmp_path / "huge.properties"
+    path.write_text(
+        f"map.path={map_path}\nrobots.count=1\nseed=1\nticks=1\ncontroller.type=random_walk\n"
+    )
+    code = main(["--config", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: runtime: truncated file: missing pixel value at byte 32\n"
+    )

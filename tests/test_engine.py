@@ -18,7 +18,9 @@ from swarmsim import (
     Broadcast,
     ControlOutput,
     ControllerError,
+    Pose,
     RngStream,
+    RobotBody,
     SimConfig,
     Simulation,
     SpawnError,
@@ -26,6 +28,7 @@ from swarmsim import (
     run,
     spawn,
     state_digest,
+    wrap_angle,
 )
 
 from conftest import child_env
@@ -63,33 +66,31 @@ class ConstantController:
 
 def test_spawn_zero_robots():
     config = make_config(robot_count=0)
-    assert spawn(config, generate_arena(64, 64), RngStream(1)) == []
+    assert [a.tolist() for a in spawn(config, generate_arena(64, 64), RngStream(1))] == [[]] * 3
 
 
 def test_spawn_single_robot_valid(arena100):
     config = make_config(robot_count=1)
-    bodies = spawn(config, arena100, RngStream(9))
-    assert len(bodies) == 1
-    body = bodies[0]
-    assert arena100.disc_free(body.pose.x, body.pose.y, body.radius)
-    assert -math.pi <= body.pose.theta < math.pi
+    xs, ys, thetas = spawn(config, arena100, RngStream(9))
+    assert len(xs) == 1
+    assert arena100.disc_free(float(xs[0]), float(ys[0]), config.robot_radius)
+    assert -math.pi <= thetas[0] < math.pi
 
 
 def test_spawn_deterministic(arena100):
     config = make_config(robot_count=5)
     first = spawn(config, arena100, RngStream(123))
     second = spawn(config, arena100, RngStream(123))
-    assert [(b.pose.x, b.pose.y, b.pose.theta) for b in first] == [
-        (b.pose.x, b.pose.y, b.pose.theta) for b in second
-    ]
+    assert [a.tolist() for a in first] == [a.tolist() for a in second]
 
 
 def test_spawn_respects_spacing(arena100):
     config = make_config(robot_count=30, robot_radius=3.0)
-    bodies = spawn(config, arena100, RngStream(7))
-    for i, a in enumerate(bodies):
-        for b in bodies[i + 1 :]:
-            dist = math.hypot(a.pose.x - b.pose.x, a.pose.y - b.pose.y)
+    xs, ys, _ = spawn(config, arena100, RngStream(7))
+    centers = list(zip(xs.tolist(), ys.tolist()))
+    for i, (ax, ay) in enumerate(centers):
+        for bx, by in centers[i + 1 :]:
+            dist = math.hypot(ax - bx, ay - by)
             assert dist >= 2 * 3.0
 
 
@@ -100,9 +101,9 @@ def test_spawn_density_error_reports_progress():
         spawn(config, grid, RngStream(3))
 
 
-def test_spawn_ids_dense_in_acceptance_order(arena100):
-    config = make_config(robot_count=8)
-    bodies = spawn(config, arena100, RngStream(11))
+def test_spawn_ids_dense_in_acceptance_order():
+    config = make_config(robot_count=8, arena_width=100, arena_height=100)
+    bodies = Simulation(config).state.bodies
     assert [b.id for b in bodies] == list(range(8))
 
 
@@ -111,8 +112,8 @@ def test_explicit_positions_bypass_sampling(arena100):
         robot_count=2,
         spawn_positions=((20.0, 20.0, 0.5), (40.0, 40.0, -1.0)),
     )
-    bodies = spawn(config, arena100, RngStream(1))
-    assert bodies[0].pose.x == 20.0 and bodies[1].pose.theta == -1.0
+    xs, _, thetas = spawn(config, arena100, RngStream(1))
+    assert xs[0] == 20.0 and thetas[1] == -1.0
 
 
 def test_explicit_positions_validated(arena100):
@@ -166,7 +167,7 @@ def test_explicit_positions_lattice_overlap_at_last_index():
     # position 453 (row 7, column 5), still 9 px from that row's column 6.
     poses = [(10.0 + 10.0 * (i % 64), 10.0 + 10.0 * (i // 64), 0.0) for i in range(4096)]
     config = _explicit(tuple(poses), arena_width=660, arena_height=660)
-    assert len(spawn(config, generate_arena(660, 660), RngStream(1))) == 4096
+    assert len(spawn(config, generate_arena(660, 660), RngStream(1))[0]) == 4096
     poses[-1] = (61.0, 80.0, 0.0)
     config = _explicit(tuple(poses), arena_width=660, arena_height=660)
     with pytest.raises(
@@ -199,6 +200,77 @@ def test_explicit_positions_far_off_rejected_without_warnings(arena100, far):
         message = r"^spawn\.positions\[1\] is closer than two radii to robot 0$"
         with pytest.raises(SpawnError, match=message):
             spawn(_explicit(poses), arena100, RngStream(1))
+
+
+# --- state from set-up on ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(robot_count=40),
+        dict(robot_count=3, spawn_positions=((20.0, 20.0, 0.5), (40.0, 40.0, 4.0), (60.0, 9.0, -7.0))),
+    ],
+)
+def test_setup_builds_no_bodies_and_first_read_matches_spawn(monkeypatch, kwargs):
+    config = make_config(**kwargs)
+    built = []
+    for cls in (RobotBody, Pose):
+
+        def counting(self, *args, _init=cls.__init__, **kw):
+            built.append(type(self).__name__)
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    sim = Simulation(config)
+    assert built == []
+    bodies = sim.state.bodies
+    assert built.count("RobotBody") == built.count("Pose") == config.robot_count
+    xs, ys, thetas = spawn(config, generate_arena(256, 256), RngStream(config.seed))
+    assert [b.id for b in bodies] == list(range(config.robot_count))
+    assert [(b.pose.x, b.pose.y, b.pose.theta) for b in bodies] == list(
+        zip(xs.tolist(), ys.tolist(), thetas.tolist())
+    )
+    assert all(b.radius == config.robot_radius for b in bodies)
+    assert not any(b.collided_last_tick for b in bodies)
+    if config.spawn_positions is not None:
+        assert thetas.tolist() == [0.5, wrap_angle(4.0), wrap_angle(-7.0)]
+
+
+def test_bodies_built_once_between_ticks_and_anew_after_step():
+    config = make_config(robot_count=12, seed=4)
+    sim = Simulation(config)
+    state = sim.state
+    first = state.bodies
+    assert state.bodies is first
+    before = [(b.pose.x, b.pose.y, b.pose.theta) for b in first]
+    first[0].pose = Pose(-5.0, -5.0, 0.0)  # reaches neither the arrays nor the tick
+    sim.step()
+    untouched = Simulation(config)
+    untouched.step()
+    assert state_digest(state) == state_digest(untouched.state)
+    after = state.bodies
+    assert state.bodies is after
+    rows = list(
+        zip(state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist())
+    )
+    assert [(b.pose.x, b.pose.y, b.pose.theta, b.collided_last_tick) for b in after] == rows
+    assert [row[:3] for row in rows] != before
+    sim.check_invariants()
+
+
+@pytest.mark.parametrize("controller", ["random_walk", "braitenberg"])
+def test_open_arena_beyond_int32_runs(controller):
+    # width + height + 2 exceeds 2**31 - 1; the arena holds no map-sized
+    # array, and its clearance is tested on one element, not scanned.
+    config = make_config(
+        robot_count=50, controller_type=controller, arena_width=3_000_000_000, arena_height=64
+    )
+    sim = Simulation(config)
+    for _ in range(5):
+        sim.step()
+        sim.check_invariants()
+    assert sim.state.tick == 5
 
 
 # --- tick ----------------------------------------------------------------------

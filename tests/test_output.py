@@ -20,10 +20,8 @@ from swarmsim import (
     robot_color,
     run,
 )
-from swarmsim.engine import Metrics, SimState
-from swarmsim.rng import RngStream
 
-from conftest import place_bodies, random_grid
+from conftest import place_bodies, random_grid, state_of
 
 
 def _config(**kwargs) -> SimConfig:
@@ -37,18 +35,6 @@ def _config(**kwargs) -> SimConfig:
     )
     base.update(kwargs)
     return SimConfig(**base)
-
-
-def _state_with(grid, bodies) -> SimState:
-    return SimState(
-        tick=0,
-        grid=grid,
-        bodies=bodies,
-        inboxes=[[] for _ in bodies],
-        rng_streams=[RngStream(i) for i in range(len(bodies))],
-        master_rng=RngStream(0),
-        metrics=Metrics(),
-    )
 
 
 # --- trajectory log -------------------------------------------------------------
@@ -98,7 +84,7 @@ def test_unwritable_log_path_aborts_before_tick_zero(tmp_path):
 
 
 def test_one_pixel_free_map_renders_white():
-    state = _state_with(generate_arena(1, 1), [])
+    state = state_of(generate_arena(1, 1), [])
     data = render_frame(state)
     assert data == b"P6\n1 1\n255\n\xff\xff\xff"
 
@@ -106,7 +92,7 @@ def test_one_pixel_free_map_renders_white():
 def test_obstacles_black_and_size_identity():
     rng = random.Random(5)
     grid = random_grid(rng, 9, 7, 0.3)
-    state = _state_with(grid, [])
+    state = state_of(grid, [])
     data = render_frame(state)
     header = f"P6\n9 7\n255\n".encode()
     assert data.startswith(header)
@@ -122,7 +108,7 @@ def test_render_deterministic():
     rng = random.Random(6)
     grid = random_grid(rng, 40, 30, 0.1)
     bodies = place_bodies(rng, grid, 4, 2.0)
-    state = _state_with(grid, bodies)
+    state = state_of(grid, bodies)
     spec = SensorSpec(evenly_spaced_angles(8), 32.0)
     assert render_frame(state, spec, draw_rays=True) == render_frame(
         state, spec, draw_rays=True
@@ -141,7 +127,7 @@ def test_disc_pixel_lower_bound():
     radius = 3.0
     grid = generate_arena(200, 200)
     bodies = place_bodies(rng, grid, 100, radius)
-    state = _state_with(grid, bodies)
+    state = state_of(grid, bodies)
     data = render_frame(state)
     header_len = len(b"P6\n200 200\n255\n")
     pixels = np.frombuffer(data[header_len:], dtype=np.uint8).reshape(200, 200, 3)
@@ -169,7 +155,7 @@ def test_byte_size_identity_on_random_states():
             bodies = place_bodies(rng, grid, rng.randint(0, 4), 1.0, max_tries=2000)
         except RuntimeError:
             bodies = []
-        state = _state_with(grid, bodies)
+        state = state_of(grid, bodies)
         data = render_frame(state)
         header = f"P6\n{width} {height}\n255\n".encode()
         assert len(data) == len(header) + 3 * width * height
@@ -178,7 +164,7 @@ def test_byte_size_identity_on_random_states():
 def test_rays_drawn_as_gray_pixels():
     grid = generate_arena(64, 64)
     bodies = [RobotBody(0, Pose(32.0, 32.0, 0.0), 2.0)]
-    state = _state_with(grid, bodies)
+    state = state_of(grid, bodies)
     spec = SensorSpec((0.0,), 16.0)
     with_rays = render_frame(state, spec, draw_rays=True)
     without = render_frame(state)

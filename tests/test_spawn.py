@@ -54,7 +54,8 @@ def sequential_spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) ->
 
 
 def array_spawn(config: SimConfig, grid: GridMap, master_rng: RngStream) -> list:
-    return [(b.pose.x, b.pose.y, b.pose.theta) for b in spawn(config, grid, master_rng)]
+    xs, ys, thetas = spawn(config, grid, master_rng)
+    return list(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
 
 
 def _outcome(place, config: SimConfig, grid: GridMap) -> tuple[object, int]:

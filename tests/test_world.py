@@ -400,3 +400,10 @@ def test_generate_arena_all_free():
     assert grid.width == 64 and grid.height == 32
     assert not grid.occupancy.any()
     assert grid.is_obstacle(-1, 5) and grid.is_obstacle(64, 5)
+
+
+def test_p2_header_larger_than_its_file_allocates_nothing():
+    # 2**60 pixels announced, two given: the loader fails at the first
+    # missing token without allocating anything of the announced size.
+    with pytest.raises(MapLoadError, match=r"^truncated file: missing pixel value at byte 32$"):
+        load_map(b"P2 1073741824 1073741824 255 0 0")
