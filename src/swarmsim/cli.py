@@ -9,6 +9,7 @@ Errors print one machine-parseable line to stderr:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -16,6 +17,27 @@ from .bench import bench, format_csv
 from .config import parse_config
 from .engine import run
 from .errors import ConfigError, SimulationError
+
+
+# (flag, config key): each given flag is appended as `--set key=VALUE`, after
+# the --set overrides and in this order, so the config parses its value.
+_SHORTHANDS = (
+    ("--seed", "seed"),
+    ("--ticks", "ticks"),
+    ("--log", "log.path"),
+    ("--frames-every", "frames.every"),
+    ("--frames-dir", "frames.dir"),
+)
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """Print to stdout. A reader that closed the pipe early ends the output,
+    not the run: stdout then points at os.devnull, so the interpreter's
+    final flush stays quiet too."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,16 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config key (repeatable; later wins)",
     )
-    parser.add_argument("--seed", type=int, help="shorthand for --set seed=N")
-    parser.add_argument("--ticks", type=int, help="shorthand for --set ticks=N")
-    parser.add_argument("--log", metavar="PATH", help="shorthand for --set log.path=PATH")
+    for flag, key in _SHORTHANDS:
+        parser.add_argument(flag, dest=key, metavar="VALUE", help=f"same as --set {key}=VALUE")
     parser.add_argument(
         "--bench",
         metavar="N1,N2,...",
         help="run the scaling benchmark over these robot counts and print CSV",
     )
-    parser.add_argument("--frames-every", type=int, metavar="N", help="write a frame every N ticks")
-    parser.add_argument("--frames-dir", metavar="DIR", help="directory for frame images")
     parser.add_argument("--quiet", action="store_true", help="suppress the report block")
     return parser
 
@@ -55,16 +74,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
 
     overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.ticks is not None:
-        overrides.append(f"ticks={args.ticks}")
-    if args.log is not None:
-        overrides.append(f"log.path={args.log}")
-    if args.frames_every is not None:
-        overrides.append(f"frames.every={args.frames_every}")
-    if args.frames_dir is not None:
-        overrides.append(f"frames.dir={args.frames_dir}")
+    for _, key in _SHORTHANDS:
+        value = getattr(args, key)
+        if value is not None:
+            overrides.append(f"{key}={value}")
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -89,7 +102,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:  # no sizes, or a negative one
             print(f"error: config: {exc}", file=sys.stderr)
             return 1
-        print(format_csv(rows), end="")
+        _print(format_csv(rows), end="")
         return 0
 
     try:
@@ -101,7 +114,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:
-        print(report.format_block())
+        _print(report.format_block())
     return 0
 
 

@@ -1,5 +1,6 @@
 """Experiment configuration: strict properties-format parsing and the CLI
-override merge. A SimConfig checks its own rules whenever it is built.
+override merge. A SimConfig checks its own rules whenever it is built and
+holds its values as plain Python types (int, float, str, tuples of floats).
 
 Format: one ``key = value`` per line, ``#`` comment lines, blank lines
 ignored. Later duplicates win; command-line overrides win over file values.
@@ -11,7 +12,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+import os
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 from .errors import ConfigError
@@ -45,10 +48,6 @@ class SimConfig:
         _validate(self)
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -76,67 +75,110 @@ def _parse_positions(text: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(triples)
 
 
-# key -> (SimConfig attribute, parser)
-_KEYS = {
-    "map.path": ("map_path", str),
-    "arena.width": ("arena_width", _parse_int),
-    "arena.height": ("arena_height", _parse_int),
-    "robots.count": ("robot_count", _parse_int),
-    "robots.radius": ("robot_radius", _parse_float),
-    "sensors.count": ("sensor_count", _parse_int),
-    "sensors.range": ("sensor_range", _parse_float),
-    "sensors.angles": ("sensor_angles", _parse_float_list),
-    "limits.v_max": ("v_max", _parse_float),
-    "limits.w_max": ("w_max", _parse_float),
-    "controller.type": ("controller_type", str),
-    "controller.weights": ("controller_weights", _parse_float_list),
-    "seed": ("seed", _parse_int),
-    "ticks": ("ticks", _parse_int),
-    "log.path": ("log_path", str),
-    "frames.every": ("frames_every", _parse_int),
-    "frames.dir": ("frames_dir", str),
-    "spawn.positions": ("spawn_positions", _parse_positions),
-    "messages.payload_cap": ("payload_cap", _parse_int),
-}
-
-_FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
-
-_REQUIRED = ("robots.count", "seed", "ticks", "controller.type")
-
-_INT_FIELDS = (
-    "robot_count",
-    "seed",
-    "ticks",
-    "arena_width",
-    "arena_height",
-    "sensor_count",
-    "frames_every",
-    "payload_cap",
-)
-_OPTIONAL_INT_FIELDS = ("arena_width", "arena_height", "frames_every")
-
-
-def _is_int(value: object) -> bool:
-    """An integer in the sense of `operator.index`, but not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
-
-
 def _is_real(value: object) -> bool:
     """A real number (int, float, numpy scalar, ...), but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# A check takes (key, value), returns the value as plain Python types and
+# raises ConfigError naming the key. bool is an int subclass but never a
+# count, a size or a length: it is refused.
+
+
+def _check_int(key: str, value: object) -> int:
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise ConfigError(f"{key} must be an integer; got {value!r}")
+
+
+def _check_real(key: str, value: object) -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{key} must be a real number; got {value!r}")
+    if not math.isfinite(value):  # type: ignore[arg-type]
+        raise ConfigError(f"{key} must be finite")
+    return float(value)  # type: ignore[arg-type]
+
+
+def _check_reals(key: str, value: object) -> tuple[float, ...]:
+    values = tuple(value)  # type: ignore[arg-type]
+    if not all(_is_real(v) for v in values):
+        raise ConfigError(f"{key} entries must be real numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key} entries must be finite")
+    return tuple(map(float, values))
+
+
+def _check_poses(key: str, value: object) -> tuple[tuple[float, float, float], ...]:
+    poses = tuple(map(tuple, value))  # type: ignore[arg-type]
+    for i, pose in enumerate(poses):
+        if not all(_is_real(v) for v in pose):
+            raise ConfigError(f"{key}[{i}] {pose!r} entries must be real numbers")
+        if len(pose) != 3:
+            raise ConfigError(f"{key}[{i}] {pose!r} is not x,y,theta")
+        if not all(math.isfinite(v) for v in pose):
+            raise ConfigError(f"{key}[{i}] is not finite: {tuple(map(float, pose))}")
+    return tuple(tuple(map(float, pose)) for pose in poses)
+
+
+def _check_str(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string; got {value!r}")
+    return value
+
+
+def _check_path(key: str, value: object) -> str:
+    return _check_str(key, os.fspath(value) if isinstance(value, os.PathLike) else value)
+
+
+# A kind parses file or override text, checks a value (see above) and shows
+# a checked value as text that parses back to it.
+_Kind = namedtuple("_Kind", "parse check show")
+_INT = _Kind(int, _check_int, str)
+_REAL = _Kind(_parse_float, _check_real, repr)
+_REALS = _Kind(_parse_float_list, _check_reals, lambda values: ",".join(map(repr, values)))
+_POSES = _Kind(_parse_positions, _check_poses, lambda poses: ";".join(map(_REALS.show, poses)))
+_STR = _Kind(str, _check_str, str)
+_PATH = _Kind(str, _check_path, str)
+
+# key -> (SimConfig attribute, kind), in the order config_items prints them.
+_KEYS = {
+    "map.path": ("map_path", _PATH),
+    "arena.width": ("arena_width", _INT),
+    "arena.height": ("arena_height", _INT),
+    "robots.count": ("robot_count", _INT),
+    "robots.radius": ("robot_radius", _REAL),
+    "sensors.count": ("sensor_count", _INT),
+    "sensors.range": ("sensor_range", _REAL),
+    "sensors.angles": ("sensor_angles", _REALS),
+    "limits.v_max": ("v_max", _REAL),
+    "limits.w_max": ("w_max", _REAL),
+    "controller.type": ("controller_type", _STR),
+    "controller.weights": ("controller_weights", _REALS),
+    "seed": ("seed", _INT),
+    "ticks": ("ticks", _INT),
+    "log.path": ("log_path", _PATH),
+    "frames.every": ("frames_every", _INT),
+    "frames.dir": ("frames_dir", _PATH),
+    "spawn.positions": ("spawn_positions", _POSES),
+    "messages.payload_cap": ("payload_cap", _INT),
+}
+
+# attribute -> dataclass default: MISSING if the field is required, None if optional.
+_DEFAULTS = {field.name: field.default for field in fields(SimConfig)}
+_REQUIRED = tuple(key for key, (attr, _) in _KEYS.items() if _DEFAULTS[attr] is MISSING)
 
 
 def _split_assignment(text: str, where: str) -> tuple[str, str]:
     if "=" not in text:
         raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
     key, _, value = text.partition("=")
-    return key.strip(), value.strip()
+    key = key.strip()
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
 
 
 def parse_config(text: str, overrides: Sequence[str] = ()) -> SimConfig:
@@ -148,14 +190,10 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> SimConfig:
             continue
         where = f"line {lineno}"
         key, value = _split_assignment(stripped, where)
-        if key not in _KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
         raw[key] = (value, where)
     for override in overrides:
         where = f"override {override!r}"
         key, value = _split_assignment(override, where)
-        if key not in _KEYS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
         raw[key] = (value, where)
 
     missing = [key for key in _REQUIRED if key not in raw]
@@ -164,9 +202,9 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> SimConfig:
 
     values: dict[str, object] = {}
     for key, (value_text, where) in raw.items():
-        attr, parser = _KEYS[key]
+        attr, kind = _KEYS[key]
         try:
-            values[attr] = parser(value_text)
+            values[attr] = kind.parse(value_text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
     # An explicit angle list defines the belt; derive the count unless the
@@ -179,125 +217,83 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> SimConfig:
 
 def _validate(config: SimConfig) -> None:
     """Every rule a SimConfig obeys however it is built: `parse_config`,
-    direct construction and `dataclasses.replace` all pass through here."""
-
-    def bad(message: str) -> ConfigError:
-        return ConfigError(message)
-
-    # Each field's type is checked before any rule compares it. bool is an
-    # int subclass but never a count, a size or a length: it is refused.
-    for attr in _INT_FIELDS:
+    direct construction and `dataclasses.replace` all pass through here.
+    Each field's kind is checked first and the value stored normalized, so
+    the rules after compare plain Python values."""
+    for key, (attr, kind) in _KEYS.items():
         value = getattr(config, attr)
-        if not (_is_int(value) or (value is None and attr in _OPTIONAL_INT_FIELDS)):
-            raise bad(f"{_FIELD_TO_KEY[attr]} must be an integer; got {value!r}")
-    for attr in ("robot_radius", "sensor_range", "v_max", "w_max"):
-        value = getattr(config, attr)
-        if not _is_real(value):
-            raise bad(f"{_FIELD_TO_KEY[attr]} must be a real number; got {value!r}")
-        if not math.isfinite(value):
-            raise bad(f"{_FIELD_TO_KEY[attr]} must be finite")
-    for attr in ("sensor_angles", "controller_weights"):
-        values = getattr(config, attr)
-        if values is None:
-            continue
-        if not all(_is_real(v) for v in values):
-            raise bad(f"{_FIELD_TO_KEY[attr]} entries must be real numbers")
-        if not all(math.isfinite(v) for v in values):
-            raise bad(f"{_FIELD_TO_KEY[attr]} entries must be finite")
-    if config.spawn_positions is not None:
-        for i, pose in enumerate(config.spawn_positions):
-            if not all(_is_real(v) for v in pose):
-                raise bad(f"spawn.positions[{i}] {pose!r} entries must be real numbers")
+        if value is not None or _DEFAULTS[attr] is not None:
+            object.__setattr__(config, attr, kind.check(key, value))
     has_map = config.map_path is not None
     has_arena = config.arena_width is not None or config.arena_height is not None
     if has_map and has_arena:
-        raise bad("give either map.path or arena.width/arena.height, not both")
+        raise ConfigError("give either map.path or arena.width/arena.height, not both")
     if not has_map:
         if config.arena_width is None or config.arena_height is None:
-            raise bad("need map.path, or both arena.width and arena.height")
+            raise ConfigError("need map.path, or both arena.width and arena.height")
         if config.arena_width < 1 or config.arena_height < 1:
-            raise bad("arena dimensions must be at least 1")
+            raise ConfigError("arena dimensions must be at least 1")
     if config.robot_count < 0:
-        raise bad("robots.count must be non-negative")
+        raise ConfigError("robots.count must be non-negative")
     if config.robot_radius <= 0:
-        raise bad("robots.radius must be positive")
+        raise ConfigError("robots.radius must be positive")
     if not 0 <= config.seed < (1 << 64):
-        raise bad("seed must be an unsigned 64-bit integer")
+        raise ConfigError("seed must be an unsigned 64-bit integer")
     if config.ticks < 0:
-        raise bad("ticks must be non-negative")
+        raise ConfigError("ticks must be non-negative")
     if config.controller_type not in CONTROLLER_TYPES:
-        raise bad(
+        raise ConfigError(
             f"controller.type must be one of {', '.join(CONTROLLER_TYPES)}; "
             f"got {config.controller_type!r}"
         )
     if config.sensor_count < 1:
-        raise bad("sensors.count must be at least 1")
+        raise ConfigError("sensors.count must be at least 1")
     if config.sensor_angles is not None:
         if len(config.sensor_angles) != config.sensor_count:
-            raise bad(
+            raise ConfigError(
                 f"sensors.count is {config.sensor_count} but sensors.angles "
                 f"lists {len(config.sensor_angles)} bearings"
             )
         for angle in config.sensor_angles:
             if not -math.pi <= angle < math.pi:
-                raise bad(f"sensors.angles entry {angle!r} outside [-pi, pi)")
+                raise ConfigError(f"sensors.angles entry {angle!r} outside [-pi, pi)")
     if config.sensor_range <= 0:
-        raise bad("sensors.range must be positive")
+        raise ConfigError("sensors.range must be positive")
     if config.v_max <= 0 or config.w_max <= 0:
-        raise bad("limits.v_max and limits.w_max must be positive")
+        raise ConfigError("limits.v_max and limits.w_max must be positive")
     if config.sensor_range < config.v_max:
-        raise bad("sensors.range must be at least limits.v_max")
+        raise ConfigError("sensors.range must be at least limits.v_max")
     if config.controller_weights is not None:
         if config.controller_type != "braitenberg":
-            raise bad("controller.weights only applies to controller.type = braitenberg")
+            raise ConfigError("controller.weights only applies to controller.type = braitenberg")
         if len(config.controller_weights) != config.sensor_count:
-            raise bad(
+            raise ConfigError(
                 f"controller.weights needs {config.sensor_count} entries, "
                 f"got {len(config.controller_weights)}"
             )
     if config.frames_every is not None:
         if config.frames_every < 1:
-            raise bad("frames.every must be at least 1")
+            raise ConfigError("frames.every must be at least 1")
         if config.frames_dir is None:
-            raise bad("frames.every requires frames.dir")
+            raise ConfigError("frames.every requires frames.dir")
     if config.payload_cap < 0:
-        raise bad("messages.payload_cap must be non-negative")
+        raise ConfigError("messages.payload_cap must be non-negative")
     if config.spawn_positions is not None:
         if len(config.spawn_positions) != config.robot_count:
-            raise bad(
+            raise ConfigError(
                 f"spawn.positions lists {len(config.spawn_positions)} poses "
                 f"but robots.count is {config.robot_count}"
             )
-        for i, pose in enumerate(config.spawn_positions):
-            if len(pose) != 3:
-                raise bad(f"spawn.positions[{i}] {pose!r} is not x,y,theta")
-
-
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ";".join(",".join(repr(float(part)) for part in pose) for pose in value)
-        return ",".join(repr(float(part)) for part in value)
-    raise TypeError(f"cannot serialize {value!r}")
 
 
 def config_items(config: SimConfig) -> tuple[tuple[str, str], ...]:
     """The resolved configuration as (key, value-text) pairs in canonical
     key order, omitting unset optional keys."""
     items = []
-    for key, (attr, _) in _KEYS.items():
+    for key, (attr, kind) in _KEYS.items():
         value = getattr(config, attr)
-        if value is None:
-            continue
-        items.append((key, _format_value(value)))
+        if value is not None:
+            items.append((key, kind.show(value)))
     return tuple(items)
 
 

@@ -218,10 +218,6 @@ def spawn(
     r = config.robot_radius
     if config.spawn_positions is not None:
         poses = np.array(config.spawn_positions, dtype=np.float64).reshape(n, 3)
-        finite = np.isfinite(poses).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise SpawnError(f"spawn.positions[{i}] is not finite: {config.spawn_positions[i]}")
         wall, lo, hi = _overlaps(grid, poses[:, 0], poses[:, 1], r)
         robot = int(hi.min(initial=n))
         if wall and wall[0] <= robot:
@@ -346,11 +342,7 @@ class Simulation:
         master_rng = RngStream(config.seed)
         xs, ys, thetas = spawn(config, grid, master_rng)
         self.limits = Limits(config.v_max, config.w_max)
-        angles = (
-            tuple(config.sensor_angles)
-            if config.sensor_angles is not None
-            else evenly_spaced_angles(config.sensor_count)
-        )
+        angles = config.sensor_angles or evenly_spaced_angles(config.sensor_count)
         self.spec = SensorSpec(angles, config.sensor_range)
         if controller is None:
             controller = _build_controller(config, self.limits, self.spec)
@@ -383,7 +375,6 @@ class Simulation:
 
         # Phase 1: snapshot, the arrays the last tick left.
         xs, ys, thetas = state.xs, state.ys, state.thetas
-        n = xs.size
 
         # One pair search serves phases 2 and 4. Every j that can come
         # strictly within 2r of i's candidate, from its snapshot or its
@@ -447,10 +438,8 @@ class Simulation:
 
         # Phase 5: messaging at end-of-tick positions.
         delivered = 0
-        if outboxes is not None and any(b is not None for b in outboxes):
+        if outboxes is not None:
             state.inboxes, delivered = deliver_messages(fx, fy, outboxes)
-        elif any(state.inboxes):
-            state.inboxes = [[] for _ in range(n)]
 
         # Phase 6: metrics.
         metrics = state.metrics

@@ -30,7 +30,7 @@ class GridMap:
     width: int
     height: int
     occupancy: np.ndarray
-    _clearance: np.ndarray | None = field(default=None, repr=False)
+    _clearance: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:

@@ -130,6 +130,22 @@ def test_seed_and_ticks_sugar(tmp_path, capsys):
     assert "seed=77" in out and "ticks_run=2" in out
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--seed", "abc"], "override 'seed=abc': bad value for seed"),
+        (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+        (["--frames-every", "2.5", "--frames-dir", "f"], "override 'frames.every=2.5'"),
+    ],
+)
+def test_shorthand_values_parse_like_set(tmp_path, capsys, flags, reason):
+    code = main(["--config", str(_write_config(tmp_path)), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1
+    assert err.startswith("error: config: ") and reason in err
+
+
 def test_config_error_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.properties"
     path.write_text("robot.count = 5\n")
@@ -195,6 +211,24 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--bench", "1,2"]])
+def test_closed_stdout_ends_output_quietly(tmp_path, flags):
+    # The reader closes the pipe before the child writes anything, so the
+    # report (or the CSV) meets a broken pipe.
+    config = _write_config(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swarmsim", "--config", str(config), *flags],
+        env=child_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_help_exits_zero():

@@ -6,11 +6,20 @@ import dataclasses
 import math
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swarmsim import ConfigError, SimConfig, parse_config, serialize_config
+from swarmsim import (
+    ConfigError,
+    SimConfig,
+    Simulation,
+    parse_config,
+    run,
+    serialize_config,
+    state_digest,
+)
 
 MINIMAL = """
 arena.width = 256
@@ -268,6 +277,23 @@ BAD_FIELDS = [
         {"robot_count": 1, "spawn_positions": ((10.0, "20", 0.0),)},
         "spawn.positions[0] (10.0, '20', 0.0) entries must be real numbers",
     ),
+    # Paths are str or os.PathLike: an int would be opened as a file
+    # descriptor, bytes would print as b'...' in the report.
+    ({"log_path": 7}, "log.path must be a string; got 7"),
+    (
+        {"map_path": b"x", "arena_width": None, "arena_height": None},
+        "map.path must be a string; got b'x'",
+    ),
+    ({"controller_type": None}, "controller.type must be a string; got None"),
+    # Non-finite poses are a config error, not a spawn error.
+    (
+        {"spawn_positions": ((20.0, 20.0, 0.0), (20.0, math.nan, 0.5))},
+        "spawn.positions[1] is not finite: (20.0, nan, 0.5)",
+    ),
+    (
+        {"spawn_positions": ((20.0, 20.0, 0.0), (20.0, 40.0, -math.inf))},
+        "spawn.positions[1] is not finite: (20.0, 40.0, -inf)",
+    ),
 ]
 
 
@@ -298,3 +324,63 @@ def test_integer_and_real_types_other_than_bool_are_accepted():
         }
     )
     assert config.robot_count == 2 and config.robot_radius == 4
+
+
+NUMPY_TYPED = {
+    **VALID,
+    "robot_count": np.int64(2),
+    "seed": np.uint64(1),
+    "arena_width": np.int32(64),
+    "ticks": np.int64(2),
+    "sensor_range": np.float32(40.0),
+    "sensor_count": 2,
+    "sensor_angles": (0, np.float64(1.0)),
+}
+
+
+def test_numpy_typed_config_runs_reports_and_round_trips():
+    config = SimConfig(**NUMPY_TYPED)
+    assert type(config.robot_count) is int and type(config.sensor_range) is float
+    report = run(config)
+    assert report.metrics.ticks_run == 2
+    echo = dict(report.config_items)
+    assert echo["robots.count"] == "2" and echo["seed"] == "1"
+    assert echo["arena.width"] == "64" and echo["ticks"] == "2"
+    assert echo["sensors.range"] == "40.0" and echo["sensors.angles"] == "0.0,1.0"
+    assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1), np.uint64((1 << 64) - 1)])
+def test_numpy_seed_builds_and_steps(seed):
+    sim = Simulation(SimConfig(**{**VALID, "seed": seed}))
+    sim.step()
+    plain = Simulation(SimConfig(**{**VALID, "seed": int(seed)}))
+    plain.step()
+    assert state_digest(sim.state) == state_digest(plain.state)
+
+
+def test_sequences_are_stored_as_tuples_and_paths_as_str(tmp_path):
+    config = SimConfig(
+        **{
+            **VALID,
+            "sensor_count": 2,
+            "sensor_angles": [0.0, 1],
+            "controller_weights": np.array([0.5, -0.5]),
+            "spawn_positions": [[10, 20, 0.0], np.array([30.0, 40.0, 1.0])],
+            "log_path": tmp_path / "log.csv",
+            "frames_every": 1,
+            "frames_dir": tmp_path / "frames",
+        }
+    )
+    assert config.sensor_angles == (0.0, 1.0) and type(config.sensor_angles) is tuple
+    assert config.controller_weights == (0.5, -0.5)
+    assert config.spawn_positions == ((10.0, 20.0, 0.0), (30.0, 40.0, 1.0))
+    assert all(type(pose) is tuple for pose in config.spawn_positions)
+    assert all(type(v) is float for pose in config.spawn_positions for v in pose)
+    assert config.log_path == str(tmp_path / "log.csv")
+    assert config.frames_dir == str(tmp_path / "frames")
+    assert parse_config(serialize_config(config)) == config
+    map_config = SimConfig(
+        **{**VALID, "arena_width": None, "arena_height": None, "map_path": Path("m.pgm")}
+    )
+    assert map_config.map_path == "m.pgm"

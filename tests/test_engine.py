@@ -16,6 +16,7 @@ from swarmsim import (
     ActuatorCommand,
     BraitenbergController,
     Broadcast,
+    ConfigError,
     ControlOutput,
     ControllerError,
     Pose,
@@ -178,12 +179,12 @@ def test_explicit_positions_lattice_overlap_at_last_index():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("slot", [0, 1, 2])
-def test_explicit_positions_non_finite_rejected(arena100, value, slot):
+def test_explicit_positions_non_finite_rejected(value, slot):
+    # Checked when the config is built, before any world or spawn.
     bad = [20.0, 40.0, 0.5]
     bad[slot] = value
-    config = _explicit(((20.0, 20.0, 0.0), tuple(bad)))
-    with pytest.raises(SpawnError, match=r"^spawn\.positions\[1\] is not finite"):
-        spawn(config, arena100, RngStream(1))
+    with pytest.raises(ConfigError, match=r"^spawn\.positions\[1\] is not finite"):
+        _explicit(((20.0, 20.0, 0.0), tuple(bad)))
 
 
 @pytest.mark.parametrize("far", [1e18, 1e300])

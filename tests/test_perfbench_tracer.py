@@ -12,7 +12,14 @@ import importlib.util
 from pathlib import Path
 
 import swarmsim.engine as engine
-from swarmsim import SimConfig, Simulation, state_digest
+from swarmsim import (
+    ActuatorCommand,
+    Broadcast,
+    ControlOutput,
+    SimConfig,
+    Simulation,
+    state_digest,
+)
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -24,13 +31,13 @@ def _load_tracer():
     return module
 
 
-def _traced_tick(module, config: SimConfig) -> tuple[Simulation, object]:
-    """Install the tracer, build `config` and run one tick under it, then
-    restore the originals."""
+def _traced_tick(module, config: SimConfig, plugin=None) -> tuple[Simulation, object]:
+    """Install the tracer, build `config` (with `plugin` as its controller,
+    if given) and run one tick under it, then restore the originals."""
     tracer = module.Tracer()
-    tracer.install()
+    tracer.install(type(plugin) if plugin is not None else None)
     try:
-        sim = Simulation(config)
+        sim = Simulation(config, controller=plugin)
         with tracer.span("engine.step"):
             sim.step()
         tracer.end_tick(0)
@@ -80,5 +87,37 @@ def test_tracer_reaches_the_per_robot_wrappers_in_a_crowd():
     assert counts.get("world.disc_free", 0) > 0
     assert counts["kinematics.resolve_move"] == sim.state.metrics.serial_moves
     untraced = Simulation(config)
+    untraced.step()
+    assert state_digest(sim.state) == state_digest(untraced.state)
+
+
+class SlowdownPlugin:
+    """Plugin controller: forward speed falls with the nearest reading and
+    the messages heard, and every robot broadcasts."""
+
+    def step(self, control_input, rng):
+        nearest = min(reading.normalized for reading in control_input.readings)
+        v = 2.0 * nearest / (1.0 + len(control_input.inbox))
+        return ControlOutput(ActuatorCommand(v, 0.1), Broadcast(b"hi", 30.0))
+
+
+def test_tracer_counts_plugin_steps_and_restores_the_class():
+    # The path of a traced `maze1k_beacon` episode: `Tracer.install(plugin_class)`.
+    module = _load_tracer()
+    original = SlowdownPlugin.step
+    config = SimConfig(
+        robot_count=15,
+        seed=4,
+        ticks=1,
+        controller_type="random_walk",
+        arena_width=120,
+        arena_height=120,
+    )
+    sim, tracer = _traced_tick(module, config, SlowdownPlugin())
+    assert SlowdownPlugin.step is original
+    steps = [row for row in tracer.call_rows if row[1] == "controllers.step"]
+    assert sum(row[3] for row in steps) == config.robot_count
+    assert sim.state.metrics.messages_delivered > 0
+    untraced = Simulation(config, controller=SlowdownPlugin())
     untraced.step()
     assert state_digest(sim.state) == state_digest(untraced.state)
