@@ -94,33 +94,46 @@ def _check_int(key: str, value: object) -> int:
     raise ConfigError(f"{key} must be an integer; got {value!r}")
 
 
+def _as_float(value: numbers.Real) -> float:
+    """float(value), with an int too large for a float read as an infinity
+    of its sign rather than raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_real(key: str, value: object) -> float:
     if not _is_real(value):
         raise ConfigError(f"{key} must be a real number; got {value!r}")
-    if not math.isfinite(value):  # type: ignore[arg-type]
+    real = _as_float(value)  # type: ignore[arg-type]
+    if not math.isfinite(real):
         raise ConfigError(f"{key} must be finite")
-    return float(value)  # type: ignore[arg-type]
+    return real
 
 
 def _check_reals(key: str, value: object) -> tuple[float, ...]:
     values = tuple(value)  # type: ignore[arg-type]
     if not all(_is_real(v) for v in values):
         raise ConfigError(f"{key} entries must be real numbers")
-    if not all(math.isfinite(v) for v in values):
+    reals = tuple(map(_as_float, values))
+    if not all(map(math.isfinite, reals)):
         raise ConfigError(f"{key} entries must be finite")
-    return tuple(map(float, values))
+    return reals
 
 
 def _check_poses(key: str, value: object) -> tuple[tuple[float, float, float], ...]:
-    poses = tuple(map(tuple, value))  # type: ignore[arg-type]
-    for i, pose in enumerate(poses):
+    poses = []
+    for i, pose in enumerate(map(tuple, value)):  # type: ignore[arg-type]
         if not all(_is_real(v) for v in pose):
             raise ConfigError(f"{key}[{i}] {pose!r} entries must be real numbers")
         if len(pose) != 3:
             raise ConfigError(f"{key}[{i}] {pose!r} is not x,y,theta")
-        if not all(math.isfinite(v) for v in pose):
-            raise ConfigError(f"{key}[{i}] is not finite: {tuple(map(float, pose))}")
-    return tuple(tuple(map(float, pose)) for pose in poses)
+        reals = tuple(map(_as_float, pose))
+        if not all(map(math.isfinite, reals)):
+            raise ConfigError(f"{key}[{i}] is not finite: {reals}")
+        poses.append(reals)
+    return tuple(poses)
 
 
 def _check_str(key: str, value: object) -> str:
@@ -130,7 +143,15 @@ def _check_str(key: str, value: object) -> str:
 
 
 def _check_path(key: str, value: object) -> str:
-    return _check_str(key, os.fspath(value) if isinstance(value, os.PathLike) else value)
+    """A str or os.PathLike, as str. The properties format strips values and
+    splits lines, so a path with surrounding whitespace or a line break
+    could not be written back; it is refused."""
+    path = _check_str(key, os.fspath(value) if isinstance(value, os.PathLike) else value)
+    if path != path.strip() or "".join(path.splitlines()) != path:
+        raise ConfigError(
+            f"{key} must not start or end with whitespace or hold a line break; got {path!r}"
+        )
+    return path
 
 
 # A kind parses file or override text, checks a value (see above) and shows

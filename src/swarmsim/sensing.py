@@ -4,6 +4,9 @@ A ray reports the distance to whichever comes first: the entry point into an
 obstacle cell (continuous DDA traversal over cell boundaries), the nearest
 other robot disc (closed-form ray-circle intersection), or the maximum range.
 Distances are normalized by the range; exact wall/robot ties go to the wall.
+The traversal hops across the free box that `GridMap.boxes` anchors at each
+cell in the ray's quadrant and reports exactly the entry a one-cell DDA
+would; the map border is just the first blocked cell past a box.
 
 `cast_ray` / `sense_all` are the reference per-ray operations; they take the
 robot centres as a plain list in id order and scan all of them. `sense_batch`
@@ -106,7 +109,7 @@ def _wall_hit_scalar(
     cy = math.floor(oy)
     if cx < 0 or cy < 0 or cx >= grid.width or cy >= grid.height or grid.occupancy[cy, cx]:
         return 0.0
-    return _wall_resume_scalar(grid, ox, oy, dirx, diry, max_range, cx, cy, 0.0)
+    return _wall_resume_scalar(grid, ox, oy, dirx, diry, max_range, cx, cy)
 
 
 def _wall_resume_scalar(
@@ -118,75 +121,79 @@ def _wall_resume_scalar(
     max_range: float,
     cx: int,
     cy: int,
-    t_cur: float,
 ) -> float | None:
-    """Continue a traversal that has reached the free in-range cell (cx, cy)
-    at distance t_cur; same result as `_wall_hit_scalar`.
+    """Continue a traversal that has reached the free in-range cell (cx, cy);
+    same result as `_wall_hit_scalar`.
 
-    Traversal is a DDA over cell boundaries, accelerated by the map clearance
-    field: inside a cell whose nearest obstacle center is D cells away, no
-    entry into an obstacle of the map can occur within D - 2, so the ray
-    skips ahead that far in one hop, after which no such entry comes before
-    t_cur + 1. The closed-world border is not in the field: the ray's border
-    entry t_b is computed up front with the crossing expression of the last
-    row or column, so a hop that passes t_b - 1 ends the ray at t_b.
-    Boundary-crossing distances are always computed directly from the
-    origin, so hops do not perturb the reported distance, and an entry at
-    exactly max_range is still found.
+    Traversal is a DDA over cell boundaries that hops across free boxes. Each
+    iteration reads the side of the free square anchored at the cell in the
+    ray's quadrant (`GridMap.boxes`), clamps that box to the map and moves
+    to where the ray leaves it: the crossing (edge + off - o) * inv of the
+    box's last column or last row, whichever comes first, x first on a tie,
+    as the DDA steps. On the other axis the ray is in the first cell whose
+    own crossing it has not passed (`_cell_at`). Every cell of the box is
+    free, so the ray enters an obstacle, if at all, exactly where the
+    one-cell DDA would: in the cell past the exit, at the exit crossing. A
+    box that reaches past the map edge exits onto the closed-world border,
+    so on a map without obstacles a ray ends in one iteration. Crossings
+    are always computed from the origin, so hops never perturb the reported
+    distance, and an entry at exactly max_range is still found.
     """
     w, h = grid.width, grid.height
     occ = grid.occupancy
-    clearance = grid.clearance
+    boxes = grid.boxes
+    quadrant = (dirx < 0.0) + 2 * (diry < 0.0)
     if dirx > 0.0:
         step_x, off_x, inv_x = 1, 1.0, 1.0 / dirx
-        t_b = (w - 1 + off_x - ox) * inv_x
     elif dirx < 0.0:
         step_x, off_x, inv_x = -1, 0.0, 1.0 / dirx
-        t_b = (0 + off_x - ox) * inv_x
     else:
         step_x, off_x, inv_x = 0, 0.0, 0.0  # axis-parallel: never crosses x
-        t_b = math.inf
     if diry > 0.0:
         step_y, off_y, inv_y = 1, 1.0, 1.0 / diry
-        t_b = min(t_b, (h - 1 + off_y - oy) * inv_y)
     elif diry < 0.0:
         step_y, off_y, inv_y = -1, 0.0, 1.0 / diry
-        t_b = min(t_b, (0 + off_y - oy) * inv_y)
     else:
         step_y, off_y, inv_y = 0, 0.0, 0.0
-    # A hop past `stop` ends the ray: past t_b - 1 it meets the border
-    # first, and past max_range the border is out of range too.
-    stop = min(t_b - 1.0, max_range)
     while True:
-        hop = float(clearance[cy, cx]) - 2.0
-        if hop >= 1.0:
-            t_cur = t_cur + hop
-            if t_cur > stop:
-                return t_b if t_b <= max_range else None
-            cx = math.floor(ox + t_cur * dirx)
-            cy = math.floor(oy + t_cur * diry)
-            if not (0 <= cx < w and 0 <= cy < h):
-                # The landing point lies inside the map; only rounding in a
-                # ray within ~1e-12 of parallel to an edge floors it one cell
-                # outside, and the clamp takes that back.
-                cx = min(max(cx, 0), w - 1)
-                cy = min(max(cy, 0), h - 1)
-            continue
-        t_x = (cx + off_x - ox) * inv_x if step_x else math.inf
-        t_y = (cy + off_y - oy) * inv_y if step_y else math.inf
+        s = int(boxes[quadrant, cy, cx]) - 1
+        # The box's last column and row, clamped to the map.
+        ex = min(max(cx + step_x * s, 0), w - 1)
+        ey = min(max(cy + step_y * s, 0), h - 1)
+        t_x = (ex + off_x - ox) * inv_x if step_x else math.inf
+        t_y = (ey + off_y - oy) * inv_y if step_y else math.inf
         if t_x <= t_y:
             t_enter = t_x
             if t_enter > max_range:
                 return None
-            cx += step_x
+            # A row crossing at exactly t_enter comes after the x step.
+            t_before = math.nextafter(t_enter, -math.inf)
+            cy = _cell_at(oy, diry, off_y, inv_y, step_y, cy, ey, t_before)
+            cx = ex + step_x
         else:
             t_enter = t_y
             if t_enter > max_range:
                 return None
-            cy += step_y
+            cx = _cell_at(ox, dirx, off_x, inv_x, step_x, cx, ex, t_enter)
+            cy = ey + step_y
         if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
             return t_enter
-        t_cur = t_enter
+
+
+def _cell_at(
+    o: float, d: float, off: float, inv: float, step: int, c0: int, ce: int, t: float
+) -> int:
+    """The cell on one axis, from c0 to ce, that a ray is in just after t:
+    the first whose crossing (c + off - o) * inv lies past t, given that
+    the crossing of ce does. The estimate floor(o + t * d) can round into a
+    neighbouring cell only near a crossing, so one comparison each way
+    settles it. An axis-parallel ray (step 0) stays in c0."""
+    c = min(max(math.floor(o + t * d), min(c0, ce)), max(c0, ce))
+    if (c + off - o) * inv <= t:
+        c += step
+    elif c != c0 and (c - step + off - o) * inv > t:
+        c -= step
+    return c
 
 
 def _robot_hit_scalar(
@@ -276,7 +283,7 @@ def sense_all(
 # While more rays than this are live the batch wall pass steps them in
 # arrays; the rest finish in the scalar loop. The two forms compute identical
 # floats, so the cutover is invisible.
-_SCALAR_DDA_LIMIT = 384
+_SCALAR_DDA_LIMIT = 32
 
 
 def _wall_batch(
@@ -287,113 +294,87 @@ def _wall_batch(
     diry: np.ndarray,
     ranges: np.ndarray,
 ) -> np.ndarray:
-    """Clearance-hopping DDA for a flat batch of rays, each with its own
-    range; returns entry distances (inf = no wall within range). Same hop
-    rule, closed-form border entry and crossing expressions as
-    `_wall_resume_scalar`, evaluated with masks instead of branches until few
-    rays are left; those resume the scalar loop from their current cell."""
+    """Box-hopping DDA for a flat batch of rays, each with its own range;
+    returns entry distances (inf = no wall within range). The iteration of
+    `_wall_resume_scalar` with masks instead of branches, both axes at once
+    as the rows of (2, n) arrays, until few rays are left; those resume the
+    scalar loop from their current cell."""
     w, h = grid.width, grid.height
-    clearance = grid.clearance
+    boxes = grid.boxes
     t_hit = np.full(ox.size, np.inf)
     cx = np.floor(ox).astype(np.int64)
     cy = np.floor(oy).astype(np.int64)
     start_blocked = grid.blocked_at(cx, cy)
     t_hit[start_blocked] = 0.0
 
-    # Compact the live rays; `idx` maps rows back to output slots. Live rays
-    # always sit in an in-range free cell, so occupancy/clearance lookups on
-    # the current cell never need clipping.
+    # Live rays, compacted; `slot` maps them back to output slots. A live ray
+    # always sits in an in-range free cell, so the box lookup on its current
+    # cell never needs clipping. Per-ray values are the columns of one float
+    # and one int array, compacted together, and each axis is a row.
     idx = np.nonzero(~start_blocked)[0]
-    cx = cx[idx]
-    cy = cy[idx]
-    ox = ox[idx]
-    oy = oy[idx]
-    dirx = dirx[idx]
-    diry = diry[idx]
-    ranges = ranges[idx]
-    step_x = np.where(dirx > 0.0, 1, np.where(dirx < 0.0, -1, 0))
-    step_y = np.where(diry > 0.0, 1, np.where(diry < 0.0, -1, 0))
-    off_x = np.where(dirx > 0.0, 1.0, 0.0)
-    off_y = np.where(diry > 0.0, 1.0, 0.0)
-    with np.errstate(divide="ignore"):
-        inv_x = np.where(step_x != 0, 1.0 / dirx, 0.0)
-        inv_y = np.where(step_y != 0, 1.0 / diry, 0.0)
-    par_x = step_x == 0
-    par_y = step_y == 0
-    edge_x = np.where(step_x > 0, w - 1, 0)
-    edge_y = np.where(step_y > 0, h - 1, 0)
-    t_b = np.minimum(
-        np.where(par_x, np.inf, (edge_x + off_x - ox) * inv_x),
-        np.where(par_y, np.inf, (edge_y + off_y - oy) * inv_y),
-    )
-    stop = np.minimum(t_b - 1.0, ranges)  # a hop past it ends the ray, as in the scalar loop
-    t_cur = np.zeros(idx.size)
+    n = idx.size
+    floats = np.empty((9, n))
+    ints = np.empty((6, n), dtype=np.int64)
+    floats[[0, 1, 2, 3, 8]] = ox[idx], oy[idx], dirx[idx], diry[idx], ranges[idx]
+    ints[[0, 1, 5]] = cx[idx], cy[idx], idx
+    o, d, inv, off, ranges = floats[0:2], floats[2:4], floats[4:6], floats[6:8], floats[8]
+    cell, step, quadrant, slot = ints[0:2], ints[2:4], ints[4], ints[5]
+    quadrant[:] = (d[0] < 0.0) + 2 * (d[1] < 0.0)
+    step[:] = np.sign(d)
+    # On an axis the ray runs parallel to, off = 1 and inv = inf make every
+    # crossing (c + off - o) * inv read +inf, as c + 1 - o > 0 in its cell.
+    off[:] = step >= 0
+    inv[:] = np.inf
+    np.divide(1.0, d, out=inv, where=step != 0)
+    last = np.array([[w - 1], [h - 1]])
+    t_at = np.empty((2, n))
 
-    while idx.size > _SCALAR_DDA_LIMIT:
-        hop = clearance[cy, cx] - 2.0
-        hopping = hop >= 1.0
-        stepping = ~hopping
-        t_cur = np.where(hopping, t_cur + hop, t_cur)
-        ended = hopping & (t_cur > stop)
-        if ended.any():
-            at_border = np.flatnonzero(ended & (t_b <= ranges))
-            t_hit[idx[at_border]] = t_b[at_border]
-        alive = ~ended
-        t_x = np.where(par_x, np.inf, (cx + off_x - ox) * inv_x)
-        t_y = np.where(par_y, np.inf, (cy + off_y - oy) * inv_y)
-        go_x = stepping & (t_x <= t_y)
-        t_enter = np.where(go_x, t_x, t_y)
-        alive &= ~(stepping & (t_enter > ranges))
-        hop_move = hopping & alive
-        if hop_move.any():
-            # The clamp undoes a floor past the edge, as in the scalar loop.
-            new_cx = np.clip(np.floor(ox + t_cur * dirx).astype(np.int64), 0, w - 1)
-            new_cy = np.clip(np.floor(oy + t_cur * diry).astype(np.int64), 0, h - 1)
-            cx = np.where(hop_move, new_cx, cx)
-            cy = np.where(hop_move, new_cy, cy)
-        go_x &= alive
-        go_y = stepping & ~go_x & alive
-        cx = cx + go_x * step_x
-        cy = cy + go_y * step_y
-        stepped = go_x | go_y
-        t_cur = np.where(stepped, t_enter, t_cur)
-        if stepped.any():
-            hit = stepped & grid.blocked_at(cx, cy)
-            if hit.any():
-                t_hit[idx[hit]] = t_enter[hit]
-                alive &= ~hit
+    while n > _SCALAR_DDA_LIMIT:
+        s = boxes[quadrant, cell[1], cell[0]] - 1
+        edge = np.minimum(np.maximum(cell + step * s, 0), last)
+        t_edge = (edge + off - o) * inv
+        go_x = t_edge[0] <= t_edge[1]
+        t_enter = np.where(go_x, t_edge[0], t_edge[1])
+        # `_cell_at` on both axes from the start cell to one past the edge,
+        # which gives the exit axis its next cell too. A row crossing at
+        # exactly t_enter comes after an x step there.
+        t_at[0] = t_enter
+        t_at[1] = np.where(go_x, np.nextafter(t_enter, -np.inf), t_enter)
+        past = edge + step
+        c = np.floor(o + t_at * d)
+        c = np.minimum(np.maximum(c, np.minimum(cell, past)), np.maximum(cell, past))
+        c = c.astype(np.int64)
+        np.add(c, step, out=c, where=(c + off - o) * inv <= t_at)
+        back = c != cell
+        back &= (c - step + off - o) * inv > t_at
+        np.subtract(c, step, out=c, where=back)
+        cell[:] = c
+        # The new cell is at most one step outside the map.
+        inside = np.minimum(np.maximum(cell, 0), last)
+        outside = inside != cell
+        blocked = grid.occupancy[inside[1], inside[0]] | outside[0] | outside[1]
+        alive = t_enter <= ranges
+        hit = alive & blocked
+        t_hit[slot[hit]] = t_enter[hit]
+        alive &= ~blocked
         if not alive.all():
             keep = np.nonzero(alive)[0]
-            idx = idx[keep]
-            cx = cx[keep]
-            cy = cy[keep]
-            ox = ox[keep]
-            oy = oy[keep]
-            dirx = dirx[keep]
-            diry = diry[keep]
-            ranges = ranges[keep]
-            step_x = step_x[keep]
-            step_y = step_y[keep]
-            off_x = off_x[keep]
-            off_y = off_y[keep]
-            inv_x = inv_x[keep]
-            inv_y = inv_y[keep]
-            par_x = par_x[keep]
-            par_y = par_y[keep]
-            t_b = t_b[keep]
-            stop = stop[keep]
-            t_cur = t_cur[keep]
+            n = keep.size
+            floats = floats[:, keep]
+            ints = ints[:, keep]
+            o, d, inv, off, ranges = floats[0:2], floats[2:4], floats[4:6], floats[6:8], floats[8]
+            cell, step, quadrant, slot = ints[0:2], ints[2:4], ints[4], ints[5]
+            t_at = t_at[:, :n]
 
-    # Every live ray sits in a free in-range cell at t_cur: the state the
-    # scalar loop starts each iteration from.
+    # Every live ray sits in a free in-range cell: the state the scalar loop
+    # starts each iteration from.
     tail = zip(
-        idx.tolist(), ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist(),
-        ranges.tolist(), cx.tolist(), cy.tolist(), t_cur.tolist(),
+        slot.tolist(), *o.tolist(), *d.tolist(), ranges.tolist(), *cell.tolist()
     )
-    for slot, *ray in tail:
+    for i, *ray in tail:
         t = _wall_resume_scalar(grid, *ray)
         if t is not None:
-            t_hit[slot] = t
+            t_hit[i] = t
     return t_hit
 
 
@@ -583,7 +564,7 @@ def sense_batch(
     whose cell shows no obstacle and no border within their longest such
     reach (`GridMap.clearance_at`) skip the wall traversal entirely; the
     skip is conservative, never changing results. In the traversal, a ray
-    whose first hop reaches the border ends there in closed form.
+    whose first box reaches the border ends there in one iteration.
     """
     if not (np.abs(thetas) <= math.pi).all():
         raise ValueError("headings must lie in [-pi, pi]")

@@ -6,6 +6,12 @@ or obstacle; everything outside the grid counts as obstacle (closed world),
 so the boundary behaves like a wall without a separate entity. Robot
 positions live in continuous coordinates; cell (cx, cy) owns the square
 [cx, cx+1) x [cy, cy+1) and its center sits at (cx + 0.5, cy + 0.5).
+
+Each map lazily builds, in one transform, two fields that let queries skip
+empty space: per cell and per ray quadrant, the side of the largest free
+square anchored at the cell (the ray traversal hops across it), and their
+minimum, the Chebyshev clearance (the disc and skip tests). Both are stored
+as uint8, capped at 255.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ class GridMap:
     width: int
     height: int
     occupancy: np.ndarray
+    _boxes: np.ndarray | None = field(default=None, init=False, repr=False)
     _clearance: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -48,22 +55,39 @@ class GridMap:
         return bool(self.occupancy[cy, cx])
 
     @property
+    def boxes(self) -> np.ndarray:
+        """Quadrant free boxes, shape (4, height, width): entry [q, cy, cx] is
+        the side, in cells, of the largest obstacle-free square with a corner
+        at cell (cx, cy) that extends into ray quadrant q, where bit 0 of q
+        is set for -x and bit 1 for -y. An obstacle cell reads 0. Cells
+        outside the map count as free here, and a ray clamps its box to the
+        map itself. Sides are capped at 255; a capped side only shortens a
+        hop.
+
+        Built lazily once per map with `clearance`. On a map without
+        obstacles both are read-only broadcasts of width + height + 2, which
+        hold no map-sized buffer.
+        """
+        if self._boxes is None:
+            self._boxes, self._clearance = _free_boxes(self.occupancy)
+        return self._boxes
+
+    @property
     def clearance(self) -> np.ndarray:
         """Per-cell Chebyshev distance (in cells) to the nearest obstacle cell
-        center of the map itself; the closed-world border is not part of the
+        center of the map itself, capped at 255: the element-wise minimum of
+        the four `boxes` fields. The closed-world border is not part of the
         field (a map without obstacles reads width + height + 2 everywhere).
 
         Chebyshev distance lower-bounds Euclidean distance, so the field is a
         safe conservative skip test: if clearance[cy, cx] > d + 0.71, no
         obstacle cell center of the map lies within Euclidean distance d of
-        any point in cell (cx, cy). Queries that must also clear the
-        out-of-range cells use `clearance_at`; the ray traversal computes
-        where a ray enters the border in closed form. Built lazily once per
-        map; on a map without obstacles it is a read-only broadcast of the
-        constant, which holds no map-sized buffer.
+        any point in cell (cx, cy); the cap only fails the test sooner.
+        Queries that must also clear the out-of-range cells use
+        `clearance_at`.
         """
-        if self._clearance is None:
-            self._clearance = _chebyshev_clearance(self.occupancy)
+        if self._boxes is None:
+            self._boxes, self._clearance = _free_boxes(self.occupancy)
         return self._clearance
 
     def clearance_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -85,7 +109,10 @@ class GridMap:
 
     def _cells(self, field: np.ndarray, cx: np.ndarray, cy: np.ndarray, outside: int) -> np.ndarray:
         inside = (cx >= 0) & (cy >= 0) & (cx < self.width) & (cy < self.height)
-        cells = field[np.clip(cy, 0, self.height - 1), np.clip(cx, 0, self.width - 1)]
+        cells = field[
+            np.minimum(np.maximum(cy, 0), self.height - 1),
+            np.minimum(np.maximum(cx, 0), self.width - 1),
+        ]
         return np.where(inside, cells, outside)
 
     def disc_free(self, x: float, y: float, r: float) -> bool:
@@ -130,35 +157,55 @@ def generate_arena(width: int, height: int) -> GridMap:
     return GridMap(width, height, np.broadcast_to(np.False_, (height, width)))
 
 
-def _chebyshev_clearance(occ: np.ndarray) -> np.ndarray:
-    """Two-pass chamfer transform with unit weights (exact Chebyshev metric)
-    to the nearest obstacle cell of `occ`, as int32. Without obstacles, a
-    read-only int64 broadcast of width + height + 2, which fits any map; a
-    zero-stride `occ` (a generated arena) is tested on its one element."""
+def _free_boxes(occ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `GridMap.boxes` fields of `occ` as uint8, and their element-wise
+    minimum, the Chebyshev clearance. Without obstacles, read-only int64
+    broadcasts of width + height + 2, which fits any map; a zero-stride `occ`
+    (a generated arena) is tested on its one element.
+
+    A largest-free-square transform: the k-square at (x, y) in quadrant
+    (+x, +y) is free iff row y is free from x to x + k - 1 and the two
+    (k - 1)-squares at (x, y + 1) and (x + 1, y + 1) are, so
+    S[y, x] = min(run[y, x], 1 + min(S[y + 1, x], S[y + 1, x + 1])), with
+    run the free run along the row. The -x fields are built mirrored in x
+    and the +y fields mirrored in y, so one sweep over the rows updates all
+    four at once; the mirrors are undone at the end.
+    """
     h, w = occ.shape
     if not (occ[0, 0] if occ.strides == (0, 0) else occ.any()):
-        return np.broadcast_to(np.int64(w + h + 2), (h, w))
-    d = np.where(occ, np.int32(0), np.int32(w + h + 2))
-    ar = np.arange(w, dtype=np.int32)
-    for y in range(h):
-        row = d[y]
-        if y:
-            up = d[y - 1]
-            np.minimum(row, up + 1, out=row)
-            np.minimum(row[1:], up[:-1] + 1, out=row[1:])
-            np.minimum(row[:-1], up[1:] + 1, out=row[:-1])
-        # left-to-right: row[x] = min over x' <= x of row[x'] + (x - x')
-        row[:] = np.minimum.accumulate(row - ar) + ar
-    for y in range(h - 1, -1, -1):
-        row = d[y]
-        if y < h - 1:
-            dn = d[y + 1]
-            np.minimum(row, dn + 1, out=row)
-            np.minimum(row[1:], dn[:-1] + 1, out=row[1:])
-            np.minimum(row[:-1], dn[1:] + 1, out=row[:-1])
-        rev = row[::-1]
-        rev[:] = np.minimum.accumulate(rev - ar) + ar
-    return d
+        side = np.int64(w + h + 2)
+        return np.broadcast_to(side, (4, h, w)), np.broadcast_to(side, (h, w))
+    cap = 255
+    boxes = np.empty((4, h, w), dtype=np.uint8)
+    ar = np.arange(w)
+    block = max(1, (1 << 16) // w)  # rows per pass: small temporaries
+    for y0 in range(0, h, block):
+        rows = occ[y0 : y0 + block]
+        # Free run to the right: the first obstacle at or after x, minus x;
+        # to the left: x minus the last obstacle at or before it.
+        right = np.minimum.accumulate(np.where(rows, ar, w + cap)[:, ::-1], axis=1)
+        left = ar - np.maximum.accumulate(np.where(rows, ar, -1 - cap), axis=1)
+        np.minimum(right[:, ::-1] - ar, cap, out=boxes[2, y0 : y0 + block], casting="unsafe")
+        np.minimum(left, cap, out=boxes[3, y0 : y0 + block, ::-1], casting="unsafe")
+    boxes[0] = boxes[2, ::-1]
+    boxes[1] = boxes[3, ::-1]
+    # Mirrored, every field's quadrant points from row i to row i - 1 and
+    # from column x to column x + 1. Capping 1 + S at 255 keeps every side
+    # below the cap exact.
+    step = np.empty((4, w), dtype=np.uint8)
+    for i in range(1, h):
+        np.minimum(boxes[:, i - 1], cap - 1, out=step)
+        step += 1
+        row = boxes[:, i]
+        np.minimum(row, step, out=row)
+        np.minimum(row[:, :-1], step[:, 1:], out=row[:, :-1])
+    boxes[0] = boxes[0, ::-1]
+    boxes[1] = boxes[1, ::-1, ::-1]
+    boxes[3] = boxes[3, :, ::-1]
+    clearance = np.minimum(boxes[0], boxes[1])
+    np.minimum(clearance, boxes[2], out=clearance)
+    np.minimum(clearance, boxes[3], out=clearance)
+    return boxes, clearance
 
 
 # --- PGM parsing ------------------------------------------------------------

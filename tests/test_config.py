@@ -294,6 +294,32 @@ BAD_FIELDS = [
         {"spawn_positions": ((20.0, 20.0, 0.0), (20.0, 40.0, -math.inf))},
         "spawn.positions[1] is not finite: (20.0, 40.0, -inf)",
     ),
+    # An int too large for a float is not finite, not an OverflowError.
+    ({"robot_radius": 10**400}, "robots.radius must be finite"),
+    ({"sensor_range": -(10**400)}, "sensors.range must be finite"),
+    ({"controller_weights": (1.0,) * 7 + (10**400,)}, "controller.weights entries must be finite"),
+    (
+        {"robot_count": 1, "spawn_positions": ((10**400, 1.0, 0.0),)},
+        "spawn.positions[0] is not finite: (inf, 1.0, 0.0)",
+    ),
+    # The properties format strips values and splits lines: such paths
+    # could not be written back.
+    (
+        {"log_path": " out.csv"},
+        "log.path must not start or end with whitespace or hold a line break; got ' out.csv'",
+    ),
+    (
+        {"log_path": "a\nb"},
+        "log.path must not start or end with whitespace or hold a line break; got 'a\\nb'",
+    ),
+    (
+        {"frames_every": 1, "frames_dir": "frames\t"},
+        "frames.dir must not start or end with whitespace or hold a line break; got 'frames\\t'",
+    ),
+    (
+        {"map_path": "m\x1cap.pgm", "arena_width": None, "arena_height": None},
+        "map.path must not start or end with whitespace or hold a line break; got 'm\\x1cap.pgm'",
+    ),
 ]
 
 
@@ -384,3 +410,41 @@ def test_sequences_are_stored_as_tuples_and_paths_as_str(tmp_path):
         **{**VALID, "arena_width": None, "arena_height": None, "map_path": Path("m.pgm")}
     )
     assert map_config.map_path == "m.pgm"
+
+
+PATH_TEXTS = [
+    "out.csv",
+    "runs/a b/out.csv",
+    "a=b#c.csv",
+    "#not-a-comment",
+    "\u00e9t\u00e9/\u2603.pgm",
+    "tab\tinside",
+    "",
+    " out.csv",
+    "out.csv ",
+    "a\nb",
+    "a\r\nb",
+    "a\rb",
+    "a\x0bb",
+    "a\x1cb",
+    "a\u2028b",
+    "\u3000wide",
+]
+
+
+@pytest.mark.parametrize(
+    "key, attr", [("map.path", "map_path"), ("log.path", "log_path"), ("frames.dir", "frames_dir")]
+)
+def test_every_accepted_path_round_trips(key, attr):
+    extra = {"arena_width": None, "arena_height": None} if attr == "map_path" else {}
+    accepted = 0
+    for text in PATH_TEXTS:
+        try:
+            config = SimConfig(**{**VALID, **extra, attr: text})
+        except ConfigError as exc:
+            assert str(exc).startswith(f"{key} must not"), text
+            continue
+        accepted += 1
+        assert getattr(config, attr) == text
+        assert parse_config(serialize_config(config)) == config, text
+    assert accepted == 7

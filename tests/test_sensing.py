@@ -518,8 +518,8 @@ def test_batch_wall_wins_exact_tie_with_robot(monkeypatch, dda_limit):
 
 
 class _CountingArray:
-    """Counts reads; the scalar traversal reads the clearance field once per
-    iteration."""
+    """Counts reads; the scalar traversal reads the box field once per
+    iteration, and the batch once per array round."""
 
     def __init__(self, array: np.ndarray) -> None:
         self.array = array
@@ -578,10 +578,11 @@ def test_wall_batch_tail_handoff_matches_scalar(monkeypatch):
     mixed[2::7] = 0.0
     cases = [np.full(m, math.inf), np.zeros(m), mixed]
 
-    # the longest rays need 50+ traversal iterations
-    counting = _CountingArray(grid.clearance)
+    # the longest rays need 50+ traversal iterations: a box in a 3 px
+    # corridor spans at most 3 cells
+    counting = _CountingArray(grid.boxes)
     probe = SimpleNamespace(
-        width=grid.width, height=grid.height, occupancy=grid.occupancy, clearance=counting
+        width=grid.width, height=grid.height, occupancy=grid.occupancy, boxes=counting
     )
     longest = 0
     for i in np.argsort(far)[-20:]:
@@ -599,7 +600,7 @@ def test_wall_batch_tail_handoff_matches_scalar(monkeypatch):
             assert _wall_batch(grid, ox, oy, dirx, diry, ranges).tolist() == expected, limit
 
 
-# --- the border in closed form, against the border-merged traversal -----------------
+# --- box exits and the border, against the border-merged traversal ----------------
 
 
 def _merged_clearance(grid: GridMap) -> np.ndarray:
@@ -736,10 +737,11 @@ def test_closed_form_border_matches_merged_traversal(monkeypatch):
 
 
 def test_hop_landing_floored_past_the_edge_stays_in_the_map(monkeypatch):
-    # A ray 2e-18 rad off the top edge, in the last row: its first hop lands
-    # at t = 1488, where oy + t * diry rounds up to exactly 50.0, one row
-    # outside the map. The ray must still meet the obstacle at x = 1500 in
-    # the last row (entry at 1489.5), not end at the border entry (2000).
+    # A ray 2e-18 rad off the top edge, in the last row: from t = 1488 on,
+    # oy + t * diry rounds up to exactly 50.0, one row outside the map, so
+    # a cell taken from that estimate alone would leave the map early. The
+    # ray must still meet the obstacle at x = 1500 in the last row (entry
+    # at 1489.5), not end at the border entry (2000).
     from swarmsim import sensing
     from swarmsim.sensing import _wall_batch, _wall_hit_scalar
 
@@ -759,14 +761,15 @@ def test_hop_landing_floored_past_the_edge_stays_in_the_map(monkeypatch):
 
 
 def test_border_bound_ray_reads_the_field_once(monkeypatch):
-    # On a map without obstacles a ray ends at its border entry after one
-    # hop, however shallow its angle to the edge it meets.
+    # On a map without obstacles a ray's first box reaches the border, so the
+    # ray ends at its border entry in one iteration, however shallow its
+    # angle to the edge it meets.
     from swarmsim import sensing
     from swarmsim.sensing import _wall_batch, _wall_hit_scalar
 
     grid = generate_arena(300, 120)
-    counting = _CountingArray(grid.clearance)
-    grid._clearance = counting
+    counting = _CountingArray(grid.boxes)
+    grid._boxes = counting
     merged = _merged_clearance(generate_arena(300, 120))
     rng = np.random.default_rng(3)
     m = 200
@@ -786,6 +789,158 @@ def test_border_bound_ray_reads_the_field_once(monkeypatch):
     counting.reads = 0
     assert _wall_batch(grid, ox, oy, dirx, diry, np.full(m, math.inf)).tolist() == want
     assert counting.reads == 1
+
+
+def _plain_dda(grid, ox, oy, dirx, diry, max_range) -> float:
+    """Test-only reference: the DDA with no hops at all, one cell crossing
+    per step with x first on a tie. Returns inf for no wall within range."""
+    w, h = grid.width, grid.height
+    occ = grid.occupancy
+    cx = math.floor(ox)
+    cy = math.floor(oy)
+    if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
+        return 0.0
+    step_x = (dirx > 0.0) - (dirx < 0.0)
+    step_y = (diry > 0.0) - (diry < 0.0)
+    off_x = 1.0 if dirx > 0.0 else 0.0
+    off_y = 1.0 if diry > 0.0 else 0.0
+    inv_x = 1.0 / dirx if step_x else 0.0
+    inv_y = 1.0 / diry if step_y else 0.0
+    while True:
+        t_x = (cx + off_x - ox) * inv_x if step_x else math.inf
+        t_y = (cy + off_y - oy) * inv_y if step_y else math.inf
+        if t_x <= t_y:
+            t_enter = t_x
+            cx += step_x
+        else:
+            t_enter = t_y
+            cy += step_y
+        if t_enter > max_range:
+            return math.inf
+        if cx < 0 or cy < 0 or cx >= w or cy >= h or occ[cy, cx]:
+            return t_enter
+
+
+def _exit_rule_rays(rng, grid):
+    """Rays whose box exits test the crossing rule, as (ox, oy, dirx, diry)
+    arrays: from cell centres along exact diagonals (every crossing a
+    corner tie) and at +-45 and +-135 degrees, within 1e-15 rad of a lattice
+    corner, axis-parallel or nearly so along lattice lines (wall faces among
+    them), and towards the map edge from its outer cells. The last array
+    flags the rays the pre-box reference can follow (see below)."""
+    w, h = grid.width, grid.height
+    rays = []
+    diag = math.sqrt(0.5)
+    free = [(cx, cy) for cy in range(h) for cx in range(w) if not grid.occupancy[cy, cx]]
+    for cx, cy in rng.sample(free, min(len(free), 60)):
+        x, y = cx + 0.5, cy + 0.5
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            rays.append((x, y, sx * diag, sy * diag, True))
+            angle = math.atan2(sy, sx)
+            rays.append((x, y, math.cos(angle), math.sin(angle), True))
+        for _ in range(2):
+            tx, ty = rng.randint(-1, w + 1), rng.randint(-1, h + 1)
+            angle = math.atan2(ty - y, tx - x)
+            angle += rng.choice([0.0, 1e-15, -1e-15, 2e-16, -2e-16])
+            rays.append((x, y, math.cos(angle), math.sin(angle), True))
+    for _ in range(3 * (w + h)):
+        tilt = rng.choice([0.0, 0.0, 1e-17, -1e-17, 1e-12, -1e-12])
+        along = rng.choice([1.0, -1.0])
+        # From a lattice line, a tilt too small to move o + t * d off it
+        # towards the cells behind the line sends the reference's hop landing
+        # back across the line, and it never ends.
+        ends = tilt >= 0.0 or tilt < -1e-15
+        rays.append((rng.uniform(0.0, w), float(rng.randint(0, h)), along, tilt, ends))
+        rays.append((float(rng.randint(0, w)), rng.uniform(0.0, h), tilt, along, ends))
+    for _ in range(2 * (w + h)):
+        x = rng.choice([rng.uniform(0.0, 1.0), w - rng.uniform(0.0, 1.0), rng.uniform(0.0, w)])
+        y = rng.choice([rng.uniform(0.0, 1.0), h - rng.uniform(0.0, 1.0), rng.uniform(0.0, h)])
+        angle = rng.uniform(-math.pi, math.pi)
+        rays.append((x, y, math.cos(angle), math.sin(angle), True))
+    return [np.array(column) for column in zip(*rays)]
+
+
+def test_box_exits_match_plain_dda(monkeypatch):
+    # The plain DDA decides; the pre-box reference agrees on every ray it
+    # can follow, and the sampled march wherever it resolves the entry.
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    rng = random.Random(41)
+    grids = [
+        generate_arena(23, 17),
+        random_grid(rng, 24, 19, 0.05),
+        random_grid(rng, 31, 9, 0.2),
+        random_grid(rng, 1, 12, 0.2),
+        _corridor_maze(),
+        grid_from_ascii(
+            """
+            ..........
+            ..#.......
+            ..........
+            ......##..
+            ......##..
+            #.........
+            """
+        ),
+    ]
+    default = sensing._SCALAR_DDA_LIMIT
+    for grid in grids:
+        ox, oy, dirx, diry, followed = _exit_rule_rays(rng, grid)
+        m = ox.size
+        rays = list(zip(ox.tolist(), oy.tolist(), dirx.tolist(), diry.tolist()))
+        far = np.array([_plain_dda(grid, *ray, math.inf) for ray in rays])
+        assert np.isfinite(far).all()
+        merged = _merged_clearance(grid)
+        reference = [
+            _reference_wall_hit(grid, merged, *rays[i], math.inf) for i in np.flatnonzero(followed)
+        ]
+        _assert_same_floats(reference, far[followed], (grid.width, grid.height))
+        for ranges in (np.full(m, math.inf), far, np.nextafter(far, -1.0)):
+            want = [_plain_dda(grid, *ray, t) for ray, t in zip(rays, ranges.tolist())]
+            scalar = [_wall_hit_scalar(grid, *ray, t) for ray, t in zip(rays, ranges.tolist())]
+            scalar = [math.inf if t is None else t for t in scalar]
+            _assert_same_floats(scalar, want, (grid.width, grid.height))
+            for limit in (0, default, m + 1):
+                monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", limit)
+                got = _wall_batch(grid, ox, oy, dirx, diry, ranges)
+                _assert_same_floats(got, want, (grid.width, grid.height, limit))
+            monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", default)
+        for i in range(0, m, 11):
+            hx, hy = ox[i] + far[i] * dirx[i], oy[i] + far[i] * diry[i]
+            if abs(hx - round(hx)) < 1e-9 and abs(hy - round(hy)) < 1e-9:
+                continue  # the entry is a lattice corner, which no sample resolves
+            if 0.0 < min(abs(dirx[i]), abs(diry[i])) < 1e-9:
+                continue  # a tilt the march's bearing cannot carry
+            direction = math.atan2(diry[i], dirx[i])
+            march, _ = march_ray_oracle(grid, [], 1.0, (ox[i], oy[i]), direction, far[i] + 0.05)
+            if march is None or abs(march - far[i]) > 0.02:
+                assert fine_march_confirms(
+                    grid, [], 1.0, (ox[i], oy[i]), direction, far[i], "wall", None
+                ), (grid.width, grid.height, i)
+
+
+def test_ray_along_a_lattice_line_ends(monkeypatch):
+    # A ray that starts on the line y = 8 and tilts 1e-17 below it enters
+    # row 7 at t = 0, while oy + t * diry still rounds to 8.0 for every t
+    # in the map. The clearance-hopping traversal landed it back in row 8
+    # and stepped it into row 7 at t = 0 again, forever; the box loop's
+    # exit rule keeps it in row 7 until the obstacle at (3, 7).
+    from swarmsim import sensing
+    from swarmsim.sensing import _wall_batch, _wall_hit_scalar
+
+    occ = np.zeros((19, 24), dtype=bool)
+    occ[7, 3] = True
+    occ[2, 12] = True
+    grid = GridMap(24, 19, occ)
+    ray = (22.71436727971072, 8.0, -1.0, -1e-17)
+    want = _plain_dda(grid, *ray, math.inf)
+    assert want == 22.71436727971072 - 4.0
+    assert _wall_hit_scalar(grid, *ray, math.inf) == want
+    for limit in (0, sensing._SCALAR_DDA_LIMIT):
+        monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", limit)
+        arrays = [np.array([v]) for v in (*ray, math.inf)]
+        assert _wall_batch(grid, *arrays).tolist() == [want]
 
 
 def test_sensor_spec_validation():

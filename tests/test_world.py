@@ -11,14 +11,20 @@ import numpy as np
 import pytest
 
 from swarmsim import (
+    GridMap,
     MapLoadError,
     Pose,
     RobotBody,
     RobotIndex,
+    SensorSpec,
+    evenly_spaced_angles,
     generate_arena,
     load_map,
     rebuild_index,
+    sense_all,
+    sense_batch,
 )
+from swarmsim.sensing import HIT_NONE, HIT_WALL
 
 from conftest import (
     any_within_strict_oracle,
@@ -204,7 +210,102 @@ def test_clearance_field_is_exact_chebyshev():
         for cy in range(grid.height):
             for cx in range(grid.width):
                 assert field[cy, cx] == _chebyshev_oracle(grid, cx, cy)[0]
+        if grid.occupancy.any():
+            assert field.dtype == np.uint8
+            assert np.array_equal(field, grid.boxes.min(axis=0))
     assert (generate_arena(7, 5).clearance == 14).all()
+
+
+def _box_oracle(grid, q: int, cx: int, cy: int) -> int:
+    """Side of the largest obstacle-free square with a corner at (cx, cy)
+    that extends into quadrant q (bit 0: -x, bit 1: -y), out-of-range cells
+    free, capped at 255, by growing the square one ring at a time."""
+    sx = -1 if q & 1 else 1
+    sy = -1 if q & 2 else 1
+    side = 0
+    while side < 255:
+        if side > grid.width + grid.height:
+            return 255  # every further ring lies outside the map
+        ring = [(cx + sx * side, cy + sy * k) for k in range(side + 1)]
+        ring += [(cx + sx * k, cy + sy * side) for k in range(side)]
+        if any(
+            0 <= x < grid.width and 0 <= y < grid.height and grid.occupancy[y, x]
+            for x, y in ring
+        ):
+            break
+        side += 1
+    return side
+
+
+def test_quadrant_boxes_match_brute_force():
+    rng = random.Random(19)
+    grids = [
+        grid_from_ascii("#"),
+        grid_from_ascii("##\n##"),  # every cell an obstacle
+        grid_from_ascii("..#.##...#"),  # one row
+        grid_from_ascii("\n".join(".#..#.#")),  # one column
+    ]
+    for _ in range(60):
+        w, h = rng.randint(1, 16), rng.randint(1, 16)
+        grids.append(random_grid(rng, w, h, rng.uniform(0.0, 0.3)))
+    for grid in grids:
+        if not grid.occupancy.any():
+            continue  # the constant field of an obstacle-free map, below
+        boxes = grid.boxes
+        assert boxes.shape == (4, grid.height, grid.width)
+        assert boxes.dtype == np.uint8
+        for q in range(4):
+            for cy in range(grid.height):
+                for cx in range(grid.width):
+                    want = _box_oracle(grid, q, cx, cy)
+                    assert boxes[q, cy, cx] == want, (grid.width, grid.height, q, cx, cy)
+    open_grid = random_grid(rng, 5, 3, 0.0)
+    assert open_grid.boxes.shape == (4, 3, 5)
+    assert (open_grid.boxes == 5 + 3 + 2).all()
+
+
+def test_far_cells_of_a_large_map_read_the_cap():
+    # One obstacle on a 600x600 map: cells farther than 255 from it read
+    # 255, and every query that uses the fields still matches its oracle.
+    occ = np.zeros((600, 600), dtype=bool)
+    occ[100, 150] = True
+    grid = GridMap(600, 600, occ)
+    assert grid.clearance[100, 150] == 0
+    assert grid.clearance[100, 150 + 254] == 254
+    assert grid.clearance[599, 599] == grid.clearance[100, 405] == 255
+    assert grid.boxes[0, 101, 151] == 255  # the quadrant that points away
+    assert grid.boxes[3, 101, 151] == 1
+    rng = random.Random(29)
+    xs = np.array([rng.uniform(-1.0, 601.0) for _ in range(300)])
+    ys = np.array([rng.uniform(-1.0, 601.0) for _ in range(300)])
+    clear = grid.clearance_at(xs, ys)
+    for x, y, got in zip(xs.tolist(), ys.tolist(), clear.tolist()):
+        cx, cy = math.floor(x), math.floor(y)
+        if 0 <= cx < 600 and 0 <= cy < 600:
+            inner, border = _chebyshev_oracle(grid, cx, cy)
+            assert got == min(inner, border, 255), (x, y)
+        else:
+            assert got == 0
+    for x, y in [(150.5, 100.5), (151.9, 102.0), (405.0, 100.5), (300.0, 300.0)]:
+        for r in (0.5, 2.0, 254.0, 256.0, 300.0):
+            assert grid.disc_free(x, y, r) == disc_free_oracle(grid, x, y, r), (x, y, r)
+    # Sensing with a range past the cap, against the scalar reference.
+    spec = SensorSpec(evenly_spaced_angles(16), 400.0)
+    bodies = [
+        RobotBody(i, Pose(x, y, rng.uniform(-math.pi, math.pi)), 2.0)
+        for i, (x, y) in enumerate([(150.5, 120.0), (500.0, 500.0), (20.0, 580.0), (300.0, 100.5)])
+    ]
+    xs = np.array([b.pose.x for b in bodies])
+    ys = np.array([b.pose.y for b in bodies])
+    thetas = np.array([b.pose.theta for b in bodies])
+    normalized, hits = sense_batch(grid, xs, ys, thetas, 2.0, spec)
+    centers = [(b.pose.x, b.pose.y) for b in bodies]
+    for i, body in enumerate(bodies):
+        for j, reading in enumerate(sense_all(body, spec, grid, centers)):
+            assert abs(normalized[i, j] - reading.normalized) <= 1e-12, (i, j)
+            code = {"none": HIT_NONE, "wall": HIT_WALL}.get(reading.kind, reading.robot)
+            assert hits[i, j] == code, (i, j)
+    assert (normalized[hits == HIT_WALL] * 400.0 > 255.0).any()  # hits past the cap
 
 
 def test_array_lookups_match_scalar_queries():
@@ -261,6 +362,7 @@ def test_open_arena_holds_no_map_sized_buffer():
         grid = generate_arena(side, side)
         assert grid.occupancy.strides == (0, 0)
         clearance = grid.clearance
+        boxes = grid.boxes
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,6 +371,10 @@ def test_open_arena_holds_no_map_sized_buffer():
         assert field.shape == (side, side)
         assert field.strides == (0, 0)
         assert not field.flags.writeable
+    assert boxes.shape == (4, side, side)
+    assert boxes.strides == (0, 0, 0)
+    assert not boxes.flags.writeable
+    assert boxes[3, side - 1, side - 1] == 2 * side + 2
     assert not grid.occupancy.any()
     assert clearance[0, 0] == clearance[side - 1, side - 1] == 2 * side + 2
     # The border still bounds every query.
