@@ -16,7 +16,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ._slots import slot_init
+from ._slots import slot_build, slot_init
 from .kinematics import ActuatorCommand, Limits
 from .rng import RngStream, uniform_batch
 from .sensing import SensorReading, SensorSpec, _pairs_within
@@ -168,8 +168,13 @@ def deliver_messages(
     if not sends.any():
         return inboxes, 0
     radius = np.array([0.0 if b is None else b.radius for b in outboxes], dtype=np.float64)
-    if not (radius >= 0.0).all():
-        raise ValueError("query distance must be non-negative")
+    bad = np.flatnonzero(~(radius >= 0.0))
+    if bad.size:
+        robot = int(bad[0])
+        raise ValueError(
+            f"broadcast radius of robot {robot} must be non-negative; "
+            f"got {outboxes[robot].radius!r}"
+        )
     pa, pb, _ = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
     src = np.concatenate((pa, pb))
     dst = np.concatenate((pb, pa))
@@ -179,7 +184,11 @@ def deliver_messages(
     src = src[keep]
     dst = dst[keep]
     order = np.lexsort((src, dst))
-    messages = [b if b is None else Message(i, b.payload) for i, b in enumerate(outboxes)]
-    for sender, receiver in zip(src[order].tolist(), dst[order].tolist()):
+    # One Message per sender, shared by its receivers; `rank` maps a sender
+    # id to its place in `messages`.
+    senders = np.flatnonzero(sends).tolist()
+    messages = slot_build(Message, len(senders), senders, [outboxes[i].payload for i in senders])
+    rank = np.cumsum(sends) - 1
+    for sender, receiver in zip(rank[src[order]].tolist(), dst[order].tolist()):
         inboxes[receiver].append(messages[sender])
     return inboxes, int(src.size)

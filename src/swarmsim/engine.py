@@ -27,9 +27,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from ._slots import slot_build
 from .config import SimConfig
 from .controllers import (
     Broadcast,
@@ -57,6 +59,7 @@ from .sensing import (
     SensorSpec,
     _pairs_within,
     evenly_spaced_angles,
+    reading_block,
     readings_from_arrays,
     sense_batch,
 )
@@ -403,27 +406,36 @@ class Simulation:
                     f"(v={float(v_arr[robot])!r}, w={float(w_arr[robot])!r})"
                 )
         else:
-            # Robot i's readings are built just before robot i steps, and its
-            # output is checked before robot i + 1 runs.
+            # Readings and inputs are built a block of `reading_block` robots
+            # at a time; robots then step one by one, and robot i's output is
+            # checked before robot i + 1 steps.
             tick = state.tick
+            n = xs.size
+            block = reading_block(len(self.spec.angles))
+            collided_last = state.collided.tolist()
+            inboxes = state.inboxes
+            streams = state.rng_streams
             vs: list[float] = []
             ws: list[float] = []
             outboxes = []
-            rows = zip(
-                readings_from_arrays(normalized, hits),
-                state.collided.tolist(),
-                state.inboxes,
-                state.rng_streams,
-            )
-            for i, (readings, collided_last, inbox, stream) in enumerate(rows):
-                output = controller.step(
-                    ControlInput(readings, collided_last, tuple(inbox), tick), stream
+            rows = readings_from_arrays(normalized, hits)
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                inputs = slot_build(
+                    ControlInput,
+                    stop - start,
+                    rows,
+                    collided_last[start:stop],
+                    map(tuple, inboxes[start:stop]),
+                    repeat(tick),
                 )
-                self._validate_output(output, i, tick)
-                command = output.command
-                vs.append(command.v)
-                ws.append(command.w)
-                outboxes.append(output.broadcast)
+                for i, control_input in enumerate(inputs, start):
+                    output = controller.step(control_input, streams[i])
+                    self._validate_output(output, i, tick)
+                    command = output.command
+                    vs.append(command.v)
+                    ws.append(command.w)
+                    outboxes.append(output.broadcast)
             v_arr = np.array(vs, dtype=np.float64)
             w_arr = np.array(ws, dtype=np.float64)
 

@@ -8,12 +8,117 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cache
 
 import numpy as np
 
 from .rng import mix64
 
 _GRAY = (160, 160, 160)
+
+
+# `_micro` is exact while |v| * 1e6 < 2**53; rows with a value at or past
+# this bound, or a non-finite one, are printed by `_row_text`.
+_EXACT_BOUND = 2.0**33
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64
+_PAD = 0  # byte of the row matrix that is dropped before writing
+
+# Blocks of 1000 rows of `_groups()`: row i of a block is the three-digit
+# group i and one more byte, as the group's place in a number prints it.
+# _FULL: a group below a non-zero one; _BARE: the top group of a whole part,
+# leading zeros dropped (0 prints nothing); _UNITS: the units group as the
+# top group (0 prints 0); _BARE_NEG, _UNITS_NEG: the same behind a minus;
+# _POINT: the point and the first three decimals; _LAST: the last three
+# decimals and the field's comma.
+_FULL, _BARE, _UNITS, _BARE_NEG, _UNITS_NEG, _POINT, _LAST = range(0, 7000, 1000)
+
+
+@cache
+def _groups() -> np.ndarray:
+    """The (7000, 4) read-only table of the blocks above, built on first use."""
+    digits = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(), np.uint8)
+    digits = digits.reshape(1000, 3)
+    bare = digits.copy()
+    bare[:100, 0] = _PAD
+    bare[:10, 1] = _PAD
+    bare[0, 2] = _PAD
+    units = bare.copy()
+    units[0, 2] = ord("0")
+
+    def block(lead: int, body: np.ndarray) -> np.ndarray:
+        return np.concatenate((np.full((1000, 1), lead, dtype=np.uint8), body), axis=1)
+
+    minus, point = ord("-"), ord(".")
+    comma = np.full((1000, 1), ord(","), dtype=np.uint8)
+    blocks = (
+        block(_PAD, digits),  # _FULL
+        block(_PAD, bare),  # _BARE
+        block(_PAD, units),  # _UNITS
+        block(minus, bare),  # _BARE_NEG
+        block(minus, units),  # _UNITS_NEG
+        block(point, digits),  # _POINT
+        np.concatenate((digits, comma), axis=1),  # _LAST
+    )
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
+    return table
+
+
+def _row_text(tick: int, robot: int, x: float, y: float, theta: float, hit: bool) -> str:
+    """One CSV row, without its line break, printed by f-string."""
+    return f"{tick},{robot},{x:.6f},{y:.6f},{theta:.6f},{1 if hit else 0}"
+
+
+def _whole_groups(
+    values: np.ndarray, negative: np.ndarray | bool = False
+) -> list[np.ndarray]:
+    """`_groups()` rows of the non-negative int64 `values`, three digits each,
+    top group first, as many groups as the largest value needs. A group
+    with only zeros above it is the top one and prints no leading zeros; the
+    top group carries the sign of the `negative` entries."""
+    count = max(1, -(-len(str(int(values.max(initial=0)))) // 3))
+    groups = []
+    rest = values
+    for g in range(count):
+        high = rest // 1000
+        groups.append(rest - high * 1000 + (high == 0) * (_UNITS if g == 0 else _BARE))
+        rest = high
+    groups[-1] = groups[-1] + np.multiply(negative, _BARE_NEG - _BARE)
+    return groups[::-1]
+
+
+def _micro(values: np.ndarray) -> np.ndarray:
+    """round(|v| * 1e6), half to even, as int64: the digits of `f"{v:.6f}"`
+    for each finite v with |v| < 2**33.
+
+    Veltkamp's split gives |v| * 1e6 as the exact sum p + e (1e6 has 14
+    significant bits, so both partial products are exact; Dekker, Numer.
+    Math. 1971). rint(p) rounds half to even like the f-string and is off by
+    one only where p is a tie: p - rint(p) == 0.5 with e > 0 rounds up, and
+    -0.5 with e < 0 rounds down."""
+    a = np.abs(values)
+    p = a * 1e6
+    c = a * _SPLIT
+    high = c - (c - a)
+    e = (high * 1e6 - p) + (a - high) * 1e6
+    q = np.rint(p)
+    r = p - q
+    q += (r == 0.5) & (e > 0.0)
+    q -= (r == -0.5) & (e < 0.0)
+    return q.astype(np.int64)
+
+
+def _fixed6(values: np.ndarray) -> np.ndarray:
+    """`f"{v:.6f},"` of each finite v with |v| < 2**33, as a new last axis of
+    ASCII bytes whose `_PAD` bytes are to be dropped. The sign comes from
+    `signbit`, so a negative that rounds to zero prints `-0.000000`."""
+    micro = _micro(values)
+    rest = micro // 1000
+    last = micro - rest * 1000 + _LAST
+    whole = rest // 1000
+    point = rest - whole * 1000 + _POINT
+    groups = _whole_groups(whole, np.signbit(values)) + [point, last]
+    return _groups().take(np.stack(groups, axis=-1), axis=0).reshape(*values.shape, -1)
 
 
 class TrajectoryLogger:
@@ -23,25 +128,56 @@ class TrajectoryLogger:
     exactly six decimal places and collided as 0/1. The file opens (and the
     header is written) before the first tick so an unwritable path aborts
     the run up front.
+
+    Rows are built as one byte matrix per tick with the digits of `_fixed6`;
+    a row with a value past its exactness bound is printed by `_row_text`,
+    the f-string the matrix reproduces byte for byte.
     """
 
     HEADER = "tick,robot_id,x,y,theta,collided\n"
 
     def __init__(self, path: str) -> None:
-        self._file = open(path, "w", newline="")
-        self._file.write(self.HEADER)
+        self._file = open(path, "wb")
+        self._file.write(self.HEADER.encode("ascii"))
+        self._ids = np.empty((0, 0), dtype=np.uint8)
+
+    def _id_fields(self, n: int) -> np.ndarray:
+        """`robot_id,` of robots 0 to n - 1 as an (n, width) byte matrix,
+        kept from one append to the next."""
+        if self._ids.shape[0] != n:
+            groups = np.stack(_whole_groups(np.arange(n, dtype=np.int64)), axis=-1)
+            digits = _groups().take(groups, axis=0).reshape(n, -1)
+            comma = np.full((n, 1), ord(","), dtype=np.uint8)
+            self._ids = np.concatenate((digits, comma), axis=1)
+        return self._ids
 
     def append(self, state) -> None:
+        n = state.xs.size
+        if not n:
+            return
         tick = state.tick
-        poses = zip(
-            state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist()
-        )
-        rows = [
-            f"{tick},{i},{x:.6f},{y:.6f},{theta:.6f},{1 if hit else 0}"
-            for i, (x, y, theta, hit) in enumerate(poses)
-        ]
-        if rows:
-            self._file.write("\n".join(rows) + "\n")
+        poses = np.stack((state.xs, state.ys, state.thetas), axis=1)
+        exact = (np.abs(poses) < _EXACT_BOUND).all(axis=1)
+        everywhere = bool(exact.all())
+        fields = _fixed6(poses if everywhere else np.where(exact[:, None], poses, 0.0))
+        ids = self._id_fields(n)
+        prefix = np.frombuffer(f"{tick},".encode("ascii"), dtype=np.uint8)
+        a, b, c, d, width = np.cumsum([prefix.size, ids.shape[1], fields[0].size, 1, 1])
+        rows = np.empty((n, width), dtype=np.uint8)
+        rows[:, :a] = prefix
+        rows[:, a:b] = ids
+        rows[:, b:c] = fields.reshape(n, -1)
+        np.add(state.collided, ord("0"), out=rows[:, c], casting="unsafe")
+        rows[:, d] = ord("\n")
+        text = rows[rows != _PAD].tobytes()
+        if not everywhere:
+            lines = text.split(b"\n")
+            for i in np.flatnonzero(~exact).tolist():
+                x, y, theta = poses[i].tolist()
+                row = _row_text(tick, i, x, y, theta, bool(state.collided[i]))
+                lines[i] = row.encode("ascii")
+            text = b"\n".join(lines)
+        self._file.write(text)
 
     def close(self) -> None:
         if not self._file.closed:

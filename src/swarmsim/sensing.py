@@ -21,13 +21,15 @@ those rays get the exact ray-circle test.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._slots import slot_init
+from ._slots import slot_build, slot_init
 from .kinematics import RobotBody
 from .world import GridMap
 
@@ -616,22 +618,50 @@ def sense_batch(
     return dist / max_range, hit
 
 
+# Readings per block of `readings_from_arrays`, and so robots per block of
+# the plugin loop: a block's readings, inputs and outputs stay below the 700
+# allocations that start a young collection, so few of them get promoted.
+# On the maze benchmark, 256 runs 3.7 collections per tick and 512 runs 5.4.
+_BLOCK_READINGS = 256
+
+
+def reading_block(k: int) -> int:
+    """Robots per block of `readings_from_arrays` for a belt of k rays."""
+    return max(1, _BLOCK_READINGS // k)
+
+
 def readings_from_arrays(
     normalized: np.ndarray, hits: np.ndarray
 ) -> Iterator[tuple[SensorReading, ...]]:
     """Materialize the (n, k) batch matrices of `sense_batch` as one tuple of
-    SensorReading objects per robot, in id order. Rows are built as they are
-    consumed. Every `none` ray is the shared `_NONE_READING`: its distance is
-    the range itself, so its normalized value is exactly 1.0."""
-    none = _NONE_READING
-    for values, codes in zip(normalized.tolist(), hits.tolist()):
-        yield tuple(
-            [
-                none
-                if code == HIT_NONE
-                else SensorReading(value, KIND_WALL)
-                if code == HIT_WALL
-                else SensorReading(value, KIND_ROBOT, code)
-                for value, code in zip(values, codes)
-            ]
+    SensorReading objects per robot, in id order. Rows are built a block of
+    `reading_block(k)` robots at a time, when the block's first row is
+    consumed: its wall readings and its robot readings are each built from
+    columns by `slot_build`. Every `none` ray is the shared `_NONE_READING`:
+    its distance is the range itself, so its normalized value is exactly
+    1.0."""
+    k = hits.shape[1]
+    span = reading_block(k) * k
+    codes = hits.ravel()
+    values = normalized.ravel()
+    bounds = np.arange(0, codes.size + span, span)
+    wall = np.flatnonzero(codes == HIT_WALL)
+    robot = np.flatnonzero(codes >= 0)
+    wall_cut = np.searchsorted(wall, bounds).tolist()
+    robot_cut = np.searchsorted(robot, bounds).tolist()
+    wall_at = (wall % span).tolist()
+    wall_value = values[wall].tolist()
+    robot_at = (robot % span).tolist()
+    robot_value = values[robot].tolist()
+    robot_id = codes[robot].tolist()
+    for b, lo in enumerate(range(0, codes.size, span)):
+        flat = [_NONE_READING] * min(span, codes.size - lo)
+        w0, w1 = wall_cut[b], wall_cut[b + 1]
+        built = slot_build(SensorReading, w1 - w0, wall_value[w0:w1], repeat(KIND_WALL))
+        deque(map(flat.__setitem__, wall_at[w0:w1], built), maxlen=0)
+        r0, r1 = robot_cut[b], robot_cut[b + 1]
+        built = slot_build(
+            SensorReading, r1 - r0, robot_value[r0:r1], repeat(KIND_ROBOT), robot_id[r0:r1]
         )
+        deque(map(flat.__setitem__, robot_at[r0:r1], built), maxlen=0)
+        yield from zip(*[iter(flat)] * k)

@@ -8,9 +8,11 @@ transcription of SplitMix64. Library results are checked against these.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,23 @@ def child_env() -> dict[str, str]:
     src = str(Path(swarmsim.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """`perfbench/workloads.py`, loaded from its file without changing it."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while building
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
 
 
 # --- independent SplitMix64 reference ----------------------------------------

@@ -338,5 +338,13 @@ def test_array_routing_edge_cases():
     # only None outboxes, and a lone sender
     assert _assert_same_routing(points, [None] * 5) == ([[]] * 5, 0)
     assert _assert_same_routing(points[:1], [Broadcast(b"x", 50.0)]) == ([[]], 0)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(
+        ValueError, match=r"^broadcast radius of robot 0 must be non-negative; got -1\.0$"
+    ):
         _deliver(points, [Broadcast(b"x", -1.0), None, None, None, None])
+    # the lowest bad sender is named, NaN included
+    bad = [None, Broadcast(b"x", 5.0), None, Broadcast(b"x", math.nan), Broadcast(b"x", -2.5)]
+    with pytest.raises(
+        ValueError, match=r"^broadcast radius of robot 3 must be non-negative; got nan$"
+    ):
+        _deliver(points, bad)

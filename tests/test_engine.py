@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from swarmsim import (
@@ -17,6 +18,7 @@ from swarmsim import (
     BraitenbergController,
     Broadcast,
     ConfigError,
+    ControlInput,
     ControlOutput,
     ControllerError,
     Pose,
@@ -27,10 +29,12 @@ from swarmsim import (
     SpawnError,
     generate_arena,
     run,
+    sense_batch,
     spawn,
     state_digest,
     wrap_angle,
 )
+from swarmsim.sensing import reading_block
 
 from conftest import child_env
 
@@ -538,6 +542,108 @@ def test_faulty_output_stops_the_tick_before_later_robots_step():
     ):
         sim.step()
     assert ctrl.stepped == [0, 1, 2, 3]
+
+
+def test_fault_in_a_later_block_stops_the_tick_at_that_robot():
+    # Readings and inputs are built a block of robots at a time; robot 70 sits
+    # inside the third block of an 8-ray belt. Its fault is named, and robot
+    # 71, whose step would raise, never runs.
+    config = make_config(
+        robot_count=100,
+        spawn_positions=tuple(
+            (20.0 + 30.0 * (i % 10), 20.0 + 30.0 * (i // 10), 0.0) for i in range(100)
+        ),
+        arena_width=400,
+        arena_height=400,
+    )
+    assert 64 <= 70 < 96 and reading_block(8) == 32
+    ok = ControlOutput(ActuatorCommand(0.0, 0.0))
+    outputs = [ok] * 100
+    outputs[70] = ControlOutput(ActuatorCommand(0.0, math.inf))
+    ctrl = RaisingAtController(outputs, raise_at=71)
+    sim = Simulation(config, controller=ctrl)
+    with pytest.raises(
+        ControllerError, match=r"^robot 70 tick 0: non-finite command \(v=0\.0, w=inf\)$"
+    ):
+        sim.step()
+    assert ctrl.stepped == list(range(71))
+
+
+class RecordingBeacon:
+    """Test plugin: records every ControlInput; robot i (stepped in id order)
+    drives and turns by id and broadcasts with a radius that varies by id
+    and tick."""
+
+    def __init__(self, robots: int) -> None:
+        self.robots = robots
+        self.inputs = []
+        self.sent = []
+
+    def step(self, control_input, rng):
+        robot = len(self.inputs) % self.robots
+        self.inputs.append(control_input)
+        broadcast = None
+        if (robot + control_input.tick) % 3:
+            broadcast = Broadcast(bytes([robot % 256]), 4.0 + (robot * 5 + control_input.tick) % 17)
+        self.sent.append(broadcast)
+        w = 0.3 * rng.uniform() - 0.15
+        return ControlOutput(ActuatorCommand(2.0 if robot % 4 else 0.5, w), broadcast)
+
+
+def test_plugin_inputs_equal_a_per_robot_oracle(tmp_path):
+    from conftest import EPUCK_ANGLES
+    from test_controllers import deliver_messages_loop
+    from test_move_resolution import reference_readings
+
+    # A walled crowd: border, bars and a block, 180 robots, the uneven belt.
+    occ = np.zeros((120, 140), dtype=bool)
+    occ[[0, -1], :] = True
+    occ[:, [0, -1]] = True
+    occ[30:33, 10:90] = True
+    occ[60:110, 100:104] = True
+    occ[80:95, 30:50] = True
+    map_path = tmp_path / "crowd.pgm"
+    map_path.write_bytes(b"P5\n140 120\n255\n" + np.where(occ, 0, 255).astype(np.uint8).tobytes())
+    config = make_config(
+        robot_count=180,
+        robot_radius=2.5,
+        seed=12,
+        map_path=str(map_path),
+        arena_width=None,
+        arena_height=None,
+        sensor_count=len(EPUCK_ANGLES),
+        sensor_angles=EPUCK_ANGLES,
+        sensor_range=30.0,
+    )
+    n = config.robot_count
+    ctrl = RecordingBeacon(n)
+    sim = Simulation(config, controller=ctrl)
+    inboxes = [[] for _ in range(n)]
+    kinds = set()
+    for tick in range(10):
+        state = sim.state
+        normalized, hits = sense_batch(
+            state.grid, state.xs, state.ys, state.thetas, config.robot_radius, sim.spec
+        )
+        collided = state.collided.tolist()
+        expected = [
+            ControlInput(
+                reference_readings(normalized[i], hits[i]), collided[i], tuple(inboxes[i]), tick
+            )
+            for i in range(n)
+        ]
+        sim.step()
+        got = ctrl.inputs[-n:]
+        for i, (have, want) in enumerate(zip(got, expected)):
+            assert have == want, (tick, i)
+            assert type(have.readings) is tuple and type(have.inbox) is tuple
+            assert type(have.collided_last_tick) is bool
+            kinds.update(r.kind for r in have.readings)
+        points = list(zip(sim.state.xs.tolist(), sim.state.ys.tolist()))
+        inboxes, _ = deliver_messages_loop(points, ctrl.sent[-n:])
+    assert kinds == {"none", "wall", "robot"}
+    assert any(i.collided_last_tick for i in ctrl.inputs[n:])
+    assert sum(len(i.inbox) for i in ctrl.inputs[-n:]) > n
 
 
 def test_no_overlap_invariant_over_run():

@@ -123,8 +123,8 @@ class _Beacon:
         )
 
 
-def run_case(name: str, work: Path) -> list[list[int]]:
-    """[digest, canceled_moves, messages_delivered] after each tick."""
+def case_simulation(name: str, work: Path) -> Simulation:
+    """The case's simulation at tick 0; map files are written into `work`."""
     kwargs = dict(CASES[name])
     if name == "p2_map":
         map_path = work / "golden.pgm"
@@ -138,7 +138,12 @@ def run_case(name: str, work: Path) -> list[list[int]]:
         kwargs["spawn_positions"] = _lattice_poses()
     config = SimConfig(seed=7, ticks=TICKS, **kwargs)
     controller = _Beacon(config) if name == "epuck_beacon" else None
-    sim = Simulation(config, controller=controller)
+    return Simulation(config, controller=controller)
+
+
+def run_case(name: str, work: Path) -> list[list[int]]:
+    """[digest, canceled_moves, messages_delivered] after each tick."""
+    sim = case_simulation(name, work)
     rows = []
     for _ in range(TICKS):
         sim.step()

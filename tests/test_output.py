@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from swarmsim import (
     SensorSpec,
     SimConfig,
     Simulation,
+    TrajectoryLogger,
     evenly_spaced_angles,
     generate_arena,
     render_frame,
@@ -21,6 +24,7 @@ from swarmsim import (
     run,
 )
 
+import test_golden_digests as golden
 from conftest import place_bodies, random_grid, state_of
 
 
@@ -78,6 +82,168 @@ def test_unwritable_log_path_aborts_before_tick_zero(tmp_path):
     bad = tmp_path / "missing_dir" / "run.csv"
     with pytest.raises(OSError):
         run(_config(log_path=str(bad)))
+
+
+def fstring_rows(state) -> bytes:
+    """The rows `TrajectoryLogger.append` wrote before it built them in
+    arrays, one f-string per robot; kept as its oracle."""
+    poses = zip(
+        state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist()
+    )
+    rows = [
+        f"{state.tick},{i},{x:.6f},{y:.6f},{theta:.6f},{1 if hit else 0}\n"
+        for i, (x, y, theta, hit) in enumerate(poses)
+    ]
+    return "".join(rows).encode("ascii")
+
+
+def _logged(path, states) -> bytes:
+    with TrajectoryLogger(str(path)) as logger:
+        for state in states:
+            logger.append(state)
+    return path.read_bytes()
+
+
+def _assert_rows_match(path, values, tick=1, chunk=60_000):
+    """Log `values` three to a row (x, y, theta) and compare each chunk of
+    rows with the oracle's bytes."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.concatenate((values, np.zeros(-values.size % 3))).reshape(-1, 3)
+    rng = np.random.default_rng(values.shape[0])
+    header = TrajectoryLogger.HEADER.encode("ascii")
+    for start in range(0, values.shape[0], chunk):
+        block = values[start : start + chunk]
+        state = SimpleNamespace(
+            tick=tick,
+            xs=block[:, 0].copy(),
+            ys=block[:, 1].copy(),
+            thetas=block[:, 2].copy(),
+            collided=rng.random(block.shape[0]) < 0.5,
+        )
+        got = _logged(path, [state])
+        want = header + fstring_rows(state)
+        if got != want:  # report the first row that differs, not 4 MB of text
+            pairs = zip(got.split(b"\n"), want.split(b"\n"))
+            assert next(((a, b) for a, b in pairs if a != b), None) is None
+            assert len(got) == len(want)
+
+
+def _with_neighbours(values: np.ndarray) -> np.ndarray:
+    return np.concatenate(
+        (values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf))
+    )
+
+
+def test_log_rows_match_fstrings_on_every_tie_and_its_neighbours(tmp_path):
+    # k / 2**7 times 1e6 ends in .5 for odd k: every exact decimal tie of
+    # :.6f in +-8192, and the two floats beside each.
+    ties = np.arange(-8192 * 128, 8192 * 128 + 1) / 128.0
+    _assert_rows_match(tmp_path / "ties.csv", _with_neighbours(ties))
+
+
+def test_log_rows_match_fstrings_near_half_micro_values(tmp_path):
+    # (k + 0.5) * 1e-6 is not exact in binary: it lies just above or just
+    # below the tie, which only the split's error term tells apart.
+    half = (np.arange(-150_000, 150_000) + 0.5) * 1e-6
+    wide = (np.arange(-2_000, 2_000) * 1_000_003 + 0.5) * 1e-6
+    _assert_rows_match(tmp_path / "half.csv", _with_neighbours(np.concatenate((half, wide))))
+
+
+def test_log_rows_match_fstrings_on_signs_and_random_values(tmp_path):
+    rng = np.random.default_rng(2024)
+    special = [
+        7.75e-05,
+        -7.75e-05,
+        0.0,
+        -0.0,
+        -1e-300,
+        -5e-324,
+        -4.999999e-07,
+        -5e-07,
+        5e-07,
+        -5.000001e-07,
+        0.9999995,
+        -0.9999995,
+        999.9999995,
+        2.0**33 - 2.0**-20,
+        -(2.0**33) + 2.0**-20,
+        math.pi,
+        -math.pi,
+    ]
+    randoms = [
+        rng.uniform(-5000.0, 5000.0, 150_000),
+        rng.uniform(-math.pi, math.pi, 60_000),
+        rng.standard_normal(60_000) * 1e-6,
+        np.exp(rng.uniform(-40.0, 22.9, 60_000)) * rng.choice([-1.0, 1.0], 60_000),
+    ]
+    _assert_rows_match(tmp_path / "random.csv", np.concatenate([special, *randoms]), tick=987654)
+
+
+def test_log_rows_past_the_exact_bound_are_fstrings(tmp_path):
+    # Values at or past 2**33, and non-finite ones, are printed by f-string,
+    # interleaved with array-built rows.
+    bound = 2.0**33
+    values = [
+        [bound, 1.0, 0.5],
+        [bound - 2.0**-20, -(bound - 2.0**-20), 0.0],
+        [-bound, 2.0, -0.5],
+        [3.0, 1e300, -3.0],
+        [1.5, 2.5, math.inf],
+        [math.nan, -math.inf, 1.0],
+        [1.25, -1.25, -0.0],
+        [1e10 + 0.25, 7.5, 3.0],
+        [1.5e10 + 2.0**-9, -(1.5e10 + 2.0**-9), 0.125],  # past 2**53 once scaled
+    ]
+    _assert_rows_match(tmp_path / "far.csv", values, tick=3)
+
+
+def test_wide_arena_log_matches_fstrings(tmp_path):
+    # An open arena four times 2**33 wide: most robots lie past the bound.
+    path = tmp_path / "wide.csv"
+    config = _config(
+        robot_count=40,
+        ticks=5,
+        controller_type="braitenberg",
+        arena_width=4 * 2**33,
+        arena_height=64,
+        log_path=str(path),
+    )
+    sim = Simulation(config)
+    assert (sim.state.xs >= 2.0**33).any() and (sim.state.xs < 2.0**33).any()
+    expected = [TrajectoryLogger.HEADER.encode("ascii")]
+    for _ in range(config.ticks):
+        sim.step()
+        expected.append(fstring_rows(sim.state))
+    run(config)
+    assert path.read_bytes() == b"".join(expected)
+
+
+def _assert_run_logs_match(tmp_path, sim, ticks):
+    oracle = [TrajectoryLogger.HEADER.encode("ascii")]
+    path = tmp_path / "run.csv"
+    with TrajectoryLogger(str(path)) as logger:
+        for _ in range(ticks):
+            sim.step()
+            logger.append(sim.state)
+            oracle.append(fstring_rows(sim.state))
+    assert path.read_bytes() == b"".join(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_golden_scenario_logs_match_fstrings(tmp_path, name):
+    _assert_run_logs_match(tmp_path, golden.case_simulation(name, tmp_path), golden.TICKS)
+
+
+def test_maze_log_matches_fstrings(tmp_path, workloads):
+    # The benchmark's maze, 1000 robots and its broadcasting plugin, 30 ticks.
+    occ = workloads.maze_occupancy(1)
+    map_path = tmp_path / "maze.pgm"
+    pixels = np.where(occ, 0, 255).astype(np.uint8)
+    map_path.write_bytes(b"P5\n%d %d\n255\n" % (occ.shape[1], occ.shape[0]) + pixels.tobytes())
+    workload = workloads.WORKLOADS["maze1k_beacon"]
+    config = workloads.make_config(workload, 1, str(map_path))
+    sim = Simulation(config, controller=workloads.make_controller(workload, config))
+    _assert_run_logs_match(tmp_path, sim, 30)
 
 
 # --- render_frame ----------------------------------------------------------------

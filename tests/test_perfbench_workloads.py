@@ -10,30 +10,11 @@ here rather than only in a benchmark run.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
 from swarmsim import GridMap, SimConfig
-
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up while building
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
-
 
 @pytest.mark.parametrize("name", ["arena5k_avoid", "crowd2k_walk", "maze1k_beacon"])
 def test_make_config_builds_every_seed(workloads, name):

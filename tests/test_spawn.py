@@ -9,11 +9,8 @@ and the "map too dense" message must all be identical.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +20,6 @@ from swarmsim.world import RobotIndex
 
 from conftest import random_grid
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEEDS = range(11)
 
 
@@ -72,19 +68,6 @@ def assert_matches_sequential(config: SimConfig, grid: GridMap) -> object:
     got = _outcome(array_spawn, config, grid)
     assert got == want, config
     return got[0]
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    name = "perfbench_workloads_spawn"
-    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up while building
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
 
 
 @pytest.mark.parametrize("name", ["arena5k_avoid", "crowd2k_walk", "maze1k_beacon"])

@@ -2,7 +2,8 @@
 
 Each class has its `__init__` replaced by `slot_init`; its twin below is the
 same fields under a plain `@dataclass(frozen=True, slots=True)`, so every
-observable behaviour must agree between the two.
+observable behaviour must agree between the two. Instances that `slot_build`
+makes from columns must agree with constructed ones in the same way.
 """
 
 from __future__ import annotations
@@ -10,12 +11,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import inspect
+import itertools
 import pickle
 
 import pytest
 
 from swarmsim import ActuatorCommand, Broadcast, ControlInput, ControlOutput, SensorReading
-from swarmsim._slots import slot_init
+from swarmsim._slots import slot_build, slot_init
 from swarmsim.controllers import Message
 
 
@@ -123,7 +125,58 @@ def test_missing_or_extra_arguments_raise_type_error(cls):
             cls(*bad_args, **bad_kwargs)
 
 
-def test_slot_init_refuses_what_it_cannot_keep():
+# class -> (columns for three instances, {field: replacement value}); the
+# engine builds these three types from columns every tick.
+BULK = {
+    SensorReading: (([0.5, 0.25, 1.0], ["wall", "robot", "none"], [None, 7, None]), {"robot": 2}),
+    ControlInput: (
+        (
+            [(READING,), (), (READING, SensorReading(1.0, "none"))],
+            [True, False, True],
+            [(Message(1, b"a"),), (), (Message(0, b""), Message(2, b"bc"))],
+            [5, 5, 5],
+        ),
+        {"tick": 6, "inbox": ()},
+    ),
+    Message: (([4, 0, 9], [b"hello", b"", b"xyz"]), {"payload": b"bye"}),
+}
+BULK_PARAMS = pytest.mark.parametrize("cls", list(BULK), ids=lambda c: c.__name__)
+
+
+@BULK_PARAMS
+def test_built_from_columns_equals_constructed(cls):
+    columns, changes = BULK[cls]
+    twin = _twin(cls)
+    built = slot_build(cls, 3, *(iter(column) for column in columns))
+    rows = list(zip(*columns))
+    assert len(built) == 3
+    for obj, row in zip(built, rows):
+        made = cls(*row)
+        assert type(obj) is cls and not hasattr(obj, "__dict__")
+        assert obj == made and hash(obj) == hash(made) == hash(twin(*row))
+        assert repr(obj) == repr(made) == repr(twin(*row))
+        assert dataclasses.replace(obj, **changes) == dataclasses.replace(made, **changes)
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(clone) is cls and clone == made and hash(clone) == hash(made)
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, field.name)
+
+
+def test_build_fills_trailing_defaults_and_checks_its_columns():
+    walls = slot_build(SensorReading, 2, [0.5, 0.25], itertools.repeat("wall"))
+    assert walls == [SensorReading(0.5, "wall"), SensorReading(0.25, "wall")]
+    assert all(w.robot is None for w in walls)
+    assert slot_build(Message, 0, [], []) == []
+    with pytest.raises(TypeError, match="no column and no default"):
+        slot_build(Message, 1, [1])
+    with pytest.raises(TypeError, match="3 columns for 2 fields"):
+        slot_build(Message, 1, [1], [b"x"], [None])
+
+
+def _refused_classes():
     @dataclasses.dataclass(slots=True)
     class Mutable:
         x: int
@@ -139,6 +192,24 @@ def test_slot_init_refuses_what_it_cannot_keep():
     class Factory:
         x: list = dataclasses.field(default_factory=list)
 
-    for cls in (Mutable, Checked, Factory):
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class KeywordOnly:
+        x: int = dataclasses.field(kw_only=True)
+
+    @dataclasses.dataclass(frozen=True)
+    class NoSlots:
+        x: int
+
+    return (Mutable, Checked, Factory, KeywordOnly, NoSlots)
+
+
+def test_slot_init_refuses_what_it_cannot_keep():
+    for cls in _refused_classes():
         with pytest.raises(TypeError, match="slot_init"):
             slot_init(cls)
+
+
+def test_slot_build_refuses_what_slot_init_refuses():
+    for cls in _refused_classes():
+        with pytest.raises(TypeError, match="slot_init"):
+            slot_build(cls, 1, [1])
