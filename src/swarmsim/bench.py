@@ -1,7 +1,7 @@
 """Scaling benchmark: rerun one base config across population sizes.
 
-Emits one CSV row per size. The printed steps_per_sec is recomputed from the
-printed wall_seconds, so the definitional identity steps = n * ticks / wall
+Emits one CSV row per size. wall_seconds prints as its repr, which parses
+back to the same float, so the definitional identity steps = n * ticks / wall
 holds exactly on the parsed file.
 """
 
@@ -30,10 +30,10 @@ class BenchRow:
         if self.error is not None:
             reason = self.error.replace(",", ";").replace("\n", " ")
             return f"{self.n},{self.ticks},,,,{reason}"
-        wall_text = repr(self.wall_seconds)
-        steps = self.n * self.ticks / float(wall_text) if float(wall_text) > 0 else 0.0
+        wall = self.wall_seconds
+        steps = self.n * self.ticks / wall if wall > 0 else 0.0
         return (
-            f"{self.n},{self.ticks},{wall_text},{format(steps, '.6g')},"
+            f"{self.n},{self.ticks},{wall!r},{format(steps, '.6g')},"
             f"{self.peak_mem_bytes},"
         )
 

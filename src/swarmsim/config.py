@@ -297,6 +297,8 @@ def _validate(config: SimConfig) -> None:
             raise ConfigError("frames.every must be at least 1")
         if config.frames_dir is None:
             raise ConfigError("frames.every requires frames.dir")
+    elif config.frames_dir is not None:
+        raise ConfigError("frames.dir requires frames.every")
     if config.payload_cap < 0:
         raise ConfigError("messages.payload_cap must be non-negative")
     if config.spawn_positions is not None:

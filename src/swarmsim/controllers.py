@@ -17,6 +17,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ._slots import slot_build, slot_init
+from .config import _as_float
 from .kinematics import ActuatorCommand, Limits
 from .rng import RngStream, uniform_batch
 from .sensing import SensorReading, SensorSpec, _pairs_within
@@ -161,13 +162,18 @@ def deliver_messages(
     delivered_count), every inbox sorted by sender id. Robot j receives the
     broadcast of sender i iff dx * dx + dy * dy <= radius * radius, with
     dx = xs[j] - xs[i] and dy = ys[j] - ys[i], so the routing matches a
-    per-sender scan of the centres bit for bit.
+    per-sender scan of the centres bit for bit. An int radius too large
+    for a float reads as an infinity of its sign.
     """
     inboxes: list[list[Message]] = [[] for _ in outboxes]
     sends = np.array([b is not None for b in outboxes], dtype=bool)
     if not sends.any():
         return inboxes, 0
-    radius = np.array([0.0 if b is None else b.radius for b in outboxes], dtype=np.float64)
+    radii = [0.0 if b is None else b.radius for b in outboxes]
+    try:
+        radius = np.array(radii, dtype=np.float64)
+    except OverflowError:
+        radius = np.array([_as_float(value) for value in radii])
     bad = np.flatnonzero(~(radius >= 0.0))
     if bad.size:
         robot = int(bad[0])
@@ -175,12 +181,10 @@ def deliver_messages(
             f"broadcast radius of robot {robot} must be non-negative; "
             f"got {outboxes[robot].radius!r}"
         )
-    pa, pb, _ = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
-    src = np.concatenate((pa, pb))
-    dst = np.concatenate((pb, pa))
-    dx = xs[dst] - xs[src]
-    dy = ys[dst] - ys[src]
-    keep = sends[src] & (dx * dx + dy * dy <= radius[src] * radius[src])
+    lo, hi, d2 = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
+    src = np.concatenate((lo, hi))
+    dst = np.concatenate((hi, lo))
+    keep = sends[src] & (np.concatenate((d2, d2)) <= radius[src] * radius[src])
     src = src[keep]
     dst = dst[keep]
     order = np.lexsort((src, dst))

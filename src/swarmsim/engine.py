@@ -195,9 +195,9 @@ def _close_pairs(xs: np.ndarray, ys: np.ndarray, r: float) -> tuple[np.ndarray, 
     """The pairs (lo < hi) whose centers are strictly closer than 2r, with
     the distances of `resolve_move`."""
     d = 2.0 * r
-    pa, pb, d2 = _pairs_within(xs, ys, d)
+    lo, hi, d2 = _pairs_within(xs, ys, d)
     close = d2 < d * d
-    return np.minimum(pa[close], pb[close]), np.maximum(pa[close], pb[close])
+    return lo[close], hi[close]
 
 
 def _overlaps(
@@ -282,27 +282,19 @@ def _sample_positions(
         # Ranks into `cand`, in attempt order: blocked by a placed robot, or
         # close to an earlier attempt of the chunk. Placed robots are never
         # close to each other, so a pair with lo < m has hi >= m.
-        viable = np.ones(cand.size, dtype=bool)
-        viable[hi[lo < m] - m] = False
-        inner = lo >= m
-        early = lo[inner] - m
-        late = hi[inner] - m
-        both = viable[early] & viable[late]
-        accepted = viable
-        if both.any():
-            early = early[both]
-            late = late[both]
-            order = np.argsort(late, kind="stable")
-            late = late[order]
-            early = early[order].tolist()
-            ranks, starts = np.unique(late, return_index=True)
-            ends = starts[1:].tolist() + [late.size]
-            ok = accepted.tolist()
-            for rank, a, b in zip(ranks.tolist(), starts.tolist(), ends):
-                ok[rank] = not any(ok[j] for j in early[a:b])
-            accepted = np.array(ok, dtype=bool)
+        ok = np.ones(cand.size, dtype=bool)
+        ok[hi[lo < m] - m] = False
+        inner = np.flatnonzero(lo >= m)
+        if inner.size:
+            # In order of the later attempt, every earlier one is decided
+            # before its first pair as the later one.
+            order = inner[np.argsort(hi[inner], kind="stable")]
+            ok = ok.tolist()
+            for early, late in zip((lo[order] - m).tolist(), (hi[order] - m).tolist()):
+                if ok[early]:
+                    ok[late] = False
         taken = np.zeros(size, dtype=bool)
-        taken[cand[accepted]] = True
+        taken[cand[ok]] = True
 
         # The chunk ends early at the n-th placement or the rejection past
         # the limit; its later draws are not used.
@@ -387,10 +379,10 @@ class Simulation:
         # the squared distances the search already computed.
         r = self.config.robot_radius
         move_reach = 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN
-        pa, pb, d2 = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
+        pairs = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
 
         # Phase 2: sense against the snapshot.
-        normalized, hits = sense_batch(grid, xs, ys, thetas, r, self.spec, pairs=(pa, pb))
+        normalized, hits = sense_batch(grid, xs, ys, thetas, r, self.spec, pairs=pairs)
 
         # Phase 3: controllers.
         controller = self.controller
@@ -441,9 +433,10 @@ class Simulation:
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
+        lo, hi, d2 = pairs
         near = d2 <= move_reach * move_reach
         fx, fy, at_candidate, serial = self._resolve_moves(
-            xs, ys, thetas, cx, cy, ctheta, pa[near], pb[near]
+            xs, ys, thetas, cx, cy, ctheta, lo[near], hi[near]
         )
         collided = ~at_candidate
         state.set_poses(fx, fy, ctheta, collided)
@@ -470,13 +463,14 @@ class Simulation:
         cx: np.ndarray,
         cy: np.ndarray,
         ctheta: np.ndarray,
-        pa: np.ndarray,
-        pb: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Phase 4 with the outcome of a serial pass in ascending id order.
 
-        Every robot ends the tick at its candidate or at its snapshot, so
-        two classes are decided in arrays:
+        (lo, hi), lo < hi: every snapshot pair within the contact reach,
+        once. Every robot ends the tick at its candidate or at its snapshot,
+        so two classes are decided in arrays:
 
         - accept: the candidate passes the clearance fast path of
           `GridMap.disc_free` and no other robot's snapshot or candidate is
@@ -488,8 +482,8 @@ class Simulation:
         The rest, the serial residue, run `resolve_move` in id order. Only
         lower ids can block a residue robot: a higher id whose snapshot is
         close would have canceled it, and a higher id close only at its
-        candidate is still at its snapshot when it resolves. So each one is
-        tested against its lower-id conflicts from the pair list, those whose
+        candidate is still at its snapshot when it resolves. So each hi is
+        tested against its conflicts lo from the pair list, those whose
         snapshot or candidate is strictly within two radii of its candidate,
         at their end-of-tick positions.
 
@@ -502,38 +496,35 @@ class Simulation:
 
         accept = grid.clearance_at(cx, cy) > r + 0.71
 
-        # (pa, pb): every unordered snapshot pair within the contact reach.
-        # Distances use the expression of `resolve_move`, so the strict test
-        # agrees with the serial path bit for bit.
-        cdx = cx[pb] - cx[pa]
-        cdy = cy[pb] - cy[pa]
-        candidates_close = cdx * cdx + cdy * cdy < d2
-        a_lower = pa < pb
+        # Distances use the expression of `resolve_move`, so the strict
+        # tests agree with the serial path bit for bit.
+        def within(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+            return dx * dx + dy * dy < d2
+
+        candidates_close = within(cx[hi] - cx[lo], cy[hi] - cy[lo])
+        # lo's candidate against hi's snapshot, and hi's against lo's.
+        lo_at_hi = within(xs[hi] - cx[lo], ys[hi] - cy[lo])
+        hi_at_lo = within(xs[lo] - cx[hi], ys[lo] - cy[hi])
+        accept[lo[candidates_close | lo_at_hi]] = False
+        accept[hi[candidates_close | hi_at_lo]] = False
+        # hi is still at its snapshot when lo resolves; lo ends at its
+        # snapshot or its candidate. Either way no serial order moves it.
         cancel = np.zeros(accept.size, dtype=bool)
-        conflict = candidates_close.copy()  # the lower id can block the higher
-        for i, j, i_lower in ((pa, pb, a_lower), (pb, pa, ~a_lower)):
-            sdx = xs[j] - cx[i]
-            sdy = ys[j] - cy[i]
-            snapshot_close = sdx * sdx + sdy * sdy < d2
-            accept[i[candidates_close | snapshot_close]] = False
-            # j > i is still at its snapshot when i resolves; j < i ends at its
-            # snapshot or its candidate. Either way no serial order moves i.
-            cancel[i[snapshot_close & (i_lower | candidates_close)]] = True
-            conflict |= snapshot_close & ~i_lower
+        cancel[lo[lo_at_hi]] = True
+        cancel[hi[hi_at_lo & candidates_close]] = True
         contested = ~(accept | cancel)
         residue = np.flatnonzero(contested)
         if not residue.size:
             return np.where(accept, cx, xs), np.where(accept, cy, ys), accept, 0
 
-        # Lower-id conflicts of each residue robot, grouped by robot.
-        high = np.maximum(pa, pb)
-        conflict &= contested[high]
-        li = high[conflict]
+        # The conflicts lo of each residue robot hi, grouped by hi.
+        conflict = (candidates_close | hi_at_lo) & contested[hi]
+        li = hi[conflict]
         order = np.argsort(li, kind="stable")
         li = li[order]
-        lj = np.minimum(pa, pb)[conflict][order].tolist()
-        lo = np.searchsorted(li, residue, side="left").tolist()
-        hi = np.searchsorted(li, residue, side="right").tolist()
+        lj = lo[conflict][order].tolist()
+        first = np.searchsorted(li, residue, side="left").tolist()
+        last = np.searchsorted(li, residue, side="right").tolist()
 
         # End-of-tick positions as decided so far: the residue stays at its
         # snapshot here until it is resolved.
@@ -548,8 +539,8 @@ class Simulation:
             xs[residue].tolist(),
             ys[residue].tolist(),
             thetas[residue].tolist(),
-            lo,
-            hi,
+            first,
+            last,
         ):
             blockers = [(fx_l[j], fy_l[j]) for j in lj[a:b]]
             body = RobotBody(i, Pose(sx, sy, stheta), r)
@@ -577,7 +568,7 @@ class Simulation:
             )
         try:
             finite = math.isfinite(command.v) and math.isfinite(command.w)
-        except TypeError:  # not a real number
+        except (TypeError, OverflowError):  # not a real number, or no float
             finite = False
         if not finite:
             raise ControllerError(
@@ -607,7 +598,7 @@ class Simulation:
         radius = broadcast.radius
         try:
             valid = math.isfinite(radius) and radius >= 0.0
-        except TypeError:  # not a real number
+        except (TypeError, OverflowError):  # not a real number, or no float
             valid = False
         if not valid:
             raise ControllerError(

@@ -389,10 +389,10 @@ _HALF_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
 def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Robot pairs (a, b), a != b, with center distance <= reach, each
-    unordered pair once, and their squared distances computed as
-    dx * dx + dy * dy with dx = xs[b] - xs[a], dy = ys[b] - ys[a]. Uses
-    coarse bins of size `reach`."""
+    """Robot pairs (lo, hi), lo < hi, with center distance <= reach, each
+    unordered pair once, and their squared distances d2 = dx * dx + dy * dy
+    with dx = xs[hi] - xs[lo], dy = ys[hi] - ys[lo] (bit-equal under either
+    sign). Uses coarse bins of size `reach`."""
     n = xs.size
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -437,7 +437,8 @@ def _pairs_within(
     with np.errstate(over="ignore"):
         d2 = dx * dx + dy * dy
     keep = np.flatnonzero(d2 <= reach * reach)
-    return order[sa[keep]], order[sb[keep]], d2[keep]
+    a, b = order[sa[keep]], order[sb[keep]]
+    return np.minimum(a, b), np.maximum(a, b), d2[keep]
 
 
 # Bins per turn in the bearing-window table of `_disc_hits_windowed`. The
@@ -467,8 +468,9 @@ def _window_table(angles: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _disc_hits_windowed(
-    pa: np.ndarray,
-    pb: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    d2: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     thetas: np.ndarray,
@@ -482,7 +484,8 @@ def _disc_hits_windowed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest disc hits for any belt: expand only the rays whose
     bearing can geometrically reach each candidate disc. Takes each
-    unordered pair (pa, pb) once and tests it in both directions.
+    unordered pair (lo, hi) once, with its squared distance d2 as
+    `_pairs_within` returns it, and tests it in both directions.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
@@ -493,10 +496,8 @@ def _disc_hits_windowed(
     wins exact distance ties, matching the scalar scan order.
     """
     n, k = ox.shape
-    dx = xs[pb] - xs[pa]
-    dy = ys[pb] - ys[pa]
-    d = np.sqrt(dx * dx + dy * dy)
-    phi = np.arctan2(dy, dx)
+    d = np.sqrt(d2)
+    phi = np.arctan2(ys[hi] - ys[lo], xs[hi] - xs[lo])
     with np.errstate(divide="ignore", invalid="ignore"):
         half_width = np.where(
             d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi
@@ -506,15 +507,15 @@ def _disc_hits_windowed(
     half_bins = half_width * per_rad
     rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
     others: list[np.ndarray] = []
-    for robot, other, bearing in ((pa, pb, phi), (pb, pa, phi + math.pi)):
+    for robot, other, bearing in ((lo, hi, phi), (hi, lo, phi + math.pi)):
         rel = (bearing - thetas[robot] + 5.0 * math.pi) * per_rad
-        lo = table[(rel - half_bins).astype(np.intp)]
-        counts = table[(rel + half_bins).astype(np.intp) + 1] - lo
+        first = table[(rel - half_bins).astype(np.intp)]
+        counts = table[(rel + half_bins).astype(np.intp) + 1] - first
         np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
         some = np.flatnonzero(counts > 0)
         counts = counts[some]
         slot = np.arange(int(counts.sum()), dtype=np.int64)
-        slot += np.repeat(lo[some] - (np.cumsum(counts) - counts), counts)
+        slot += np.repeat(first[some] - (np.cumsum(counts) - counts), counts)
         rows.append(np.repeat(robot[some] * k, counts) + ray_of_slot[slot])
         others.append(np.repeat(other[some], counts))
     flat = np.concatenate(rows)
@@ -548,17 +549,17 @@ def sense_batch(
     thetas: np.ndarray,
     radius: float,
     spec: SensorSpec,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All readings for all robots against the given pose snapshot; headings
     must lie in [-pi, pi].
 
     Returns (normalized, hit) arrays of shape (n, k): normalized distances in
     [0, 1] and integer hit codes (HIT_NONE, HIT_WALL, or the hit robot id).
-    `pairs` may pass in robot pairs (a, b) that include every pair
-    `_pairs_within(xs, ys, max_range + 2 * radius)` returns, in any order;
-    farther pairs cost time but never change a reading. By default that
-    search runs here.
+    `pairs` may pass in the record (lo, hi, d2) of `_pairs_within` at any
+    reach of at least max_range + 2 * radius, as the engine does at its
+    move reach; farther pairs cost time but never change a reading. By
+    default that search runs here.
 
     Robot disc hits come first. Each ray then looks for a wall only up to
     its nearest robot hit: a wall entry at exactly that distance is still
@@ -581,11 +582,9 @@ def sense_batch(
     oy = ys[:, None] + radius * diry
 
     if pairs is None:
-        pa, pb, _ = _pairs_within(xs, ys, max_range + 2.0 * radius)
-    else:
-        pa, pb = pairs
+        pairs = _pairs_within(xs, ys, max_range + 2.0 * radius)
     rob_t, rob_id = _disc_hits_windowed(
-        pa, pb, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, tuple(spec.angles)
+        *pairs, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, tuple(spec.angles)
     )
 
     cap = np.minimum(rob_t, max_range)

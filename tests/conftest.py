@@ -199,18 +199,15 @@ def pairs_oracle(
 
 
 def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float) -> None:
-    """`_pairs_within` returns exactly the oracle's pairs, once each, with
-    bit-equal squared distances."""
+    """`_pairs_within` returns exactly the oracle's pairs (lo < hi), once
+    each, with bit-equal squared distances."""
     from swarmsim.sensing import _pairs_within
 
     xs = np.array([p[0] for p in positions], dtype=np.float64)
     ys = np.array([p[1] for p in positions], dtype=np.float64)
-    pa, pb, d2 = _pairs_within(xs, ys, reach)
-    got = {
-        (min(a, b), max(a, b)): value
-        for a, b, value in zip(pa.tolist(), pb.tolist(), d2.tolist())
-    }
-    assert len(got) == pa.size and (pa != pb).all()
+    lo, hi, d2 = _pairs_within(xs, ys, reach)
+    got = dict(zip(zip(lo.tolist(), hi.tolist()), d2.tolist()))
+    assert len(got) == lo.size and (lo < hi).all()
     assert got == pairs_oracle(positions, reach)
 
 

@@ -145,6 +145,13 @@ def test_frames_every_needs_dir():
         parse_config(MINIMAL, overrides=["frames.every=10"])
 
 
+def test_frames_dir_needs_every():
+    with pytest.raises(ConfigError, match="^frames.dir requires frames.every$"):
+        parse_config(MINIMAL, overrides=["frames.dir=frames"])
+    with pytest.raises(ConfigError, match="^frames.dir requires frames.every$"):
+        SimConfig(**{**VALID, "frames_dir": "frames"})
+
+
 def test_spawn_positions_parse_and_count_check():
     config = parse_config(
         MINIMAL,
@@ -436,7 +443,10 @@ PATH_TEXTS = [
     "key, attr", [("map.path", "map_path"), ("log.path", "log_path"), ("frames.dir", "frames_dir")]
 )
 def test_every_accepted_path_round_trips(key, attr):
-    extra = {"arena_width": None, "arena_height": None} if attr == "map_path" else {}
+    extra = {
+        "map_path": {"arena_width": None, "arena_height": None},
+        "frames_dir": {"frames_every": 1},
+    }.get(attr, {})
     accepted = 0
     for text in PATH_TEXTS:
         try:

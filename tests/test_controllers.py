@@ -348,3 +348,17 @@ def test_array_routing_edge_cases():
         ValueError, match=r"^broadcast radius of robot 3 must be non-negative; got nan$"
     ):
         _deliver(points, bad)
+
+
+def test_int_radius_too_large_for_a_float_reads_as_an_infinity():
+    points = [(10.0, 10.0), (13.0, 14.0), (300.0, 5.0), (-4000.0, 1e6)]
+    huge = 10**400
+    outboxes = [None, Broadcast(b"h", huge), None, None]
+    inboxes, delivered = _assert_same_routing(points, outboxes)
+    message = [Message(1, b"h")]
+    assert delivered == 3 and inboxes == [message, [], message, message]
+    bad = [None, Broadcast(b"x", 5.0), Broadcast(b"x", -huge), Broadcast(b"x", huge)]
+    with pytest.raises(
+        ValueError, match=rf"^broadcast radius of robot 2 must be non-negative; got -{huge}$"
+    ):
+        _deliver(points, bad)

@@ -509,6 +509,35 @@ def test_ill_typed_output_is_a_controller_error_naming_the_robot(output, message
         sim.step()
 
 
+@pytest.mark.parametrize(
+    "output, message",
+    [
+        (
+            ControlOutput(ActuatorCommand(10**400, 0.0)),
+            rf"non-finite command \(v={10**400}, w=0\.0\)",
+        ),
+        (
+            ControlOutput(ActuatorCommand(0.0, -(10**400))),
+            rf"non-finite command \(v=0\.0, w=-{10**400}\)",
+        ),
+        (
+            ControlOutput(ActuatorCommand(0.0, 0.0), Broadcast(b"x", 10**400)),
+            rf"broadcast radius {10**400} invalid",
+        ),
+    ],
+    ids=["v", "w", "radius"],
+)
+def test_int_too_large_for_a_float_is_a_controller_error(output, message):
+    # math.isfinite raises OverflowError on such an int; it reads as non-finite.
+    config = make_config(
+        robot_count=3, spawn_positions=tuple((20.0 + 30.0 * i, 50.0, 0.0) for i in range(3))
+    )
+    ok = ControlOutput(ActuatorCommand(0.0, 0.0))
+    sim = Simulation(config, controller=ScriptedController([ok, output, ok]))
+    with pytest.raises(ControllerError, match=rf"^robot 1 tick 0: {message}$"):
+        sim.step()
+
+
 class RaisingAtController(ScriptedController):
     """Test plugin: as ScriptedController, but robot `raise_at`'s step raises."""
 

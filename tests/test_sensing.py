@@ -26,6 +26,7 @@ from swarmsim.sensing import (
     HIT_NONE,
     HIT_WALL,
     SensorReading,
+    _pairs_within,
     readings_from_arrays,
 )
 
@@ -391,6 +392,30 @@ def test_batch_normalized_range():
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, _ = sense_batch(grid, xs, ys, thetas, 1.2, spec)
     assert (normalized >= 0.0).all() and (normalized <= 1.0).all()
+
+
+@pytest.mark.parametrize("angles", [_UNIFORM8, EPUCK_ANGLES], ids=["uniform8", "epuck"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_given_a_wider_pair_record_equals_its_own_search(angles, seed):
+    # The engine passes the record of one search at the larger of the
+    # sensing reach and the move reach; the readings must not move.
+    rng = random.Random(seed)
+    grid = random_grid(rng, 90, 90, 0.05)
+    radius = 1.4
+    bodies = place_bodies(rng, grid, 200, radius, max_tries=40000)
+    spec = SensorSpec(angles, 4.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    want_normalized, want_hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    assert (want_hits >= 0).any() and (want_hits == HIT_WALL).any()
+    reach = spec.max_range + 2.0 * radius
+    move_reach = 2.0 * radius + 2.0 * spec.max_range + 1e-6  # v_max at the range
+    own = _pairs_within(xs, ys, reach)[0].size
+    for wider in (move_reach, 3.0 * reach, 200.0):
+        pairs = _pairs_within(xs, ys, wider)
+        assert pairs[0].size > own
+        normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec, pairs=pairs)
+        assert np.array_equal(normalized, want_normalized)
+        assert np.array_equal(hits, want_hits)
 
 
 # --- nearest-first order: robot hits cap the wall pass -----------------------------
@@ -970,8 +995,6 @@ def _brute_force_pairs(xs: np.ndarray, ys: np.ndarray, reach: float) -> set[tupl
 
 @pytest.mark.parametrize("n", [65, 500, 3000])
 def test_pairs_within_equal_brute_force(n):
-    from swarmsim.sensing import _pairs_within
-
     rng = np.random.default_rng(n)
     reach = 5.0
     side = reach * np.sqrt(n) * 1.5
@@ -992,40 +1015,36 @@ def test_pairs_within_equal_brute_force(n):
             xs[m + 1], ys[m + 1] = xs[m] + 3.0, ys[m] + 4.0
         else:
             xs[m + 1], ys[m + 1] = xs[m], ys[m] - reach
-    pa, pb, d2 = _pairs_within(xs, ys, reach)
-    got = list(zip(pa.tolist(), pb.tolist())) + list(zip(pb.tolist(), pa.tolist()))
+    lo, hi, d2 = _pairs_within(xs, ys, reach)
+    assert (lo < hi).all()
+    got = list(zip(lo.tolist(), hi.tolist())) + list(zip(hi.tolist(), lo.tolist()))
     assert len(got) == len(set(got))  # each unordered pair once
     want = _brute_force_pairs(xs, ys, reach)
     assert set(got) == want
     exact = sum(1 for i, j in want if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 == reach**2)
     assert exact >= k // 2
-    _assert_pair_d2(xs, ys, pa, pb, d2)
+    _assert_pair_d2(xs, ys, lo, hi, d2)
 
 
-def _assert_pair_d2(xs, ys, pa, pb, d2):
+def _assert_pair_d2(xs, ys, lo, hi, d2):
     # Phase 4 filters on these distances: bit-equal to its own expression.
-    dx = xs[pb] - xs[pa]
-    dy = ys[pb] - ys[pa]
+    dx = xs[hi] - xs[lo]
+    dy = ys[hi] - ys[lo]
     assert np.array_equal(d2, dx * dx + dy * dy)
 
 
 def test_pairs_within_small_swarm_all_pairs():
-    from swarmsim.sensing import _pairs_within
-
     xs = np.array([0.0, 3.0, 0.0, 100.0, 0.0])
     ys = np.array([0.0, 4.0, 0.0, 100.0, -5.0])
-    pa, pb, d2 = _pairs_within(xs, ys, 5.0)
-    pairs = sorted((min(a, b), max(a, b)) for a, b in zip(pa.tolist(), pb.tolist()))
-    assert pairs == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
-    _assert_pair_d2(xs, ys, pa, pb, d2)
+    lo, hi, d2 = _pairs_within(xs, ys, 5.0)
+    assert sorted(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
+    _assert_pair_d2(xs, ys, lo, hi, d2)
     for n in (0, 1):
-        pa, pb, d2 = _pairs_within(xs[:n], ys[:n], 5.0)
-        assert pa.size == pb.size == d2.size == 0
+        lo, hi, d2 = _pairs_within(xs[:n], ys[:n], 5.0)
+        assert lo.size == hi.size == d2.size == 0
 
 
 def test_pairs_within_far_off_coordinates_equal_brute_force():
-    from swarmsim.sensing import _pairs_within
-
     rng = np.random.default_rng(17)
     near = rng.uniform(0.0, 30.0, (40, 2))
     far = [(s * v, t * v) for v in (1e18, 1e300) for s in (1, -1) for t in (1, -1)]
@@ -1042,6 +1061,7 @@ def test_pairs_within_far_off_coordinates_equal_brute_force():
             if i != j and dx * dx + dy * dy <= reach * reach:
                 want.add((i, j))
     assert {(48, 49), (52, 53), (54, 55)} <= want  # far-off pairs within reach
-    pa, pb, _ = _pairs_within(xs, ys, reach)
-    got = list(zip(pa.tolist(), pb.tolist())) + list(zip(pb.tolist(), pa.tolist()))
+    lo, hi, _ = _pairs_within(xs, ys, reach)
+    assert (lo < hi).all()
+    got = list(zip(lo.tolist(), hi.tolist())) + list(zip(hi.tolist(), lo.tolist()))
     assert len(got) == len(set(got)) and set(got) == want
