@@ -380,52 +380,50 @@ def _wall_batch(
     return t_hit
 
 
-# Forward half of the 3x3 bin neighbourhood (x, y offsets). With the later
-# members of a robot's own bin, it reaches every unordered pair of robots in
-# neighbouring bins exactly once.
-_HALF_STENCIL = ((0, 1), (1, -1), (1, 0), (1, 1))
+# y bins per column in `_pairs_within`: a power of two, so scaling a y
+# quotient by it is exact.
+_Y_BINS = 4
 
 
 def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Robot pairs (lo, hi), lo < hi, with center distance <= reach, each
-    unordered pair once, and their squared distances d2 = dx * dx + dy * dy
-    with dx = xs[hi] - xs[lo], dy = ys[hi] - ys[lo] (bit-equal under either
-    sign). Uses coarse bins of size `reach`."""
+    unordered pair once in no set order, and their squared distances
+    d2 = dx * dx + dy * dy with dx = xs[hi] - xs[lo], dy = ys[hi] - ys[lo]
+    (bit-equal under either sign).
+
+    Columns `reach * (1 + 2**-20)` wide are split along y into `_Y_BINS`
+    bins and sorted column by column, so each robot pairs with two runs of
+    sorted slots: the rest of its own column up to `_Y_BINS` bins up, and
+    the bins within `_Y_BINS` of its own in the next column. The margin
+    keeps a pair at exactly `reach` in those runs: a quotient of magnitude
+    up to 2**30 is off by at most 2**-23, so such a pair lies at most one
+    column or `_Y_BINS` bins apart."""
     n = xs.size
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
+    m = _Y_BINS
+    width = reach * (1.0 + 2.0**-20)
     # Bins are bounded before the cast. Clipping is 1-Lipschitz, so robots in
     # neighbouring bins stay neighbours: far-off robots only share the edge
-    # bins, which adds candidates, and the keys below stay under 2**63.
-    bx = np.clip(np.floor(xs / reach), -(1 << 30), 1 << 30).astype(np.int64)
-    by = np.clip(np.floor(ys / reach), -(1 << 30), 1 << 30).astype(np.int64)
-    span = by.max() - by.min() + 3
-    key = (bx - bx.min() + 1) * span + (by - by.min() + 1)
+    # bins, which adds candidates. Columns are at most 2**31 and spans at
+    # most 2**31 + 2m + 1, so every key and bound below stays under 2**63.
+    bx = np.clip(np.floor(xs / width), -(1 << 30), 1 << 30).astype(np.int64)
+    by = np.clip(np.floor(ys / width * m), -(1 << 30), 1 << 30).astype(np.int64)
+    by_min = by.min()
+    span = by.max() - by_min + 2 * m + 1
+    key = (bx - bx.min()) * span + (by - by_min + m)
     order = np.argsort(key, kind="stable")
-    ukey, ustart, ucount = np.unique(key[order], return_index=True, return_counts=True)
-    # Work in sorted slots: each robot pairs with a contiguous run of slots
-    # per stencil bin, first with the later slots of its own bin.
+    skey = key[order]
     slot = np.arange(n, dtype=np.int64)
-    slot_bin = np.repeat(np.arange(ukey.size, dtype=np.int64), ucount)
-    sources = [slot]
-    firsts = [slot + 1]
-    counts = [ustart[slot_bin] + ucount[slot_bin] - slot - 1]
-    for dx, dy in _HALF_STENCIL:
-        target = ukey + (dx * span + dy)
-        pos = np.searchsorted(ukey, target)
-        found = pos < ukey.size
-        found &= ukey[np.minimum(pos, ukey.size - 1)] == target
-        src = np.flatnonzero(found[slot_bin])
-        dst_bin = pos[slot_bin[src]]
-        sources.append(src)
-        firsts.append(ustart[dst_bin])
-        counts.append(ucount[dst_bin])
-    src = np.concatenate(sources)
-    first = np.concatenate(firsts)
-    count = np.concatenate(counts)
+    own_end = np.searchsorted(skey, skey + m, side="right")
+    next_start = np.searchsorted(skey, skey + (span - m), side="left")
+    next_end = np.searchsorted(skey, skey + (span + m), side="right")
+    src = np.concatenate((slot, slot))
+    first = np.concatenate((slot + 1, next_start))
+    count = np.concatenate((own_end - slot - 1, next_end - next_start))
     total = int(count.sum())
     sa = np.repeat(src, count)
     sb = np.arange(total, dtype=np.int64) + np.repeat(first - (np.cumsum(count) - count), count)
@@ -484,40 +482,53 @@ def _disc_hits_windowed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest disc hits for any belt: expand only the rays whose
     bearing can geometrically reach each candidate disc. Takes each
-    unordered pair (lo, hi) once, with its squared distance d2 as
-    `_pairs_within` returns it, and tests it in both directions.
+    unordered pair (lo, hi) once, in any order, with its squared distance
+    d2 as `_pairs_within` returns it, and tests both directions as one
+    array of 2m ordered pairs.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
-    product). The window is widened by 1e-6 rad, orders of magnitude beyond
-    float rounding (the reverse bearing phi + pi and the table bins
-    included), so the exact test below never loses a candidate. Smallest id
-    wins exact distance ties, matching the scalar scan order.
+    product). The window is widened by 1e-6 rad (1.6e-4 table bins), orders
+    of magnitude beyond float rounding (the reverse bearing, the heading
+    term and the table bins included), so the exact test below never loses
+    a candidate. Windows are expanded count by count: those with at least
+    one ray, then with at least two, and so on. Smallest id wins exact
+    distance ties, matching the scalar scan order.
     """
     n, k = ox.shape
-    d = np.sqrt(d2)
-    phi = np.arctan2(ys[hi] - ys[lo], xs[hi] - xs[lo])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half_width = np.where(
-            d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi
-        ) + 1e-6
+    m = lo.size
     table, ray_of_slot = _window_table(angles)
     per_rad = _WINDOW_BINS / (2.0 * math.pi)
-    half_bins = half_width * per_rad
+    d = np.sqrt(d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half_bins = np.where(d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi)
+    half_bins = (half_bins + 1e-6) * per_rad
+    # Heading-relative bearings in table bins from -5pi: forward, then
+    # reverse. Ordered pair j has robot ends[j] and other ends[j +- m].
+    ends = np.concatenate((lo, hi))
+    rel = np.empty((2, m))
+    np.multiply(np.arctan2(ys[hi] - ys[lo], xs[hi] - xs[lo]), per_rad, out=rel[0])
+    np.add(rel[0], _WINDOW_BINS / 2, out=rel[1])
+    rel -= (thetas * per_rad - 5 * _WINDOW_BINS / 2)[ends].reshape(2, m)
+    first = table[(rel - half_bins).astype(np.intp)].ravel()
+    rel += half_bins
+    counts = table[rel.astype(np.intp) + 1].ravel() - first
+    np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
+    live = np.flatnonzero(counts > 0)
+    base = ends[live] * k
+    other = ends[(live + m) % (2 * m)]
+    first = first[live]
+    counts = counts[live]
     rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
     others: list[np.ndarray] = []
-    for robot, other, bearing in ((lo, hi, phi), (hi, lo, phi + math.pi)):
-        rel = (bearing - thetas[robot] + 5.0 * math.pi) * per_rad
-        first = table[(rel - half_bins).astype(np.intp)]
-        counts = table[(rel + half_bins).astype(np.intp) + 1] - first
-        np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
-        some = np.flatnonzero(counts > 0)
-        counts = counts[some]
-        slot = np.arange(int(counts.sum()), dtype=np.int64)
-        slot += np.repeat(first[some] - (np.cumsum(counts) - counts), counts)
-        rows.append(np.repeat(robot[some] * k, counts) + ray_of_slot[slot])
-        others.append(np.repeat(other[some], counts))
+    for c in range(k):
+        rows.append(base + ray_of_slot[first + c])
+        others.append(other)
+        more = np.flatnonzero(counts > c + 1)
+        if not more.size:
+            break
+        base, first, counts, other = base[more], first[more], counts[more], other[more]
     flat = np.concatenate(rows)
     other = np.concatenate(others)
     ux = dirx.ravel()[flat]
@@ -538,7 +549,7 @@ def _disc_hits_windowed(
     winners = t == t_best[flat]
     id_best = np.full(n * k, _INT64_MAX, dtype=np.int64)
     np.minimum.at(id_best, flat[winners], other[winners])
-    id_best[np.isinf(t_best)] = -1
+    id_best[np.isinf(t_best)] = HIT_NONE
     return t_best.reshape(n, k), id_best.reshape(n, k)
 
 
@@ -562,8 +573,9 @@ def sense_batch(
     default that search runs here.
 
     Robot disc hits come first. Each ray then looks for a wall only up to
-    its nearest robot hit: a wall entry at exactly that distance is still
-    found (ties go to the wall) and any later one loses to the robot. Robots
+    its nearest robot hit or the range: a wall entry at exactly that
+    distance is still found (ties go to the wall), so every entry the pass
+    returns wins, and only the rows that ran it are patched. Robots
     whose cell shows no obstacle and no border within their longest such
     reach (`GridMap.clearance_at`) skip the wall traversal entirely; the
     skip is conservative, never changing results. In the traversal, a ray
@@ -571,7 +583,6 @@ def sense_batch(
     """
     if not (np.abs(thetas) <= math.pi).all():
         raise ValueError("headings must lie in [-pi, pi]")
-    n = xs.size
     k = len(spec.angles)
     max_range = spec.max_range
     angles = np.asarray(spec.angles)
@@ -583,37 +594,20 @@ def sense_batch(
 
     if pairs is None:
         pairs = _pairs_within(xs, ys, max_range + 2.0 * radius)
-    rob_t, rob_id = _disc_hits_windowed(
+    # Robot ids, or HIT_NONE; `dist` is the robot distance or the range.
+    rob_t, hit = _disc_hits_windowed(
         *pairs, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, tuple(spec.angles)
     )
-
-    cap = np.minimum(rob_t, max_range)
-    wall_t = np.full((n, k), np.inf)
-    need = grid.clearance_at(xs, ys) <= cap.max(axis=1) + radius + 2.0
+    dist = np.minimum(rob_t, max_range)
+    need = grid.clearance_at(xs, ys) <= dist.max(axis=1) + radius + 2.0
     if need.any():
         idx = np.nonzero(need)[0]
-        wall_t[idx] = _wall_batch(
-            grid,
-            ox[idx].ravel(),
-            oy[idx].ravel(),
-            dirx[idx].ravel(),
-            diry[idx].ravel(),
-            cap[idx].ravel(),
-        ).reshape(idx.size, k)
-
-    wall_first = wall_t <= rob_t  # inf vs inf -> wall side, masked below
-    wall_hit = np.isfinite(wall_t)
-    rob_hit = rob_id >= 0
-    dist = np.where(
-        wall_hit & wall_first,
-        wall_t,
-        np.where(rob_hit, rob_t, max_range),
-    )
-    hit = np.where(
-        wall_hit & wall_first,
-        np.int64(HIT_WALL),
-        np.where(rob_hit, rob_id, np.int64(HIT_NONE)),
-    )
+        wall_t = _wall_batch(grid, *(a[idx].ravel() for a in (ox, oy, dirx, diry, dist)))
+        # Capped at `dist`, every wall entry found wins.
+        wall = np.flatnonzero(np.isfinite(wall_t))
+        flat = (idx * k)[wall // k] + wall % k
+        dist.ravel()[flat] = wall_t[wall]
+        hit.ravel()[flat] = HIT_WALL
     return dist / max_range, hit
 
 

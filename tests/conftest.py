@@ -198,6 +198,16 @@ def pairs_oracle(
     return out
 
 
+# Pairs exactly `reach` apart across bin edges. In the first two, y / reach
+# rounds two whole bins apart. In the last, y * (4 / reach) with the
+# quotient rounded first puts the two five quarter bins apart.
+PAIRS_AT_REACH = {
+    "reach1": ([(0.0, 1.0 - 2.0**-53), (0.0, 2.0)], 1.0),
+    "reach64": ([(0.0, 64.0 * (1.0 - 2.0**-53)), (0.0, 128.0)], 64.0),
+    "y_bin_edge": ([(5.0, -9.00000075), (5.0, 3.00000025)], 12.000001),
+}
+
+
 def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float) -> None:
     """`_pairs_within` returns exactly the oracle's pairs (lo < hi), once
     each, with bit-equal squared distances."""
@@ -209,6 +219,22 @@ def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float
     got = dict(zip(zip(lo.tolist(), hi.tolist()), d2.tolist()))
     assert len(got) == lo.size and (lo < hi).all()
     assert got == pairs_oracle(positions, reach)
+
+
+def shuffled_pair_search(seed: int):
+    """A stand-in for `_pairs_within` that returns the same record (lo, hi,
+    d2) with its rows in a seeded random order, for consumers that must not
+    depend on that order."""
+    from swarmsim.sensing import _pairs_within
+
+    rng = np.random.default_rng(seed)
+
+    def search(xs: np.ndarray, ys: np.ndarray, reach: float):
+        lo, hi, d2 = _pairs_within(xs, ys, reach)
+        perm = rng.permutation(lo.size)
+        return lo[perm], hi[perm], d2[perm]
+
+    return search
 
 
 def march_ray_oracle(

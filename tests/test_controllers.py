@@ -24,7 +24,12 @@ from swarmsim import (
     stream_seed,
 )
 
-from conftest import neighbors_oracle, reference_splitmix64
+from conftest import (
+    PAIRS_AT_REACH,
+    neighbors_oracle,
+    reference_splitmix64,
+    shuffled_pair_search,
+)
 
 LIMITS = Limits(2.0, 0.4)
 SPEC8 = SensorSpec(evenly_spaced_angles(8), 64.0)
@@ -362,3 +367,28 @@ def test_int_radius_too_large_for_a_float_reads_as_an_infinity():
         ValueError, match=rf"^broadcast radius of robot 2 must be non-negative; got -{huge}$"
     ):
         _deliver(points, bad)
+
+
+@pytest.mark.parametrize("points, radius", PAIRS_AT_REACH.values(), ids=PAIRS_AT_REACH.keys())
+def test_broadcast_reaches_a_robot_at_exactly_its_radius(points, radius):
+    inboxes, delivered = _assert_same_routing(points, [Broadcast(b"x", radius), None])
+    assert delivered == 1 and inboxes == [[], [Message(0, b"x")]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_routing_is_independent_of_pair_order(monkeypatch, seed):
+    from swarmsim import controllers
+
+    rng = random.Random(seed)
+    points = [(rng.uniform(0, 120), rng.uniform(0, 120)) for _ in range(300)]
+    points[7] = points[3]
+    points[-1] = (points[1][0], points[1][1] + 20.0)
+    outboxes = [
+        None if rng.random() < 0.3 else Broadcast(bytes([i % 256]), rng.choice((0.0, 20.0, 35.5)))
+        for i in range(len(points))
+    ]
+    want = _assert_same_routing(points, outboxes)
+    assert want[1] > 0
+    monkeypatch.setattr(controllers, "_pairs_within", shuffled_pair_search(seed))
+    for _ in range(3):
+        assert _deliver(points, outboxes) == want

@@ -30,7 +30,7 @@ from swarmsim import (
 )
 from swarmsim.sensing import HIT_NONE, HIT_WALL, SensorReading
 
-from conftest import centers_of
+from conftest import centers_of, shuffled_pair_search
 
 
 def reference_readings(normalized_row: np.ndarray, hit_row: np.ndarray) -> tuple:
@@ -395,3 +395,42 @@ def test_single_file_queue_resolves_as_one_lower_id_chain():
     assert sim.state.metrics.serial_moves == 12 + 10
     serial, _ = assert_matches_reference(config, lambda: FixedController(commands), ticks=40)
     assert serial >= 40 * 12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_phase_four_is_independent_of_pair_order(tmp_path, seed):
+    # A crowd on an obstacle map, with commands past the limits in both
+    # directions: each tick, `_resolve_moves` gets the pair record as the
+    # search returns it and shuffled.
+    from swarmsim.engine import _CONTACT_MARGIN, apply_commands
+    from swarmsim.sensing import _pairs_within
+
+    config = _config(
+        robot_count=80,
+        seed=seed,
+        arena_width=None,
+        arena_height=None,
+        map_path=_obstacle_p2(tmp_path, 96, seed=seed),
+        robot_radius=3.0,
+    )
+    sim = Simulation(config)
+    rng = np.random.default_rng(seed)
+    search = shuffled_pair_search(seed)
+    reach = 2.0 * config.robot_radius + 2.0 * config.v_max + _CONTACT_MARGIN
+    residue = 0
+    for _ in range(20):
+        state = sim.state
+        xs, ys, thetas = state.xs, state.ys, state.thetas
+        v = config.v_max * rng.uniform(-1.5, 3.0, xs.size)
+        w = config.w_max * rng.uniform(-2.0, 2.0, xs.size)
+        candidates = apply_commands(xs, ys, thetas, v, w, sim.limits)
+        lo, hi, _ = _pairs_within(xs, ys, reach)
+        want = sim._resolve_moves(xs, ys, thetas, *candidates, lo, hi)
+        for _ in range(2):
+            lo, hi, _ = search(xs, ys, reach)
+            got = sim._resolve_moves(xs, ys, thetas, *candidates, lo, hi)
+            assert all(np.array_equal(g, e) for g, e in zip(got[:3], want[:3]))
+            assert got[3] == want[3]
+        residue += want[3]
+        sim.step()
+    assert residue > 0  # the serial residue ran

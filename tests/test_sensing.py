@@ -32,12 +32,16 @@ from swarmsim.sensing import (
 
 from conftest import (
     EPUCK_ANGLES,
+    PAIRS_AT_REACH,
+    assert_pairs_match_oracle,
     centers_of,
     fine_march_confirms,
     grid_from_ascii,
     march_ray_oracle,
+    pairs_oracle,
     place_bodies,
     random_grid,
+    shuffled_pair_search,
 )
 
 
@@ -537,6 +541,65 @@ def test_batch_wall_wins_exact_tie_with_robot(monkeypatch, dda_limit):
     normalized, hits = sense_batch(grid, xs, ys, thetas, 4.0, spec)
     assert hits[0, 0] == HIT_WALL and normalized[0, 0] == 16.0 / 40.0
     _assert_batch_equals_scalar(grid, bodies, 4.0, spec, normalized, hits)
+
+
+@pytest.mark.parametrize(
+    "wall, robot_x, max_range, want",
+    [
+        (True, 34.0, 16.0, HIT_WALL),  # wall and disc both at exactly the range
+        (False, 34.0, 16.0, 1),  # the disc at exactly the range
+        (True, None, 16.0, HIT_WALL),  # the wall at exactly the range
+        (True, 38.0, 16.0, HIT_WALL),  # the disc past the range
+        (False, 34.0, math.nextafter(16.0, 0.0), HIT_NONE),  # just out of range
+    ],
+)
+@pytest.mark.parametrize("dda_limit", [0, None])
+def test_batch_merge_at_exact_distances(monkeypatch, wall, robot_x, max_range, want, dda_limit):
+    from swarmsim import sensing
+
+    if dda_limit is not None:
+        monkeypatch.setattr(sensing, "_SCALAR_DDA_LIMIT", dda_limit)
+    # As in the tie test above, the +x ray of robot 0 starts at x = 14, the
+    # wall face is at x = 30 and a disc centred at x = 34 is met at 16.
+    occ = np.zeros((41, 50), dtype=bool)
+    occ[:, 30:36] = wall
+    grid = GridMap(50, 41, occ)
+    bodies = [RobotBody(0, Pose(10.0, 20.5, 0.0), 4.0)]
+    if robot_x is not None:
+        bodies.append(RobotBody(1, Pose(robot_x, 20.5, 0.0), 4.0))
+    spec = SensorSpec(evenly_spaced_angles(8), max_range)
+    xs, ys, thetas = _batch_inputs(bodies)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, 4.0, spec)
+    assert hits[0, 0] == want
+    assert normalized[0, 0] == min(16.0, max_range) / max_range
+    _assert_batch_equals_scalar(grid, bodies, 4.0, spec, normalized, hits)
+
+
+@pytest.mark.parametrize("angles", [_UNIFORM8, EPUCK_ANGLES], ids=["uniform8", "epuck"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batch_is_independent_of_pair_order(angles, seed):
+    from swarmsim.sensing import _disc_hits_windowed
+
+    radius = 2.0
+    grid, bodies = _walled_crowd(seed, radius)
+    spec = SensorSpec(angles, 24.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    pairs = _pairs_within(xs, ys, spec.max_range + 2.0 * radius)
+    want = sense_batch(grid, xs, ys, thetas, radius, spec, pairs=pairs)
+    assert (want[1] >= 0).any() and (want[1] == HIT_WALL).any()
+    bearing = thetas[:, None] + np.asarray(angles)[None, :]
+    dirx, diry = np.cos(bearing), np.sin(bearing)
+    rays = (xs[:, None] + radius * dirx, ys[:, None] + radius * diry, dirx, diry)
+    want_discs = _disc_hits_windowed(*pairs, xs, ys, thetas, *rays, radius, spec.max_range, angles)
+    search = shuffled_pair_search(seed)
+    for _ in range(3):
+        shuffled = search(xs, ys, spec.max_range + 2.0 * radius)
+        got = sense_batch(grid, xs, ys, thetas, radius, spec, pairs=shuffled)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        got_discs = _disc_hits_windowed(
+            *shuffled, xs, ys, thetas, *rays, radius, spec.max_range, angles
+        )
+        assert all(np.array_equal(g, w) for g, w in zip(got_discs, want_discs))
 
 
 # --- batch wall pass: array loop, then the scalar tail ------------------------------
@@ -1065,3 +1128,44 @@ def test_pairs_within_far_off_coordinates_equal_brute_force():
     assert (lo < hi).all()
     got = list(zip(lo.tolist(), hi.tolist())) + list(zip(hi.tolist(), lo.tolist()))
     assert len(got) == len(set(got)) and set(got) == want
+
+
+@pytest.mark.parametrize("positions, reach", PAIRS_AT_REACH.values(), ids=PAIRS_AT_REACH.keys())
+def test_pairs_within_keeps_a_pair_at_reach_across_rounded_bins(positions, reach):
+    assert pairs_oracle(positions, reach).keys() == {(0, 1)}
+    assert_pairs_match_oracle(positions, reach)
+
+
+def _edge_positions(rng, n: int, reach: float, offset: float) -> list[tuple[float, float]]:
+    """n robots near `offset` reaches from the origin, each coordinate on a
+    multiple of reach / 4 or of the search's y-bin width, or on the float
+    just below or above it. About half of them share a coordinate with an
+    earlier robot, so many pairs lie exactly along an axis."""
+    scale = reach if math.isfinite(reach) else 1.0
+    widths = (scale / 4.0, scale * (1.0 + 2.0**-20) / 4.0)
+    base = offset * scale * rng.choice((-1.0, 1.0), size=2)
+    positions: list[tuple[float, float]] = []
+    for _ in range(n):
+        point = []
+        for axis in range(2):
+            edge = float(base[axis] + rng.integers(-4, 5) * widths[rng.integers(2)])
+            side = rng.integers(3)
+            if side:
+                edge = math.nextafter(edge, math.inf if side == 1 else -math.inf)
+            point.append(edge)
+        if positions and rng.integers(2):
+            axis = rng.integers(2)
+            point[axis] = positions[rng.integers(len(positions))][axis]
+        positions.append(tuple(point))
+    return positions
+
+
+@pytest.mark.parametrize("reach", [0.1, 1.0, 2.5, 12.000001, 72.0, 1e6, math.inf])
+def test_pairs_within_on_bin_edges_equal_the_oracle(reach):
+    # Offsets in reaches: 2**30 is the clip of the bin axes, 3e9 and 1e12
+    # lie past it.
+    rng = np.random.default_rng(int(min(reach, 1e9) * 1e6))
+    for offset in (0.0, 1e3, 2.0**30, 3e9, 1e12):
+        for n, trials in ((0, 1), (1, 2), (2, 40), (30, 40)):
+            for _ in range(trials):
+                assert_pairs_match_oracle(_edge_positions(rng, n, reach, offset), reach)

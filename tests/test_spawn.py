@@ -18,7 +18,7 @@ import pytest
 from swarmsim import GridMap, RngStream, SimConfig, SpawnError, generate_arena, spawn
 from swarmsim.world import RobotIndex
 
-from conftest import random_grid
+from conftest import random_grid, shuffled_pair_search
 
 SEEDS = range(11)
 
@@ -136,3 +136,24 @@ def test_crowded_chunk_accepts_in_attempt_order():
     for seed in SEEDS:
         config = _config(robot_count=200, seed=seed, robot_radius=3.0)
         assert len(assert_matches_sequential(config, grid)) == 200
+
+
+def test_spawn_is_independent_of_pair_order(monkeypatch):
+    # Crowded chunks, where attempts of one chunk pair up with each other,
+    # and explicit positions where robot 2 is close to robots 0 and 1.
+    from swarmsim import engine
+
+    grid = generate_arena(120, 120)
+    rng = random.Random(9)
+    obstacles = random_grid(rng, 90, 90, 0.03)
+    positions = [(40.0, 40.0, 0.0), (46.5, 40.0, 0.0), (43.0, 44.0, 0.0), (80.0, 80.0, 0.0)]
+    configs = [_config(robot_count=200, seed=seed, robot_radius=3.0) for seed in range(4)]
+    configs += [_config(robot_count=60, seed=seed, robot_radius=2.5) for seed in range(2)]
+    configs.append(_config(robot_count=4, seed=0, spawn_positions=positions, robot_radius=3.0))
+    grids = [grid] * 4 + [obstacles] * 2 + [grid]
+    for seed, (config, where) in enumerate(zip(configs, grids)):
+        want = _outcome(array_spawn, config, where)
+        monkeypatch.setattr(engine, "_pairs_within", shuffled_pair_search(seed))
+        assert _outcome(array_spawn, config, where) == want, config
+        monkeypatch.undo()
+    assert want[0] == "spawn.positions[2] is closer than two radii to robot 0"
