@@ -341,6 +341,12 @@ class Simulation:
         self.spec = SensorSpec(angles, config.sensor_range)
         if controller is None:
             controller = _build_controller(config, self.limits, self.spec)
+        elif isinstance(controller, BraitenbergController):
+            if len(controller.weights) != len(angles):
+                raise ValueError(
+                    f"BraitenbergController has {len(controller.weights)} weights "
+                    f"for a belt of {len(angles)} rays"
+                )
         self.controller = controller
         self.state = SimState(
             tick=0,
@@ -435,9 +441,9 @@ class Simulation:
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
         lo, hi, d2 = pairs
         near = d2 <= move_reach * move_reach
-        fx, fy, at_candidate, serial = self._resolve_moves(
-            xs, ys, thetas, cx, cy, ctheta, lo[near], hi[near]
-        )
+        fx, fy, at_candidate, serial = self._resolve_moves(xs, ys, cx, cy, lo[near], hi[near])
+        # A canceled move keeps its position and still takes its candidate
+        # heading.
         collided = ~at_candidate
         state.set_poses(fx, fy, ctheta, collided)
 
@@ -459,10 +465,8 @@ class Simulation:
         self,
         xs: np.ndarray,
         ys: np.ndarray,
-        thetas: np.ndarray,
         cx: np.ndarray,
         cy: np.ndarray,
-        ctheta: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -531,21 +535,10 @@ class Simulation:
         fx_l = np.where(accept, cx, xs).tolist()
         fy_l = np.where(accept, cy, ys).tolist()
         moved: list[int] = []
-        for i, x, y, theta, sx, sy, stheta, a, b in zip(
-            residue.tolist(),
-            cx[residue].tolist(),
-            cy[residue].tolist(),
-            ctheta[residue].tolist(),
-            xs[residue].tolist(),
-            ys[residue].tolist(),
-            thetas[residue].tolist(),
-            first,
-            last,
+        for i, x, y, a, b in zip(
+            residue.tolist(), cx[residue].tolist(), cy[residue].tolist(), first, last
         ):
-            blockers = [(fx_l[j], fy_l[j]) for j in lj[a:b]]
-            body = RobotBody(i, Pose(sx, sy, stheta), r)
-            _, hit = resolve_move(grid, blockers, body, Pose(x, y, theta))
-            if not hit:
+            if resolve_move(grid, [(fx_l[j], fy_l[j]) for j in lj[a:b]], x, y, r):
                 moved.append(i)
                 fx_l[i] = x
                 fy_l[i] = y

@@ -4,8 +4,8 @@ One tick: clamp the commanded speeds, rotate, then translate along the new
 heading. A translation that would overlap a wall or another robot is
 canceled outright (the heading change always sticks), which keeps the
 global no-overlap invariant without any contact dynamics. `resolve_move` is
-the per-robot form of that rule: it tests one candidate against the walls
-and a plain list of blocker centres.
+the per-robot test of that rule on plain floats: whether one candidate
+position is clear of the walls and of a plain list of blocker centres.
 """
 
 from __future__ import annotations
@@ -112,30 +112,24 @@ def apply_commands(
 def resolve_move(
     grid: GridMap,
     blockers: Sequence[tuple[float, float]],
-    body: RobotBody,
-    candidate: Pose,
-) -> tuple[Pose, bool]:
-    """Adopt the candidate heading unconditionally; adopt the translation only
-    if the destination disc is wall-free and no blocker center lies strictly
-    within two radii. Returns (pose, collided).
+    x: float,
+    y: float,
+    r: float,
+) -> bool:
+    """True iff a robot of radius r may translate to (x, y): the disc there
+    is wall-free and no blocker centre lies strictly within two radii.
 
     The caller must resolve moves serially in ascending id order. `blockers`
     holds the (x, y) centres of the robots that can block this one, at their
     positions at that point of the order, and never the robot itself: all
     other robots, or the engine's list of the robot's lower-id conflicts.
-    A canceled move keeps the position of `body.pose`, which must be the
-    robot's own position at that point.
     """
-    r = body.radius
-    x = candidate.x
-    y = candidate.y
-    if grid.disc_free(x, y, r):
-        d2 = (2.0 * r) * (2.0 * r)
-        for px, py in blockers:
-            dx = px - x
-            dy = py - y
-            if dx * dx + dy * dy < d2:
-                break
-        else:
-            return candidate, False
-    return Pose(body.pose.x, body.pose.y, candidate.theta), True
+    if not grid.disc_free(x, y, r):
+        return False
+    d2 = (2.0 * r) * (2.0 * r)
+    for px, py in blockers:
+        dx = px - x
+        dy = py - y
+        if dx * dx + dy * dy < d2:
+            return False
+    return True

@@ -17,8 +17,8 @@ from .rng import mix64
 _GRAY = (160, 160, 160)
 
 
-# `_micro` is exact while |v| * 1e6 < 2**53; rows with a value at or past
-# this bound, or a non-finite one, are printed by `_row_text`.
+# `_micro` is exact while |v| * 1e6 < 2**53; a tick with a value at or past
+# this bound, or a non-finite one, is printed by `_row_text`.
 _EXACT_BOUND = 2.0**33
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's constant for float64
 _PAD = 0  # byte of the row matrix that is dropped before writing
@@ -129,9 +129,9 @@ class TrajectoryLogger:
     header is written) before the first tick so an unwritable path aborts
     the run up front.
 
-    Rows are built as one byte matrix per tick with the digits of `_fixed6`;
-    a row with a value past its exactness bound is printed by `_row_text`,
-    the f-string the matrix reproduces byte for byte.
+    Rows are built as one byte matrix per tick with the digits of `_fixed6`.
+    A tick with a value past its exactness bound is printed row by row by
+    `_row_text`, the f-string the matrix reproduces byte for byte.
     """
 
     HEADER = "tick,robot_id,x,y,theta,collided\n"
@@ -157,9 +157,12 @@ class TrajectoryLogger:
             return
         tick = state.tick
         poses = np.stack((state.xs, state.ys, state.thetas), axis=1)
-        exact = (np.abs(poses) < _EXACT_BOUND).all(axis=1)
-        everywhere = bool(exact.all())
-        fields = _fixed6(poses if everywhere else np.where(exact[:, None], poses, 0.0))
+        if not (np.abs(poses) < _EXACT_BOUND).all():
+            rows = zip(range(n), *poses.T.tolist(), state.collided.tolist())
+            text = "".join(_row_text(tick, *row) + "\n" for row in rows)
+            self._file.write(text.encode("ascii"))
+            return
+        fields = _fixed6(poses)
         ids = self._id_fields(n)
         prefix = np.frombuffer(f"{tick},".encode("ascii"), dtype=np.uint8)
         a, b, c, d, width = np.cumsum([prefix.size, ids.shape[1], fields[0].size, 1, 1])
@@ -169,15 +172,7 @@ class TrajectoryLogger:
         rows[:, b:c] = fields.reshape(n, -1)
         np.add(state.collided, ord("0"), out=rows[:, c], casting="unsafe")
         rows[:, d] = ord("\n")
-        text = rows[rows != _PAD].tobytes()
-        if not everywhere:
-            lines = text.split(b"\n")
-            for i in np.flatnonzero(~exact).tolist():
-                x, y, theta = poses[i].tolist()
-                row = _row_text(tick, i, x, y, theta, bool(state.collided[i]))
-                lines[i] = row.encode("ascii")
-            text = b"\n".join(lines)
-        self._file.write(text)
+        self._file.write(rows[rows != _PAD].tobytes())
 
     def close(self) -> None:
         if not self._file.closed:

@@ -109,7 +109,7 @@ def _wall_hit_scalar(
     """
     cx = math.floor(ox)
     cy = math.floor(oy)
-    if cx < 0 or cy < 0 or cx >= grid.width or cy >= grid.height or grid.occupancy[cy, cx]:
+    if grid.is_obstacle(cx, cy):
         return 0.0
     return _wall_resume_scalar(grid, ox, oy, dirx, diry, max_range, cx, cy)
 
@@ -351,10 +351,7 @@ def _wall_batch(
         back &= (c - step + off - o) * inv > t_at
         np.subtract(c, step, out=c, where=back)
         cell[:] = c
-        # The new cell is at most one step outside the map.
-        inside = np.minimum(np.maximum(cell, 0), last)
-        outside = inside != cell
-        blocked = grid.occupancy[inside[1], inside[0]] | outside[0] | outside[1]
+        blocked = grid.blocked_at(cell[0], cell[1])
         alive = t_enter <= ranges
         hit = alive & blocked
         t_hit[slot[hit]] = t_enter[hit]

@@ -18,9 +18,12 @@ from swarmsim import (
     RngStream,
     SensorReading,
     SensorSpec,
+    SimConfig,
+    Simulation,
     default_avoidance_weights,
     deliver_messages,
     evenly_spaced_angles,
+    state_digest,
     stream_seed,
 )
 
@@ -115,6 +118,35 @@ def test_default_weights_antisymmetric_and_mirrored():
 def test_weight_count_must_match_belt():
     with pytest.raises(ValueError):
         BraitenbergController(LIMITS, SPEC8, [1.0, 2.0])
+
+
+# 50 braitenberg robots on a 200x200 arena with the default 8-ray belt.
+BELT8_CONFIG = SimConfig(
+    robot_count=50,
+    seed=1,
+    ticks=5,
+    controller_type="braitenberg",
+    arena_width=200,
+    arena_height=200,
+)
+
+
+@pytest.mark.parametrize("rays", [4, 16])
+def test_simulation_refuses_a_braitenberg_built_for_another_belt(rays):
+    # Four rays would steer from columns 0-3 of the 8-ray readings; sixteen
+    # would index past them.
+    controller = BraitenbergController(LIMITS, SensorSpec(evenly_spaced_angles(rays), 64.0))
+    with pytest.raises(ValueError, match=f"{rays} weights for a belt of 8 rays"):
+        Simulation(BELT8_CONFIG, controller=controller)
+
+
+def test_simulation_runs_a_braitenberg_built_for_its_belt():
+    given = Simulation(BELT8_CONFIG, controller=BraitenbergController(LIMITS, SPEC8))
+    built = Simulation(BELT8_CONFIG)
+    for _ in range(BELT8_CONFIG.ticks):
+        given.step()
+        built.step()
+    assert state_digest(given.state) == state_digest(built.state)
 
 
 def test_braitenberg_deterministic_and_rng_free():

@@ -11,14 +11,13 @@ from swarmsim import (
     ActuatorCommand,
     Limits,
     Pose,
-    RobotBody,
     apply_command,
     generate_arena,
     resolve_move,
     wrap_angle,
 )
 
-from conftest import centers_of, grid_from_ascii
+from conftest import grid_from_ascii
 
 LIMITS = Limits(2.0, math.pi)
 
@@ -112,13 +111,10 @@ def test_limits_must_be_positive():
 
 
 def test_free_candidate_adopted(arena100):
-    body = RobotBody(0, Pose(50, 50, 0), 3.0)
-    pose, collided = resolve_move(arena100, [], body, Pose(51, 50, 0.3))
-    assert not collided
-    assert (pose.x, pose.y, pose.theta) == (51, 50, 0.3)
+    assert resolve_move(arena100, [], 51, 50, 3.0)
 
 
-def test_wall_overlap_keeps_position_adopts_heading():
+def test_wall_overlap_is_refused():
     grid = grid_from_ascii(
         """
         ..........
@@ -128,11 +124,19 @@ def test_wall_overlap_keeps_position_adopts_heading():
         ..........
         """
     )
-    body = RobotBody(0, Pose(2.0, 3.5, 0.0), 1.5)
-    pose, collided = resolve_move(grid, [], body, Pose(4.5, 3.5, 0.7))
-    assert collided
-    assert (pose.x, pose.y) == (2.0, 3.5)
-    assert pose.theta == 0.7
+    assert resolve_move(grid, [], 2.0, 3.5, 1.5)
+    assert not resolve_move(grid, [], 4.5, 3.5, 1.5)
+
+
+def test_wall_is_tested_before_blockers():
+    # A wall refusal reads no blocker: the list is never iterated.
+    grid = grid_from_ascii("..#..")
+
+    def blockers():
+        raise AssertionError("blockers read")
+        yield (0.0, 0.0)
+
+    assert not resolve_move(grid, blockers(), 2.5, 0.5, 0.5)
 
 
 def test_sequential_two_robot_resolution():
@@ -141,37 +145,21 @@ def test_sequential_two_robot_resolution():
     # B (< 2r = 4) so A stays; B's candidate (14,10) is exactly 4 px from the
     # unmoved A, which the strict rule allows.
     arena = generate_arena(100, 100)
-    a = RobotBody(0, Pose(10, 10, 0), 2.0)
-    b = RobotBody(1, Pose(13, 10, 0), 2.0)
-
-    pose_a, collided_a = resolve_move(arena, centers_of([b]), a, Pose(11, 10, 0))
-    assert collided_a and (pose_a.x, pose_a.y) == (10, 10)
-    a.pose = pose_a
-
-    pose_b, collided_b = resolve_move(arena, centers_of([a]), b, Pose(14, 10, 0))
-    assert not collided_b and (pose_b.x, pose_b.y) == (14, 10)
+    assert not resolve_move(arena, [(13, 10)], 11, 10, 2.0)
+    assert resolve_move(arena, [(10, 10)], 14, 10, 2.0)
 
 
 def test_exactly_two_radii_is_allowed():
     arena = generate_arena(100, 100)
-    a = RobotBody(0, Pose(10, 10, 0), 2.0)
-    b = RobotBody(1, Pose(20, 10, 0), 2.0)
-    pose, collided = resolve_move(arena, centers_of([a]), b, Pose(14, 10, 0))
-    assert not collided and pose.x == 14
+    assert resolve_move(arena, [(10, 10)], 14, 10, 2.0)
 
 
 def test_just_under_two_radii_is_blocked():
     arena = generate_arena(100, 100)
-    a = RobotBody(0, Pose(10, 10, 0), 2.0)
-    b = RobotBody(1, Pose(20, 10, 0), 2.0)
-    pose, collided = resolve_move(arena, centers_of([a]), b, Pose(13.999, 10, 1.0))
-    assert collided
-    assert (pose.x, pose.y, pose.theta) == (20, 10, 1.0)
+    assert not resolve_move(arena, [(10, 10)], 13.999, 10, 2.0)
 
 
 def test_rotation_in_place_never_collides():
+    # Staying put, with a neighbour touching at exactly 2r.
     arena = generate_arena(30, 30)
-    a = RobotBody(0, Pose(10, 10, 0), 2.0)
-    b = RobotBody(1, Pose(14, 10, 0), 2.0)  # touching at exactly 2r
-    pose, collided = resolve_move(arena, centers_of([b]), a, Pose(10, 10, 2.7))
-    assert not collided and pose.theta == 2.7
+    assert resolve_move(arena, [(14, 10)], 10, 10, 2.0)

@@ -20,7 +20,9 @@ from swarmsim import (
     BraitenbergController,
     ControlInput,
     ControlOutput,
+    Pose,
     RandomWalkController,
+    RobotBody,
     SimConfig,
     Simulation,
     apply_command,
@@ -84,11 +86,15 @@ def reference_step(sim: Simulation) -> None:
             body.pose, ActuatorCommand(float(v_arr[i]), float(w_arr[i])), sim.limits
         )
         others = centers[:i] + centers[i + 1 :]
-        new_pose, collided = resolve_move(state.grid, others, body, candidate)
-        centers[i] = (new_pose.x, new_pose.y)
-        body.pose = new_pose
-        body.collided_last_tick = collided
-        canceled += collided
+        free = resolve_move(state.grid, others, candidate.x, candidate.y, body.radius)
+        # A refused move keeps the old position and takes the candidate heading.
+        if free:
+            body.pose = candidate
+        else:
+            body.pose = Pose(body.pose.x, body.pose.y, candidate.theta)
+        centers[i] = (body.pose.x, body.pose.y)
+        body.collided_last_tick = not free
+        canceled += not free
     # The engine's state is the pose arrays: hand the loop's poses back.
     state.set_poses(
         np.array([b.pose.x for b in bodies], dtype=np.float64),
@@ -423,14 +429,30 @@ def test_phase_four_is_independent_of_pair_order(tmp_path, seed):
         xs, ys, thetas = state.xs, state.ys, state.thetas
         v = config.v_max * rng.uniform(-1.5, 3.0, xs.size)
         w = config.w_max * rng.uniform(-2.0, 2.0, xs.size)
-        candidates = apply_commands(xs, ys, thetas, v, w, sim.limits)
+        cx, cy, _ = apply_commands(xs, ys, thetas, v, w, sim.limits)
         lo, hi, _ = _pairs_within(xs, ys, reach)
-        want = sim._resolve_moves(xs, ys, thetas, *candidates, lo, hi)
+        want = sim._resolve_moves(xs, ys, cx, cy, lo, hi)
         for _ in range(2):
             lo, hi, _ = search(xs, ys, reach)
-            got = sim._resolve_moves(xs, ys, thetas, *candidates, lo, hi)
+            got = sim._resolve_moves(xs, ys, cx, cy, lo, hi)
             assert all(np.array_equal(g, e) for g, e in zip(got[:3], want[:3]))
             assert got[3] == want[3]
         residue += want[3]
         sim.step()
     assert residue > 0  # the serial residue ran
+
+
+def test_tick_with_a_serial_residue_builds_no_pose_or_body(monkeypatch):
+    sim = Simulation(_config())
+    built = []
+    for cls in (RobotBody, Pose):
+
+        def counting(self, *args, _init=cls.__init__, **kw):
+            built.append(type(self).__name__)
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for _ in range(10):
+        sim.step()
+    assert sim.state.metrics.serial_moves > 0
+    assert built == []

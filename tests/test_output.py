@@ -180,8 +180,8 @@ def test_log_rows_match_fstrings_on_signs_and_random_values(tmp_path):
 
 
 def test_log_rows_past_the_exact_bound_are_fstrings(tmp_path):
-    # Values at or past 2**33, and non-finite ones, are printed by f-string,
-    # interleaved with array-built rows.
+    # A tick with a value at or past 2**33, or a non-finite one, is printed
+    # by f-string, row by row.
     bound = 2.0**33
     values = [
         [bound, 1.0, 0.5],

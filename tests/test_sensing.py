@@ -670,7 +670,11 @@ def test_wall_batch_tail_handoff_matches_scalar(monkeypatch):
     # corridor spans at most 3 cells
     counting = _CountingArray(grid.boxes)
     probe = SimpleNamespace(
-        width=grid.width, height=grid.height, occupancy=grid.occupancy, boxes=counting
+        width=grid.width,
+        height=grid.height,
+        occupancy=grid.occupancy,
+        boxes=counting,
+        is_obstacle=grid.is_obstacle,
     )
     longest = 0
     for i in np.argsort(far)[-20:]:
