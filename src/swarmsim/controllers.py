@@ -99,6 +99,7 @@ class BraitenbergController:
             )
         self.v_max = limits.v_max
         self.w_max = limits.w_max
+        self.angles = tuple(spec.angles)
         self.weights = tuple(float(w) for w in weights)
         self.front = tuple(
             i for i, a in enumerate(spec.angles) if abs(a) <= FRONT_CONE_HALF_ANGLE

@@ -3,12 +3,13 @@
 Tick phases, in order:
 
 1. freeze the pose snapshot: the pose arrays of `SimState`, as spawn or
-   phase 4 of the last tick left them (`SimState.bodies` is built from them
-   only when read). One pair search over it, the tick's only spatial
-   structure, serves phases 2 and 4;
+   phase 4 of the last tick left them (`SimState.bodies` builds objects
+   from them on each read; the tick reads none). One pair search over it,
+   the tick's only spatial structure, serves phases 2 and 4;
 2. sense every robot against the snapshot (batch ray casting);
 3. step every controller on the phase-2 readings plus last tick's inbox
-   and collision flag;
+   and collision flag: a built-in controller on the reading arrays, a
+   plugin robot by robot on reading objects built a block at a time;
 4. resolve moves with the semantics of a serial pass in ascending id
    order -- each robot sees lower ids at their new positions and higher ids
    at the snapshot. Array accept, array cancel, then serial residue: one
@@ -59,7 +60,6 @@ from .sensing import (
     SensorSpec,
     _pairs_within,
     evenly_spaced_angles,
-    reading_block,
     readings_from_arrays,
     sense_batch,
 )
@@ -76,6 +76,12 @@ _FNV_PRIME = 0x100000001B3
 # Added to the phase-4 pair reach, far above the rounding in |candidate -
 # snapshot| <= v_max, so the pair search never misses a contact.
 _CONTACT_MARGIN = 1e-6
+
+# Readings per block of the plugin loop: a block's readings, inputs and
+# outputs stay below the 700 allocations that start a young collection, so
+# few of them get promoted. On the maze benchmark, 256 runs 3.7 collections
+# per tick and 512 runs 5.4.
+_BLOCK_READINGS = 256
 
 # Larger than every per-tick temporary of the benchmark workloads, and below
 # glibc's 32 MiB cap on its dynamic mmap threshold; see Simulation.__init__.
@@ -95,9 +101,8 @@ class Metrics:
 class SimState:
     """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
     `thetas` and `collided` (all False at set-up), in id order, which each
-    tick replaces through `set_poses`. `bodies` is built from them on its
-    first read after they change, so a run that nobody inspects builds no
-    `Pose` objects; a pose edited through `bodies` does not reach the arrays."""
+    tick replaces. `bodies` builds a new list of `RobotBody` objects from
+    them on every read; editing it does not reach the arrays."""
 
     __slots__ = (
         "tick",
@@ -105,13 +110,11 @@ class SimState:
         "radius",
         "inboxes",
         "rng_streams",
-        "master_rng",
         "metrics",
         "xs",
         "ys",
         "thetas",
         "collided",
-        "_bodies",
     )
 
     def __init__(
@@ -124,7 +127,6 @@ class SimState:
         thetas: np.ndarray,
         inboxes: list[list[Message]],
         rng_streams: list[RngStream],
-        master_rng: RngStream,
         metrics: Metrics | None = None,
     ) -> None:
         self.tick = tick
@@ -132,26 +134,17 @@ class SimState:
         self.radius = radius
         self.inboxes = inboxes
         self.rng_streams = rng_streams
-        self.master_rng = master_rng
         self.metrics = metrics if metrics is not None else Metrics()
-        self.set_poses(xs, ys, thetas, np.zeros(xs.size, dtype=bool))
+        self.xs, self.ys, self.thetas = xs, ys, thetas
+        self.collided = np.zeros(xs.size, dtype=bool)
 
     @property
     def bodies(self) -> list[RobotBody]:
-        if self._bodies is None:
-            r = self.radius
-            rows = zip(*(a.tolist() for a in (self.xs, self.ys, self.thetas, self.collided)))
-            self._bodies = [
-                RobotBody(i, Pose(x, y, theta), r, hit) for i, (x, y, theta, hit) in enumerate(rows)
-            ]
-        return self._bodies
-
-    def set_poses(
-        self, xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray, collided: np.ndarray
-    ) -> None:
-        """Replace the pose arrays; `bodies` follows on its next read."""
-        self.xs, self.ys, self.thetas, self.collided = xs, ys, thetas, collided
-        self._bodies = None
+        r = self.radius
+        rows = zip(*(a.tolist() for a in (self.xs, self.ys, self.thetas, self.collided)))
+        return [
+            RobotBody(i, Pose(x, y, theta), r, hit) for i, (x, y, theta, hit) in enumerate(rows)
+        ]
 
 
 @dataclass(slots=True)
@@ -334,18 +327,18 @@ class Simulation:
     def __init__(self, config: SimConfig, controller: Controller | None = None) -> None:
         self.config = config
         grid = load_world(config)
-        master_rng = RngStream(config.seed)
-        xs, ys, thetas = spawn(config, grid, master_rng)
+        xs, ys, thetas = spawn(config, grid, RngStream(config.seed))
         self.limits = Limits(config.v_max, config.w_max)
         angles = config.sensor_angles or evenly_spaced_angles(config.sensor_count)
         self.spec = SensorSpec(angles, config.sensor_range)
         if controller is None:
             controller = _build_controller(config, self.limits, self.spec)
         elif isinstance(controller, BraitenbergController):
-            if len(controller.weights) != len(angles):
+            if controller.angles != tuple(angles):
                 raise ValueError(
-                    f"BraitenbergController has {len(controller.weights)} weights "
-                    f"for a belt of {len(angles)} rays"
+                    f"BraitenbergController built for bearings {controller.angles} has "
+                    f"{len(controller.weights)} weights for a belt of {len(angles)} rays "
+                    f"at bearings {tuple(angles)}"
                 )
         self.controller = controller
         self.state = SimState(
@@ -357,7 +350,6 @@ class Simulation:
             thetas=thetas,
             inboxes=[[] for _ in range(xs.size)],
             rng_streams=[RngStream(stream_seed(config.seed, i)) for i in range(xs.size)],
-            master_rng=master_rng,
         )
         # Free one untouched block of _HEAP_WARMUP_BYTES. Under glibc's
         # dynamic mmap threshold (mallopt(3)) that raises the threshold to
@@ -404,25 +396,24 @@ class Simulation:
                     f"(v={float(v_arr[robot])!r}, w={float(w_arr[robot])!r})"
                 )
         else:
-            # Readings and inputs are built a block of `reading_block` robots
-            # at a time; robots then step one by one, and robot i's output is
-            # checked before robot i + 1 steps.
+            # Readings and inputs are built a block of robots at a time;
+            # robots then step one by one, and robot i's output is checked
+            # before robot i + 1 steps.
             tick = state.tick
             n = xs.size
-            block = reading_block(len(self.spec.angles))
+            block = max(1, _BLOCK_READINGS // len(self.spec.angles))
             collided_last = state.collided.tolist()
             inboxes = state.inboxes
             streams = state.rng_streams
             vs: list[float] = []
             ws: list[float] = []
             outboxes = []
-            rows = readings_from_arrays(normalized, hits)
             for start in range(0, n, block):
                 stop = min(start + block, n)
                 inputs = slot_build(
                     ControlInput,
                     stop - start,
-                    rows,
+                    readings_from_arrays(normalized[start:stop], hits[start:stop]),
                     collided_last[start:stop],
                     map(tuple, inboxes[start:stop]),
                     repeat(tick),
@@ -445,7 +436,7 @@ class Simulation:
         # A canceled move keeps its position and still takes its candidate
         # heading.
         collided = ~at_candidate
-        state.set_poses(fx, fy, ctheta, collided)
+        state.xs, state.ys, state.thetas, state.collided = fx, fy, ctheta, collided
 
         # Phase 5: messaging at end-of-tick positions.
         delivered = 0

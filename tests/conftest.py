@@ -136,7 +136,6 @@ def state_of(grid: GridMap, bodies: list[RobotBody]) -> SimState:
         thetas=thetas,
         inboxes=[[] for _ in bodies],
         rng_streams=[RngStream(i) for i in range(len(bodies))],
-        master_rng=RngStream(0),
     )
 
 

@@ -28,6 +28,7 @@ from swarmsim import (
 )
 
 from conftest import (
+    EPUCK_ANGLES,
     PAIRS_AT_REACH,
     neighbors_oracle,
     reference_splitmix64,
@@ -131,13 +132,23 @@ BELT8_CONFIG = SimConfig(
 )
 
 
-@pytest.mark.parametrize("rays", [4, 16])
-def test_simulation_refuses_a_braitenberg_built_for_another_belt(rays):
+@pytest.mark.parametrize(
+    "angles",
+    [
+        pytest.param(evenly_spaced_angles(4), id="4"),
+        pytest.param(evenly_spaced_angles(16), id="16"),
+        pytest.param(EPUCK_ANGLES, id="epuck8"),
+    ],
+)
+def test_simulation_refuses_a_braitenberg_built_for_another_belt(angles):
     # Four rays would steer from columns 0-3 of the 8-ray readings; sixteen
-    # would index past them.
-    controller = BraitenbergController(LIMITS, SensorSpec(evenly_spaced_angles(rays), 64.0))
-    with pytest.raises(ValueError, match=f"{rays} weights for a belt of 8 rays"):
+    # would index past them; the e-puck's eight would gate speed on rays 3
+    # and 4, which on the even belt face backwards.
+    controller = BraitenbergController(LIMITS, SensorSpec(angles, 64.0))
+    with pytest.raises(ValueError, match=f"{len(angles)} weights for a belt of 8 rays") as info:
         Simulation(BELT8_CONFIG, controller=controller)
+    assert str(angles) in str(info.value)
+    assert str(evenly_spaced_angles(8)) in str(info.value)
 
 
 def test_simulation_runs_a_braitenberg_built_for_its_belt():

@@ -34,7 +34,7 @@ from swarmsim import (
     state_digest,
     wrap_angle,
 )
-from swarmsim.sensing import reading_block
+from swarmsim.engine import _BLOCK_READINGS
 
 from conftest import child_env
 
@@ -242,25 +242,35 @@ def test_setup_builds_no_bodies_and_first_read_matches_spawn(monkeypatch, kwargs
         assert thetas.tolist() == [0.5, wrap_angle(4.0), wrap_angle(-7.0)]
 
 
-def test_bodies_built_once_between_ticks_and_anew_after_step():
+def test_bodies_built_anew_on_every_read_from_the_arrays():
     config = make_config(robot_count=12, seed=4)
     sim = Simulation(config)
     state = sim.state
+
+    def rows():
+        return list(
+            zip(state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist())
+        )
+
+    def seen(bodies):
+        return [(b.pose.x, b.pose.y, b.pose.theta, b.collided_last_tick) for b in bodies]
+
     first = state.bodies
-    assert state.bodies is first
-    before = [(b.pose.x, b.pose.y, b.pose.theta) for b in first]
+    before = rows()
+    assert seen(first) == before
     first[0].pose = Pose(-5.0, -5.0, 0.0)  # reaches neither the arrays nor the tick
+    first[1].collided_last_tick = True
+    assert rows() == before
+    again = state.bodies
+    assert again is not first and seen(again) == before
     sim.step()
     untouched = Simulation(config)
     untouched.step()
     assert state_digest(state) == state_digest(untouched.state)
     after = state.bodies
-    assert state.bodies is after
-    rows = list(
-        zip(state.xs.tolist(), state.ys.tolist(), state.thetas.tolist(), state.collided.tolist())
-    )
-    assert [(b.pose.x, b.pose.y, b.pose.theta, b.collided_last_tick) for b in after] == rows
-    assert [row[:3] for row in rows] != before
+    assert after is not state.bodies
+    assert seen(after) == rows()
+    assert [row[:3] for row in rows()] != [row[:3] for row in before]
     sim.check_invariants()
 
 
@@ -585,7 +595,7 @@ def test_fault_in_a_later_block_stops_the_tick_at_that_robot():
         arena_width=400,
         arena_height=400,
     )
-    assert 64 <= 70 < 96 and reading_block(8) == 32
+    assert 64 <= 70 < 96 and _BLOCK_READINGS // 8 == 32
     ok = ControlOutput(ActuatorCommand(0.0, 0.0))
     outputs = [ok] * 100
     outputs[70] = ControlOutput(ActuatorCommand(0.0, math.inf))
@@ -755,28 +765,29 @@ def test_robot_count_ids_radius_conserved():
 
 
 def test_braitenberg_batch_and_plugin_wrapper_agree():
-    """A plugin that forwards to the built-in must reproduce the batch path."""
+    """A plugin that forwards to the built-in reproduces the batch path bit
+    for bit, every tick. With 8 rays the plugin loop's blocks hold 32
+    robots, so 70 robots run in blocks of 32, 32 and 6."""
     from swarmsim import BraitenbergController, Limits, SensorSpec, evenly_spaced_angles
 
-    config = make_config(robot_count=8, controller_type="braitenberg", seed=33)
-    batch_sim = Simulation(config)
-
     class Wrapper:
-        def __init__(self):
+        def __init__(self, config):
             spec = SensorSpec(evenly_spaced_angles(config.sensor_count), config.sensor_range)
             self.inner = BraitenbergController(Limits(config.v_max, config.w_max), spec)
 
         def step(self, control_input, rng):
             return self.inner.step(control_input, rng)
 
-    plugin_sim = Simulation(config, controller=Wrapper())
-    for _ in range(40):
-        batch_sim.step()
-        plugin_sim.step()
-    for a, b in zip(batch_sim.state.bodies, plugin_sim.state.bodies):
-        assert a.pose.x == pytest.approx(b.pose.x, abs=1e-9)
-        assert a.pose.y == pytest.approx(b.pose.y, abs=1e-9)
-        assert a.pose.theta == pytest.approx(b.pose.theta, abs=1e-9)
+    assert _BLOCK_READINGS // 8 == 32
+    for robots in (8, 70):
+        config = make_config(robot_count=robots, controller_type="braitenberg", seed=33)
+        batch_sim = Simulation(config)
+        plugin_sim = Simulation(config, controller=Wrapper(config))
+        for tick in range(40):
+            batch_sim.step()
+            plugin_sim.step()
+            assert state_digest(plugin_sim.state) == state_digest(batch_sim.state), (robots, tick)
+        assert plugin_sim.state.collided.tolist() == batch_sim.state.collided.tolist()
 
 
 def test_builtin_subclass_runs_its_own_step():

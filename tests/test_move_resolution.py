@@ -96,12 +96,10 @@ def reference_step(sim: Simulation) -> None:
         body.collided_last_tick = not free
         canceled += not free
     # The engine's state is the pose arrays: hand the loop's poses back.
-    state.set_poses(
-        np.array([b.pose.x for b in bodies], dtype=np.float64),
-        np.array([b.pose.y for b in bodies], dtype=np.float64),
-        np.array([b.pose.theta for b in bodies], dtype=np.float64),
-        np.array([b.collided_last_tick for b in bodies], dtype=bool),
-    )
+    state.xs = np.array([b.pose.x for b in bodies], dtype=np.float64)
+    state.ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
+    state.thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
+    state.collided = np.array([b.collided_last_tick for b in bodies], dtype=bool)
     state.inboxes = [[] for _ in range(n)]
     state.metrics.canceled_moves += canceled
     state.metrics.ticks_run += 1

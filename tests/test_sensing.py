@@ -494,7 +494,7 @@ def test_readings_from_arrays_match_sense_all(max_range, kinds_seen):
     spec = SensorSpec(EPUCK_ANGLES, max_range)
     xs, ys, thetas = _batch_inputs(bodies)
     normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
-    rows = list(readings_from_arrays(normalized, hits))
+    rows = readings_from_arrays(normalized, hits)
     assert len(rows) == len(bodies)
     centers = centers_of(bodies)
     kinds = set()
@@ -512,15 +512,16 @@ def test_readings_from_arrays_match_sense_all(max_range, kinds_seen):
     assert _NONE_READING == SensorReading(1.0, "none")
 
 
-def test_readings_from_arrays_yields_rows_one_by_one():
+def test_readings_from_arrays_returns_one_row_per_robot():
     normalized = np.array([[1.0, 0.25], [0.5, 1.0]])
     hits = np.array([[HIT_NONE, HIT_WALL], [1, HIT_NONE]])
     rows = readings_from_arrays(normalized, hits)
-    assert iter(rows) is rows  # an iterator, not a list built up front
-    assert next(rows) == (_NONE_READING, SensorReading(0.25, "wall"))
-    assert next(rows) == (SensorReading(0.5, "robot", 1), _NONE_READING)
-    assert next(rows, None) is None
-    assert list(readings_from_arrays(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))) == []
+    assert rows == [
+        (_NONE_READING, SensorReading(0.25, "wall")),
+        (SensorReading(0.5, "robot", 1), _NONE_READING),
+    ]
+    assert rows[0][0] is _NONE_READING and rows[1][1] is _NONE_READING
+    assert readings_from_arrays(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64)) == []
 
 
 @pytest.mark.parametrize("dda_limit", [0, None])
