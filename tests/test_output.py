@@ -25,7 +25,7 @@ from swarmsim import (
 )
 
 import test_golden_digests as golden
-from conftest import place_bodies, random_grid, state_of
+from conftest import EPUCK_ANGLES, place_bodies, random_grid, state_of
 
 
 def _config(**kwargs) -> SimConfig:
@@ -350,8 +350,10 @@ def test_frames_written_by_run(tmp_path):
 
 
 def _frame_sims(tmp_path):
-    """A run with no robots, and one with 40 on a map with obstacles after
-    three ticks."""
+    """A run with no robots, one with 40 on a map with obstacles after three
+    ticks, and one with 200 on a walled map with the uneven e-puck belt after
+    three ticks: robots at the map's edge end rays on the border, so some
+    ray endpoints fall off the image."""
     rng = random.Random(17)
     grid = random_grid(rng, 80, 60, 0.03)
     pixels = bytes(0 if blocked else 255 for blocked in grid.occupancy.ravel().tolist())
@@ -369,13 +371,37 @@ def _frame_sims(tmp_path):
             arena_height=None,
         )
     )
-    for _ in range(3):
-        crowd.step()
-    return empty, crowd
+    occupancy = np.zeros((120, 160), dtype=bool)
+    occupancy[40:44, 20:100] = True
+    occupancy[70:110, 120:124] = True
+    for _ in range(60):
+        occupancy[rng.randrange(120), rng.randrange(160)] = True
+    walls_path = tmp_path / "walls.pgm"
+    pixels = np.where(occupancy, 0, 255).astype(np.uint8).tobytes()
+    walls_path.write_bytes(b"P5\n160 120\n255\n" + pixels)
+    walls = Simulation(
+        _config(
+            robot_count=200,
+            robot_radius=2.0,
+            seed=5,
+            controller_type="braitenberg",
+            sensor_count=len(EPUCK_ANGLES),
+            sensor_angles=EPUCK_ANGLES,
+            sensor_range=30.0,
+            map_path=str(walls_path),
+            arena_width=None,
+            arena_height=None,
+        )
+    )
+    for sim in (crowd, walls):
+        for _ in range(3):
+            sim.step()
+    return empty, crowd, walls
 
 
-# sha256 of (frame without rays, frame with rays), recorded before the
-# renderer read the pose arrays instead of `state.bodies`.
+# sha256 of (frame without rays, frame with rays). "empty" and "crowd" were
+# recorded before the renderer read the pose arrays instead of
+# `state.bodies`, "walls" before it computed the ray endpoints in arrays.
 _FRAME_HASHES = {
     "empty": (
         "760c4e20ad6674415631f95bcc80ec42ca2579bef870faf33f19e453108bf734",
@@ -385,11 +411,15 @@ _FRAME_HASHES = {
         "0c4750ae092758d0eb6fdb26e896c5d0c33638dcce9aed47048235441cd8a5ba",
         "744f9c3eac3aee61caf3c044999e97f6da361f6372d6361036ba811cdd823246",
     ),
+    "walls": (
+        "e82227de4eaf0da68793da292abb08bbc4ad744b6bf627cbb724cd4ec69c62b1",
+        "22e442e25e921caff77f5a2ff28492c2a66656b90c536c943a11df8f2948ff48",
+    ),
 }
 
 
 def test_frames_match_recorded_bytes(tmp_path):
-    for name, sim in zip(("empty", "crowd"), _frame_sims(tmp_path)):
+    for name, sim in zip(("empty", "crowd", "walls"), _frame_sims(tmp_path)):
         got = (
             hashlib.sha256(render_frame(sim.state)).hexdigest(),
             hashlib.sha256(render_frame(sim.state, sim.spec, draw_rays=True)).hexdigest(),
