@@ -38,12 +38,24 @@ class BenchRow:
         )
 
 
+def _run_size(config: SimConfig) -> tuple[float, int]:
+    report = run(config)
+    return report.metrics.wall_seconds, report.peak_mem_bytes
+
+
 def bench(base_config: SimConfig, sizes: Sequence[int] = DEFAULT_SIZES) -> list[BenchRow]:
-    """Run base_config for its `ticks` once per population size; per-size
-    failures become error rows and the remaining sizes still run."""
+    """Run base_config for its `ticks` once per population size, each in a
+    fresh interpreter, so that a row's peak memory is that size's alone (a
+    forked child would start with this process's pages). Per-size failures,
+    a child that dies without a result included, become error rows and the
+    remaining sizes still run."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     if not sizes or min(sizes) < 0:
         raise ValueError(f"bench needs one or more population sizes >= 0, got {list(sizes)}")
     run_ticks = base_config.ticks
+    spawn = get_context("spawn")
     rows: list[BenchRow] = []
     for n in sizes:
         config = replace(
@@ -55,13 +67,12 @@ def bench(base_config: SimConfig, sizes: Sequence[int] = DEFAULT_SIZES) -> list[
             spawn_positions=None,
         )
         try:
-            report = run(config)
+            with ProcessPoolExecutor(1, mp_context=spawn) as child:
+                wall, peak = child.submit(_run_size, config).result()
         except Exception as exc:  # keep benching the other sizes
             rows.append(BenchRow(n, run_ticks, None, None, error=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(
-            BenchRow(n, run_ticks, report.metrics.wall_seconds, report.peak_mem_bytes)
-        )
+        rows.append(BenchRow(n, run_ticks, wall, peak))
     return rows
 
 

@@ -149,7 +149,8 @@ class SimState:
 
 @dataclass(slots=True)
 class RunReport:
-    """Metrics plus a config echo and a best-effort peak-memory estimate."""
+    """Metrics plus a config echo and this process's own peak resident set
+    size (`peak_rss_bytes`), not counting the process that launched it."""
 
     metrics: Metrics
     config_items: tuple[tuple[str, str], ...]
@@ -341,6 +342,7 @@ class Simulation:
                     f"at bearings {tuple(angles)}"
                 )
         self.controller = controller
+        seeds = stream_seed(config.seed, np.arange(xs.size, dtype=np.uint64))
         self.state = SimState(
             tick=0,
             grid=grid,
@@ -349,7 +351,7 @@ class Simulation:
             ys=ys,
             thetas=thetas,
             inboxes=[[] for _ in range(xs.size)],
-            rng_streams=[RngStream(stream_seed(config.seed, i)) for i in range(xs.size)],
+            rng_streams=list(map(RngStream, seeds.tolist())),
         )
         # Free one untouched block of _HEAP_WARMUP_BYTES. Under glibc's
         # dynamic mmap threshold (mallopt(3)) that raises the threshold to
@@ -619,7 +621,17 @@ def state_digest(state: SimState) -> int:
 
 
 def peak_rss_bytes() -> int:
-    """Best-effort peak resident set size of this process, in bytes."""
+    """Best-effort peak resident set size of this process's own address
+    space, in bytes: `VmHWM` of /proc/self/status. Where there is no /proc
+    it falls back to `ru_maxrss`, which in a process started by exec also
+    counts the peak of the process that launched it."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # non-POSIX platform

@@ -6,6 +6,11 @@ canceled outright (the heading change always sticks), which keeps the
 global no-overlap invariant without any contact dynamics. `resolve_move` is
 the per-robot test of that rule on plain floats: whether one candidate
 position is clear of the walls and of a plain list of blocker centres.
+
+`apply_command` is the scalar oracle of the motion step and `apply_commands`
+its batch form for the tick. They give the same bits: the batch form uses
+the same expressions, and numpy's float64 `cos`/`sin` equal `math.cos`/
+`math.sin` (tests/test_kinematics.py pins both facts).
 """
 
 from __future__ import annotations
@@ -94,19 +99,15 @@ def apply_commands(
     limits: Limits,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_command` for a whole swarm: candidate (x, y, theta) arrays,
-    bit-identical to the scalar form element by element. The trig stays in
-    `math.cos`/`math.sin`, and only out-of-range headings take the scalar
-    `wrap_angle`."""
+    bit-identical to the scalar form element by element. Only out-of-range
+    headings take the scalar `wrap_angle`; `np.cos`/`np.sin` match `math`."""
     w = np.clip(w, -limits.w_max, limits.w_max)
     v = np.clip(v, -limits.v_max, limits.v_max)
     theta = thetas + w
     outside = np.flatnonzero(~((theta >= -_PI) & (theta < _PI)))
     if outside.size:
         theta[outside] = [wrap_angle(t) for t in theta[outside].tolist()]
-    angles = theta.tolist()
-    cos = np.fromiter(map(math.cos, angles), dtype=np.float64, count=theta.size)
-    sin = np.fromiter(map(math.sin, angles), dtype=np.float64, count=theta.size)
-    return xs + v * cos, ys + v * sin, theta
+    return xs + v * np.cos(theta), ys + v * np.sin(theta), theta
 
 
 def resolve_move(

@@ -248,23 +248,15 @@ def render_frame(state, spec=None, draw_rays: bool = False) -> bytes:
 
         xs, ys, thetas = state.xs, state.ys, state.thetas
         normalized, _ = sense_batch(grid, xs, ys, thetas, radius, spec)
-        angles = np.asarray(spec.angles)
-        for i in range(xs.size):
-            for j, angle in enumerate(angles):
-                bearing = thetas[i] + angle
-                dx = math.cos(bearing)
-                dy = math.sin(bearing)
-                ox = xs[i] + radius * dx
-                oy = ys[i] + radius * dy
-                dist = normalized[i, j] * spec.max_range
-                _draw_line(
-                    img,
-                    math.floor(ox),
-                    math.floor(oy),
-                    math.floor(ox + dist * dx),
-                    math.floor(oy + dist * dy),
-                    _GRAY,
-                )
+        bearing = thetas[:, None] + np.asarray(spec.angles)
+        dx = np.cos(bearing)
+        dy = np.sin(bearing)
+        ox = xs[:, None] + radius * dx
+        oy = ys[:, None] + radius * dy
+        dist = normalized * spec.max_range
+        ends = (ox, oy, ox + dist * dx, oy + dist * dy)
+        for x0, y0, x1, y1 in zip(*(np.floor(a).astype(np.int64).ravel().tolist() for a in ends)):
+            _draw_line(img, x0, y0, x1, y1, _GRAY)
     for i, (x, y) in enumerate(zip(state.xs.tolist(), state.ys.tolist())):
         _draw_disc(img, x, y, radius, robot_color(i))
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")

@@ -82,7 +82,9 @@ def _uniform_of_states(state: np.ndarray) -> np.ndarray:
 
 
 def stream_seed(master_seed: int, robot_id: int) -> int:
-    """Seed for robot `robot_id`'s private stream, independent of robot count."""
+    """Seed for robot `robot_id`'s private stream, independent of robot count.
+    Also takes a uint64 array of ids, whose arithmetic wraps as `& MASK64`
+    does, and returns the seeds as a uint64 array."""
     return (master_seed ^ ((robot_id + 1) * GOLDEN_GAMMA)) & MASK64
 
 

@@ -11,8 +11,9 @@ would; the map border is just the first blocked cell past a box.
 `cast_ray` / `sense_all` are the reference per-ray operations; they take the
 robot centres as a plain list in id order and scan all of them. `sense_batch`
 is the vectorized whole-swarm path the engine runs every tick; it computes
-the same quantities with the same floating-point expressions and is checked
-against the scalar path by the test suite. Its disc hits take one path for
+the same quantities with the same floating-point expressions (numpy's
+float64 `cos`/`sin` give `math`'s bits), so the test suite requires it to
+equal the scalar path bit for bit. Its disc hits take one path for
 every belt, even or uneven: a lookup table over the sorted belt gives each
 robot pair the few rays whose bearing can reach the other disc, and only
 those rays get the exact ray-circle test.
@@ -269,13 +270,12 @@ def sense_all(
     obstacle reads ~0."""
     pose = body.pose
     readings: list[SensorReading] = []
-    inv_range = 1.0 / spec.max_range
     for angle in spec.angles:
         bearing = pose.theta + angle
         ox = pose.x + body.radius * math.cos(bearing)
         oy = pose.y + body.radius * math.sin(bearing)
         hit = cast_ray(grid, centers, body.radius, (ox, oy), bearing, spec.max_range, body.id)
-        readings.append(SensorReading(hit.dist * inv_range, hit.kind, hit.robot))
+        readings.append(SensorReading(hit.dist / spec.max_range, hit.kind, hit.robot))
     return readings
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swarmsim import SimConfig, bench, format_csv, main
@@ -68,6 +70,25 @@ def test_bench_error_row_keeps_going():
     csv_lines = format_csv(rows).strip().splitlines()
     assert "placed" in csv_lines[1]
     assert csv_lines[2].startswith("1,2,")
+
+
+def test_bench_rows_report_each_size_peak_alone():
+    # One process for both sizes would report the 20000-robot peak twice.
+    wide = replace(BASE, ticks=3, arena_width=2048, arena_height=2048)
+    big, small = bench(wide, sizes=[20000, 10])
+    assert big.error is None and small.error is None
+    assert small.peak_mem_bytes < big.peak_mem_bytes
+
+
+def _die(config):
+    os._exit(3)
+
+
+def test_bench_child_that_dies_is_an_error_row(monkeypatch):
+    monkeypatch.setattr(sys.modules["swarmsim.bench"], "_run_size", _die)
+    rows = bench(BASE, sizes=[1, 2])
+    assert [row.n for row in rows] == [1, 2]
+    assert all(row.error.startswith("BrokenProcessPool: ") for row in rows)
 
 
 def test_bench_requires_sizes():
@@ -211,6 +232,21 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
+
+
+def test_report_peak_excludes_the_launching_process(tmp_path):
+    # A child started by exec inherits its parent's ru_maxrss; the report
+    # must give the child's own peak.
+    held = np.ones(300 << 20, dtype=np.uint8)
+    proc = subprocess.run(
+        [sys.executable, "-m", "swarmsim", "--config", str(_write_config(tmp_path))],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+    assert 0 < int(report["peak_mem_bytes"]) < held.nbytes
 
 
 @pytest.mark.parametrize("flags", [[], ["--bench", "1,2"]])

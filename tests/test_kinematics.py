@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from swarmsim import (
@@ -16,6 +17,7 @@ from swarmsim import (
     resolve_move,
     wrap_angle,
 )
+from swarmsim.kinematics import apply_commands
 
 from conftest import grid_from_ascii
 
@@ -96,6 +98,71 @@ def test_translation_magnitude_never_exceeds_v_max():
         out = apply_command(pose, cmd, LIMITS)
         step = math.hypot(out.x - pose.x, out.y - pose.y)
         assert step <= LIMITS.v_max + 1e-12
+
+
+def test_numpy_trig_equals_math_trig():
+    # The batch paths (phase 4, sensing, frame rays) take np.cos/np.sin where
+    # the scalar oracles take math.cos/math.sin; the goldens and the exact
+    # batch-equals-scalar checks hold only while the two give the same bits.
+    sweep = np.linspace(-math.pi, math.pi, 1_000_001)[:-1]
+    eighths = np.arange(-32, 33) * (math.pi / 8)
+    bearings = np.random.default_rng(3).uniform(-4 * math.pi, 4 * math.pi, 200_000)
+    angles = np.concatenate(
+        [
+            sweep,
+            eighths,
+            np.nextafter(eighths, np.inf),
+            np.nextafter(eighths, -np.inf),
+            [0.0, -0.0, -math.pi],
+            bearings,
+        ]
+    )
+    for fast, exact in ((np.cos, math.cos), (np.sin, math.sin)):
+        got = fast(angles).view(np.uint64)
+        want = np.fromiter(map(exact, angles.tolist()), np.float64, angles.size).view(np.uint64)
+        bad = angles[got != want]
+        assert bad.size == 0, (
+            f"numpy {np.__version__} {fast.__name__} differs from math.{exact.__name__} "
+            f"at {bad.size} angles, e.g. {bad[:5].tolist()}"
+        )
+
+
+def test_apply_commands_equals_apply_command_bitwise():
+    rng = np.random.default_rng(11)
+    below_pi = np.nextafter(math.pi, 0.0)
+    # Headings at -pi, just below pi and near the wrap, each with commands
+    # that stay inside, land exactly on pi, cross the wrap either way, clamp,
+    # stand still or reverse.
+    edge_thetas = [-math.pi, below_pi, np.nextafter(below_pi, 0.0), math.pi - 0.5, -math.pi + 0.5]
+    edge_commands = [
+        (0.0, 0.0),
+        (0.0, 0.5),
+        (-1.5, -0.5),
+        (-9.0, 9.0),
+        (9.0, -9.0),
+        (1.0, math.pi),
+        (1.0, -math.pi),
+        (2.0, 5e-324),
+        (-2.0, -5e-324),
+    ]
+    edge = [(t, v, w) for t in edge_thetas for v, w in edge_commands]
+    n = 4000
+    thetas = np.concatenate([[t for t, _, _ in edge], rng.uniform(-math.pi, math.pi, n)])
+    v = np.concatenate([[v for _, v, _ in edge], rng.uniform(-3.0, 3.0, n)])
+    w = np.concatenate([[w for _, _, w in edge], rng.uniform(-4.0, 4.0, n)])
+    xs = rng.uniform(0.0, 500.0, thetas.size)
+    ys = rng.uniform(0.0, 500.0, thetas.size)
+    got = apply_commands(xs, ys, thetas, v, w, LIMITS)
+    want = [
+        apply_command(Pose(*pose), ActuatorCommand(*command), LIMITS)
+        for pose, command in zip(
+            zip(xs.tolist(), ys.tolist(), thetas.tolist()), zip(v.tolist(), w.tolist())
+        )
+    ]
+    for field, array in zip(("x", "y", "theta"), got):
+        expected = np.array([getattr(pose, field) for pose in want])
+        mismatch = np.flatnonzero(array.view(np.uint64) != expected.view(np.uint64))
+        assert mismatch.size == 0, (field, mismatch[:5].tolist())
 
 
 def test_limits_must_be_positive():

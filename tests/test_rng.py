@@ -37,6 +37,14 @@ def test_per_robot_stream_seed_derivation():
         assert stream_seed(master, robot) == expected_seed
 
 
+def test_stream_seed_of_an_id_array_equals_the_scalar_form():
+    ids = np.arange(7000, dtype=np.uint64)
+    for master in (0, 1, 1 << 63, MASK64):
+        seeds = stream_seed(master, ids)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [stream_seed(master, i) for i in range(7000)], master
+
+
 def test_per_robot_streams_differ_and_are_count_independent():
     a = RngStream(stream_seed(7, 0))
     b = RngStream(stream_seed(7, 1))

@@ -155,7 +155,7 @@ def test_reading_count_and_order_follow_spec():
         / 20.0
         for a in angles
     ]
-    assert [r.normalized for r in readings] == pytest.approx(direct)
+    assert [r.normalized for r in readings] == direct
 
 
 def test_sensing_is_pure():
@@ -273,7 +273,7 @@ def _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits):
     centers = centers_of(bodies)
     for i, body in enumerate(bodies):
         for j, reading in enumerate(sense_all(body, spec, grid, centers)):
-            assert abs(normalized[i, j] - reading.normalized) <= 1e-12, (i, j)
+            assert normalized[i, j] == reading.normalized, (i, j)
             code = {"none": HIT_NONE, "wall": HIT_WALL}.get(reading.kind, reading.robot)
             assert int(hits[i, j]) == code, (i, j)
 
@@ -500,11 +500,8 @@ def test_readings_from_arrays_match_sense_all(max_range, kinds_seen):
     kinds = set()
     for body, row in zip(bodies, rows):
         assert type(row) is tuple
-        expected = sense_all(body, spec, grid, centers)
-        assert len(row) == len(expected)
-        for j, (got, want) in enumerate(zip(row, expected)):
-            assert (got.kind, got.robot) == (want.kind, want.robot), (body.id, j)
-            assert abs(got.normalized - want.normalized) <= 1e-12, (body.id, j)
+        assert row == tuple(sense_all(body, spec, grid, centers)), body.id
+        for got in row:
             if got.kind == "none":
                 assert got is _NONE_READING and got.normalized == 1.0
             kinds.add(got.kind)

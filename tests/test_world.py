@@ -302,7 +302,7 @@ def test_far_cells_of_a_large_map_read_the_cap():
     centers = [(b.pose.x, b.pose.y) for b in bodies]
     for i, body in enumerate(bodies):
         for j, reading in enumerate(sense_all(body, spec, grid, centers)):
-            assert abs(normalized[i, j] - reading.normalized) <= 1e-12, (i, j)
+            assert normalized[i, j] == reading.normalized, (i, j)
             code = {"none": HIT_NONE, "wall": HIT_WALL}.get(reading.kind, reading.robot)
             assert hits[i, j] == code, (i, j)
     assert (normalized[hits == HIT_WALL] * 400.0 > 255.0).any()  # hits past the cap
