@@ -182,9 +182,9 @@ def deliver_messages(
             f"broadcast radius of robot {robot} must be non-negative; "
             f"got {outboxes[robot].radius!r}"
         )
-    lo, hi, d2 = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
-    src = np.concatenate((lo, hi))
-    dst = np.concatenate((hi, lo))
+    a, b, d2, _, _ = _pairs_within(xs, ys, max(float(radius.max()), 1.0))
+    src = np.concatenate((a, b))
+    dst = np.concatenate((b, a))
     keep = sends[src] & (np.concatenate((d2, d2)) <= radius[src] * radius[src])
     src = src[keep]
     dst = dst[keep]

@@ -189,9 +189,10 @@ def _close_pairs(xs: np.ndarray, ys: np.ndarray, r: float) -> tuple[np.ndarray, 
     """The pairs (lo < hi) whose centers are strictly closer than 2r, with
     the distances of `resolve_move`."""
     d = 2.0 * r
-    lo, hi, d2 = _pairs_within(xs, ys, d)
+    a, b, d2, _, _ = _pairs_within(xs, ys, d)
     close = d2 < d * d
-    return lo[close], hi[close]
+    a, b = a[close], b[close]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _overlaps(
@@ -376,7 +377,8 @@ class Simulation:
         # candidate, is within `move_reach` of i's snapshot. Sensing reads
         # the whole list (a superset of its own reach is allowed when
         # `sensors.range` is below the move reach); phase 4 filters it on
-        # the squared distances the search already computed.
+        # the squared distances the search already computed and puts the
+        # pairs it keeps in id order.
         r = self.config.robot_radius
         move_reach = 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN
         pairs = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
@@ -432,9 +434,12 @@ class Simulation:
 
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
-        lo, hi, d2 = pairs
+        a, b, d2, _, _ = pairs
         near = d2 <= move_reach * move_reach
-        fx, fy, at_candidate, serial = self._resolve_moves(xs, ys, cx, cy, lo[near], hi[near])
+        a, b = a[near], b[near]
+        fx, fy, at_candidate, serial = self._resolve_moves(
+            xs, ys, cx, cy, np.minimum(a, b), np.maximum(a, b)
+        )
         # A canceled move keeps its position and still takes its candidate
         # heading.
         collided = ~at_candidate

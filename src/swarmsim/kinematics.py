@@ -99,14 +99,17 @@ def apply_commands(
     limits: Limits,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`apply_command` for a whole swarm: candidate (x, y, theta) arrays,
-    bit-identical to the scalar form element by element. Only out-of-range
-    headings take the scalar `wrap_angle`; `np.cos`/`np.sin` match `math`."""
+    bit-identical to the scalar form element by element. Headings outside
+    [-pi, pi) are wrapped by `wrap_angle`'s own rule in arrays: numpy's
+    float remainder is Python's `%`. `np.cos`/`np.sin` match `math`."""
     w = np.clip(w, -limits.w_max, limits.w_max)
     v = np.clip(v, -limits.v_max, limits.v_max)
     theta = thetas + w
     outside = np.flatnonzero(~((theta >= -_PI) & (theta < _PI)))
     if outside.size:
-        theta[outside] = [wrap_angle(t) for t in theta[outside].tolist()]
+        wrapped = np.remainder(theta[outside] + _PI, _TWO_PI) - _PI
+        wrapped[wrapped >= _PI] = -_PI
+        theta[outside] = wrapped
     return xs + v * np.cos(theta), ys + v * np.sin(theta), theta
 
 

@@ -384,11 +384,13 @@ _Y_BINS = 4
 
 def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Robot pairs (lo, hi), lo < hi, with center distance <= reach, each
-    unordered pair once in no set order, and their squared distances
-    d2 = dx * dx + dy * dy with dx = xs[hi] - xs[lo], dy = ys[hi] - ys[lo]
-    (bit-equal under either sign).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The record (a, b, d2, dx, dy) of the robot pairs with center
+    distance <= reach: each unordered pair once, in either orientation and
+    in no set order, with its offsets dx = xs[b] - xs[a], dy = ys[b] - ys[a]
+    and squared distance d2 = dx * dx + dy * dy (bit-equal under either
+    orientation). Callers that need id order take np.minimum/np.maximum of
+    a and b on the rows they keep.
 
     Columns `reach * (1 + 2**-20)` wide are split along y into `_Y_BINS`
     bins and sorted column by column, so each robot pairs with two runs of
@@ -396,11 +398,13 @@ def _pairs_within(
     the bins within `_Y_BINS` of its own in the next column. The margin
     keeps a pair at exactly `reach` in those runs: a quotient of magnitude
     up to 2**30 is off by at most 2**-23, so such a pair lies at most one
-    column or `_Y_BINS` bins apart."""
+    column or `_Y_BINS` bins apart. The keys are sorted in the narrowest
+    unsigned type that holds them; the sort is stable, so the order is the
+    same at any width, and numpy radix-sorts keys of 16 bits or fewer."""
     n = xs.size
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
+        return empty, empty, np.empty(0), np.empty(0), np.empty(0)
     m = _Y_BINS
     width = reach * (1.0 + 2.0**-20)
     # Bins are bounded before the cast. Clipping is 1-Lipschitz, so robots in
@@ -412,7 +416,7 @@ def _pairs_within(
     by_min = by.min()
     span = by.max() - by_min + 2 * m + 1
     key = (bx - bx.min()) * span + (by - by_min + m)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
     skey = key[order]
     slot = np.arange(n, dtype=np.int64)
     own_end = np.searchsorted(skey, skey + m, side="right")
@@ -432,8 +436,7 @@ def _pairs_within(
     with np.errstate(over="ignore"):
         d2 = dx * dx + dy * dy
     keep = np.flatnonzero(d2 <= reach * reach)
-    a, b = order[sa[keep]], order[sb[keep]]
-    return np.minimum(a, b), np.maximum(a, b), d2[keep]
+    return order[sa[keep]], order[sb[keep]], d2[keep], dx[keep], dy[keep]
 
 
 # Bins per turn in the bearing-window table of `_disc_hits_windowed`. The
@@ -463,9 +466,11 @@ def _window_table(angles: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _disc_hits_windowed(
-    lo: np.ndarray,
-    hi: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     d2: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
     xs: np.ndarray,
     ys: np.ndarray,
     thetas: np.ndarray,
@@ -478,39 +483,41 @@ def _disc_hits_windowed(
     angles: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest disc hits for any belt: expand only the rays whose
-    bearing can geometrically reach each candidate disc. Takes each
-    unordered pair (lo, hi) once, in any order, with its squared distance
-    d2 as `_pairs_within` returns it, and tests both directions as one
-    array of 2m ordered pairs.
+    bearing can geometrically reach each candidate disc. Takes the record
+    (a, b, d2, dx, dy) of `_pairs_within`, each unordered pair once in any
+    order and orientation, and tests both directions as one array of 2m
+    ordered pairs; the bearings come from the record's offsets.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
-    product). The window is widened by 1e-6 rad (1.6e-4 table bins), orders
-    of magnitude beyond float rounding (the reverse bearing, the heading
-    term and the table bins included), so the exact test below never loses
-    a candidate. Windows are expanded count by count: those with at least
-    one ray, then with at least two, and so on. Smallest id wins exact
-    distance ties, matching the scalar scan order.
+    product). The half-width is bounded by the tangent of that angle,
+    rho / sqrt(d2 - rho**2), which is at least the angle itself, capped at
+    pi; a disc at d <= rho (a zero or NaN root) gets a full turn. The
+    window is widened by 1e-6 rad (1.6e-4 table bins), orders of magnitude
+    beyond float rounding (the reverse bearing, the heading term and the
+    table bins included), so the exact test below never loses a candidate.
+    Windows are expanded count by count: those with at least one ray, then
+    with at least two, and so on. Smallest id wins exact distance ties,
+    matching the scalar scan order.
     """
     n, k = ox.shape
-    m = lo.size
+    m = a.size
     table, ray_of_slot = _window_table(angles)
     per_rad = _WINDOW_BINS / (2.0 * math.pi)
-    d = np.sqrt(d2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        half_bins = np.where(d > rho, np.arcsin(np.minimum(1.0, rho / d)), math.pi)
+        half_bins = np.fmin(rho / np.sqrt(d2 - rho * rho), math.pi)
     half_bins = (half_bins + 1e-6) * per_rad
     # Heading-relative bearings in table bins from -5pi: forward, then
     # reverse. Ordered pair j has robot ends[j] and other ends[j +- m].
-    ends = np.concatenate((lo, hi))
+    ends = np.concatenate((a, b))
     rel = np.empty((2, m))
-    np.multiply(np.arctan2(ys[hi] - ys[lo], xs[hi] - xs[lo]), per_rad, out=rel[0])
+    np.multiply(np.arctan2(dy, dx), per_rad, out=rel[0])
     np.add(rel[0], _WINDOW_BINS / 2, out=rel[1])
     rel -= (thetas * per_rad - 5 * _WINDOW_BINS / 2)[ends].reshape(2, m)
     first = table[(rel - half_bins).astype(np.intp)].ravel()
     rel += half_bins
-    counts = table[rel.astype(np.intp) + 1].ravel() - first
+    counts = table[1:][rel.astype(np.intp)].ravel() - first
     np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
     live = np.flatnonzero(counts > 0)
     base = ends[live] * k
@@ -557,17 +564,20 @@ def sense_batch(
     thetas: np.ndarray,
     radius: float,
     spec: SensorSpec,
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    pairs: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All readings for all robots against the given pose snapshot; headings
     must lie in [-pi, pi].
 
     Returns (normalized, hit) arrays of shape (n, k): normalized distances in
     [0, 1] and integer hit codes (HIT_NONE, HIT_WALL, or the hit robot id).
-    `pairs` may pass in the record (lo, hi, d2) of `_pairs_within` at any
-    reach of at least max_range + 2 * radius, as the engine does at its
-    move reach; farther pairs cost time but never change a reading. By
-    default that search runs here.
+    `pairs` may pass in the record (a, b, d2, dx, dy) of `_pairs_within`, in
+    any row order and orientation, at any reach of at least max_range +
+    2 * radius, as the engine does at its move reach; farther pairs cost
+    time but never change a reading. A record of any other shape raises
+    ValueError. By default that search runs here. The disc-hit bearings and
+    windows come from the record's offsets and squared distances (see
+    `_disc_hits_windowed`), so no coordinates are gathered again for them.
 
     Robot disc hits come first. Each ray then looks for a wall only up to
     its nearest robot hit or the range: a wall entry at exactly that
@@ -580,6 +590,10 @@ def sense_batch(
     """
     if not (np.abs(thetas) <= math.pi).all():
         raise ValueError("headings must lie in [-pi, pi]")
+    if pairs is not None and (
+        len(pairs) != 5 or len({np.shape(column) for column in pairs}) != 1
+    ):
+        raise ValueError("pairs must be the record (a, b, d2, dx, dy) of one pair search")
     k = len(spec.angles)
     max_range = spec.max_range
     angles = np.asarray(spec.angles)
@@ -596,7 +610,12 @@ def sense_batch(
         *pairs, xs, ys, thetas, ox, oy, dirx, diry, radius, max_range, tuple(spec.angles)
     )
     dist = np.minimum(rob_t, max_range)
-    need = grid.clearance_at(xs, ys) <= dist.max(axis=1) + radius + 2.0
+    # Each robot's longest capped ray, column by column: a reduction along
+    # the short axis of an (n, k) array is many times slower.
+    longest = dist[:, 0].copy()
+    for c in range(1, k):
+        np.maximum(longest, dist[:, c], out=longest)
+    need = grid.clearance_at(xs, ys) <= longest + radius + 2.0
     if need.any():
         idx = np.nonzero(need)[0]
         wall_t = _wall_batch(grid, *(a[idx].ravel() for a in (ox, oy, dirx, diry, dist)))

@@ -208,30 +208,45 @@ PAIRS_AT_REACH = {
 
 
 def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float) -> None:
-    """`_pairs_within` returns exactly the oracle's pairs (lo < hi), once
-    each, with bit-equal squared distances."""
+    """`_pairs_within` returns exactly the oracle's pairs, once each in
+    either orientation, with offsets and squared distances bit-equal to
+    their expressions for the orientation it chose."""
     from swarmsim.sensing import _pairs_within
 
     xs = np.array([p[0] for p in positions], dtype=np.float64)
     ys = np.array([p[1] for p in positions], dtype=np.float64)
-    lo, hi, d2 = _pairs_within(xs, ys, reach)
+    a, b, d2, dx, dy = _pairs_within(xs, ys, reach)
+    assert_pair_offsets(xs, ys, a, b, d2, dx, dy)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     got = dict(zip(zip(lo.tolist(), hi.tolist()), d2.tolist()))
     assert len(got) == lo.size and (lo < hi).all()
     assert got == pairs_oracle(positions, reach)
 
 
+def assert_pair_offsets(xs, ys, a, b, d2, dx, dy) -> None:
+    """The record's offsets and squared distances are bit-equal to
+    xs[b] - xs[a], ys[b] - ys[a] and dx * dx + dy * dy."""
+    assert np.array_equal(dx, xs[b] - xs[a]) and np.array_equal(dy, ys[b] - ys[a])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(d2, dx * dx + dy * dy)
+
+
 def shuffled_pair_search(seed: int):
-    """A stand-in for `_pairs_within` that returns the same record (lo, hi,
-    d2) with its rows in a seeded random order, for consumers that must not
-    depend on that order."""
+    """A stand-in for `_pairs_within` that returns the same record (a, b,
+    d2, dx, dy) with its rows in a seeded random order and a seeded half of
+    them flipped: a and b swapped, dx and dy negated (exact), for consumers
+    that must depend on neither the order nor the orientation."""
     from swarmsim.sensing import _pairs_within
 
     rng = np.random.default_rng(seed)
 
     def search(xs: np.ndarray, ys: np.ndarray, reach: float):
-        lo, hi, d2 = _pairs_within(xs, ys, reach)
-        perm = rng.permutation(lo.size)
-        return lo[perm], hi[perm], d2[perm]
+        record = _pairs_within(xs, ys, reach)
+        perm = rng.permutation(record[0].size)
+        a, b, d2, dx, dy = (column[perm] for column in record)
+        flip = rng.random(a.size) < 0.5
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        return a, b, d2, np.where(flip, -dx, dx), np.where(flip, -dy, dy)
 
     return search
 

@@ -165,6 +165,24 @@ def test_apply_commands_equals_apply_command_bitwise():
         assert mismatch.size == 0, (field, mismatch[:5].tolist())
 
 
+@pytest.mark.parametrize("w_max", [0.4, math.pi])
+def test_apply_commands_wraps_headings_like_wrap_angle(w_max):
+    # Headings reach apply_commands' wrap as theta + w with w = 0, so they
+    # arrive unchanged: random ones in (-pi - w_max, pi + w_max), +-pi and
+    # the floats just past them, and odd multiples of pi.
+    rng = np.random.default_rng(23)
+    special = [math.pi, -math.pi, math.nextafter(math.pi, math.inf)]
+    special += [math.nextafter(-math.pi, -math.inf)]
+    special += [k * math.pi for k in (3, -3, 5, -5, 7, -7, 101, -101)]
+    headings = np.concatenate([special, rng.uniform(-math.pi - w_max, math.pi + w_max, 20000)])
+    zeros = np.zeros(headings.size)
+    theta = apply_commands(zeros, zeros, headings, zeros, zeros, Limits(2.0, w_max))[2]
+    want = np.array([wrap_angle(t) for t in headings.tolist()])
+    mismatch = np.flatnonzero(theta.view(np.uint64) != want.view(np.uint64))
+    assert mismatch.size == 0, headings[mismatch[:5]].tolist()
+    assert ((theta >= -math.pi) & (theta < math.pi)).all()
+
+
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         Limits(0.0, 1.0)

@@ -404,8 +404,9 @@ def test_single_file_queue_resolves_as_one_lower_id_chain():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_phase_four_is_independent_of_pair_order(tmp_path, seed):
     # A crowd on an obstacle map, with commands past the limits in both
-    # directions: each tick, `_resolve_moves` gets the pair record as the
-    # search returns it and shuffled.
+    # directions: each tick, `_resolve_moves` gets the pairs of the record
+    # as the search returns it and shuffled and flipped, put in id order as
+    # the engine does.
     from swarmsim.engine import _CONTACT_MARGIN, apply_commands
     from swarmsim.sensing import _pairs_within
 
@@ -428,16 +429,38 @@ def test_phase_four_is_independent_of_pair_order(tmp_path, seed):
         v = config.v_max * rng.uniform(-1.5, 3.0, xs.size)
         w = config.w_max * rng.uniform(-2.0, 2.0, xs.size)
         cx, cy, _ = apply_commands(xs, ys, thetas, v, w, sim.limits)
-        lo, hi, _ = _pairs_within(xs, ys, reach)
-        want = sim._resolve_moves(xs, ys, cx, cy, lo, hi)
+        a, b = _pairs_within(xs, ys, reach)[:2]
+        want = sim._resolve_moves(xs, ys, cx, cy, np.minimum(a, b), np.maximum(a, b))
         for _ in range(2):
-            lo, hi, _ = search(xs, ys, reach)
-            got = sim._resolve_moves(xs, ys, cx, cy, lo, hi)
+            a, b = search(xs, ys, reach)[:2]
+            got = sim._resolve_moves(xs, ys, cx, cy, np.minimum(a, b), np.maximum(a, b))
             assert all(np.array_equal(g, e) for g, e in zip(got[:3], want[:3]))
             assert got[3] == want[3]
         residue += want[3]
         sim.step()
     assert residue > 0  # the serial residue ran
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_tick_is_independent_of_pair_order(monkeypatch, tmp_path, seed):
+    # The whole tick, sensing and phase 4, on a record shuffled and half
+    # flipped every tick, against the search's own record.
+    from swarmsim import engine
+
+    config = _config(
+        robot_count=80,
+        seed=seed,
+        arena_width=None,
+        arena_height=None,
+        map_path=_obstacle_p2(tmp_path, 96, seed=seed),
+        robot_radius=3.0,
+    )
+    want = Simulation(config)
+    monkeypatch.setattr(engine, "_pairs_within", shuffled_pair_search(seed))
+    got = Simulation(config)
+    for _ in range(20):
+        assert state_digest(got.step()) == state_digest(want.step())
+    assert got.state.metrics.serial_moves > 0
 
 
 def test_tick_with_a_serial_residue_builds_no_pose_or_body(monkeypatch):

@@ -33,6 +33,7 @@ from swarmsim.sensing import (
 from conftest import (
     EPUCK_ANGLES,
     PAIRS_AT_REACH,
+    assert_pair_offsets,
     assert_pairs_match_oracle,
     centers_of,
     fine_march_confirms,
@@ -420,6 +421,34 @@ def test_batch_given_a_wider_pair_record_equals_its_own_search(angles, seed):
         normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec, pairs=pairs)
         assert np.array_equal(normalized, want_normalized)
         assert np.array_equal(hits, want_hits)
+    # The record is (a, b, d2, dx, dy); the ids and distances alone are not.
+    for short in (pairs[:3], pairs[:2] + (pairs[2][:-1],) + pairs[3:]):
+        with pytest.raises(ValueError, match="record"):
+            sense_batch(grid, xs, ys, thetas, radius, spec, pairs=short)
+
+
+@pytest.mark.parametrize("angles", [_UNIFORM8, EPUCK_ANGLES], ids=["uniform8", "epuck"])
+def test_batch_at_the_tangent_bound_edge_equals_scalar(angles):
+    # The window half-width bound rho / sqrt(d2 - rho**2) is inf for a pair
+    # at exactly d2 == rho**2 and finite but past pi just above it; both
+    # read as a full turn. Pairs a little farther get narrow finite bounds.
+    radius = 2.0
+    grid = generate_arena(120, 120)
+    rng = random.Random(5)
+    above = math.nextafter(22.0, math.inf)  # above - 20.0 is exact
+    centers = [(20.0, 20.0), (22.0, 20.0), (20.0, 40.0), (above, 40.0)]
+    centers += [(60.0, 60.0), (60.0, 62.0), (60.0, 80.0), (62.5, 80.0), (64.0, 80.0)]
+    bodies = [
+        RobotBody(i, Pose(x, y, rng.uniform(-math.pi, math.pi)), radius)
+        for i, (x, y) in enumerate(centers)
+    ]
+    xs, ys, thetas = _batch_inputs(bodies)
+    d2 = _pairs_within(xs, ys, 1.0 + 2.0 * radius)[2]
+    assert (d2 == radius**2).sum() == 2 and ((d2 > radius**2) & (d2 < 4.000001)).sum() == 1
+    spec = SensorSpec(angles, 1.0)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    assert (hits >= 0).any()
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
 
 
 # --- nearest-first order: robot hits cap the wall pass -----------------------------
@@ -1080,33 +1109,31 @@ def test_pairs_within_equal_brute_force(n):
             xs[m + 1], ys[m + 1] = xs[m] + 3.0, ys[m] + 4.0
         else:
             xs[m + 1], ys[m + 1] = xs[m], ys[m] - reach
-    lo, hi, d2 = _pairs_within(xs, ys, reach)
-    assert (lo < hi).all()
-    got = list(zip(lo.tolist(), hi.tolist())) + list(zip(hi.tolist(), lo.tolist()))
-    assert len(got) == len(set(got))  # each unordered pair once
     want = _brute_force_pairs(xs, ys, reach)
-    assert set(got) == want
+    assert set(_unordered_pairs(xs, ys, *_pairs_within(xs, ys, reach))) == want
     exact = sum(1 for i, j in want if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 == reach**2)
     assert exact >= k // 2
-    _assert_pair_d2(xs, ys, lo, hi, d2)
 
 
-def _assert_pair_d2(xs, ys, lo, hi, d2):
-    # Phase 4 filters on these distances: bit-equal to its own expression.
-    dx = xs[hi] - xs[lo]
-    dy = ys[hi] - ys[lo]
-    assert np.array_equal(d2, dx * dx + dy * dy)
+def _unordered_pairs(xs, ys, a, b, d2, dx, dy) -> list[tuple[int, int]]:
+    """Both orientations of every pair of a search record, after checking
+    that each unordered pair comes once and that the offsets and squared
+    distances are those of the record's own orientation, bit for bit
+    (phase 4 filters on these distances)."""
+    assert_pair_offsets(xs, ys, a, b, d2, dx, dy)
+    assert (a != b).all()
+    got = list(zip(a.tolist(), b.tolist())) + list(zip(b.tolist(), a.tolist()))
+    assert len(got) == len(set(got))  # each unordered pair once
+    return got
 
 
 def test_pairs_within_small_swarm_all_pairs():
     xs = np.array([0.0, 3.0, 0.0, 100.0, 0.0])
     ys = np.array([0.0, 4.0, 0.0, 100.0, -5.0])
-    lo, hi, d2 = _pairs_within(xs, ys, 5.0)
-    assert sorted(zip(lo.tolist(), hi.tolist())) == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
-    _assert_pair_d2(xs, ys, lo, hi, d2)
+    got = _unordered_pairs(xs, ys, *_pairs_within(xs, ys, 5.0))
+    assert sorted(p for p in got if p[0] < p[1]) == [(0, 1), (0, 2), (0, 4), (1, 2), (2, 4)]
     for n in (0, 1):
-        lo, hi, d2 = _pairs_within(xs[:n], ys[:n], 5.0)
-        assert lo.size == hi.size == d2.size == 0
+        assert all(column.size == 0 for column in _pairs_within(xs[:n], ys[:n], 5.0))
 
 
 def test_pairs_within_far_off_coordinates_equal_brute_force():
@@ -1126,10 +1153,31 @@ def test_pairs_within_far_off_coordinates_equal_brute_force():
             if i != j and dx * dx + dy * dy <= reach * reach:
                 want.add((i, j))
     assert {(48, 49), (52, 53), (54, 55)} <= want  # far-off pairs within reach
-    lo, hi, _ = _pairs_within(xs, ys, reach)
-    assert (lo < hi).all()
-    got = list(zip(lo.tolist(), hi.tolist())) + list(zip(hi.tolist(), lo.tolist()))
-    assert len(got) == len(set(got)) and set(got) == want
+    assert set(_unordered_pairs(xs, ys, *_pairs_within(xs, ys, reach))) == want
+
+
+@pytest.mark.parametrize(
+    "width, reach, spread", [(np.uint8, 5.0, 3.0), (np.uint16, 5.0, 50.0), (np.uint32, 1.0, 900.0)]
+)
+def test_pairs_within_sorts_keys_of_each_width_equal_brute_force(monkeypatch, width, reach, spread):
+    # The bin keys are sorted in the narrowest unsigned type that holds
+    # them; the far-off coordinates test reaches uint64.
+    rng = np.random.default_rng(int(spread))
+    xs = rng.uniform(0.0, spread * reach, 400)
+    ys = rng.uniform(0.0, spread * reach, 400)
+    xs[1::7], ys[1::7] = xs[0::7][: xs[1::7].size], ys[0::7][: ys[1::7].size] + 0.5 * reach
+    sorted_dtypes = []
+    argsort = np.argsort
+
+    def spy(keys, *args, **kwargs):
+        sorted_dtypes.append(keys.dtype)
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    record = _pairs_within(xs, ys, reach)
+    monkeypatch.undo()
+    assert sorted_dtypes == [np.dtype(width)]
+    assert set(_unordered_pairs(xs, ys, *record)) == _brute_force_pairs(xs, ys, reach)
 
 
 @pytest.mark.parametrize("positions, reach", PAIRS_AT_REACH.values(), ids=PAIRS_AT_REACH.keys())
