@@ -1165,7 +1165,9 @@ def test_pairs_within_sorts_keys_of_each_width_equal_brute_force(monkeypatch, wi
     rng = np.random.default_rng(int(spread))
     xs = rng.uniform(0.0, spread * reach, 400)
     ys = rng.uniform(0.0, spread * reach, 400)
-    xs[1::7], ys[1::7] = xs[0::7][: xs[1::7].size], ys[0::7][: ys[1::7].size] + 0.5 * reach
+    # Every seventh robot half a reach above the one before it.
+    xs[1::7] = xs[:-1:7]
+    ys[1::7] = ys[:-1:7] + 0.5 * reach
     sorted_dtypes = []
     argsort = np.argsort
 
