@@ -117,7 +117,7 @@ class BraitenbergController:
         return ControlOutput(ActuatorCommand(v, w))
 
     def step_batch(
-        self, normalized: np.ndarray, streams: Sequence[RngStream]
+        self, normalized: np.ndarray, rng_states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Whole-swarm step on the (n, k) readings matrix; accumulation order
         matches the scalar loop term for term."""
@@ -147,10 +147,10 @@ class RandomWalkController:
         return ControlOutput(ActuatorCommand(self.v_max, w))
 
     def step_batch(
-        self, normalized: np.ndarray, streams: Sequence[RngStream]
+        self, normalized: np.ndarray, rng_states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        v = np.full(len(streams), self.v_max)
-        w = self.w_max * (2.0 * uniform_batch(streams) - 1.0)
+        v = np.full(rng_states.size, self.v_max)
+        w = self.w_max * (2.0 * uniform_batch(rng_states) - 1.0)
         return v, w
 
 

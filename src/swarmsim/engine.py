@@ -101,15 +101,17 @@ class Metrics:
 class SimState:
     """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
     `thetas` and `collided` (all False at set-up), in id order, which each
-    tick replaces. `bodies` builds a new list of `RobotBody` objects from
-    them on every read; editing it does not reach the arrays."""
+    tick replaces. Robot i's stream state is entry i of the uint64 array
+    `rng_states`, which each tick advances in place. `bodies` builds a new
+    list of `RobotBody` objects from the poses on every read; editing it
+    does not reach the arrays."""
 
     __slots__ = (
         "tick",
         "grid",
         "radius",
         "inboxes",
-        "rng_streams",
+        "rng_states",
         "metrics",
         "xs",
         "ys",
@@ -126,14 +128,16 @@ class SimState:
         ys: np.ndarray,
         thetas: np.ndarray,
         inboxes: list[list[Message]],
-        rng_streams: list[RngStream],
+        rng_states: np.ndarray,
         metrics: Metrics | None = None,
     ) -> None:
         self.tick = tick
         self.grid = grid
         self.radius = radius
         self.inboxes = inboxes
-        self.rng_streams = rng_streams
+        self.rng_states = np.asarray(rng_states, dtype=np.uint64)
+        if self.rng_states.shape != xs.shape:
+            raise ValueError(f"rng_states shape {self.rng_states.shape}, expected ({xs.size},)")
         self.metrics = metrics if metrics is not None else Metrics()
         self.xs, self.ys, self.thetas = xs, ys, thetas
         self.collided = np.zeros(xs.size, dtype=bool)
@@ -343,7 +347,6 @@ class Simulation:
                     f"at bearings {tuple(angles)}"
                 )
         self.controller = controller
-        seeds = stream_seed(config.seed, np.arange(xs.size, dtype=np.uint64))
         self.state = SimState(
             tick=0,
             grid=grid,
@@ -352,7 +355,7 @@ class Simulation:
             ys=ys,
             thetas=thetas,
             inboxes=[[] for _ in range(xs.size)],
-            rng_streams=list(map(RngStream, seeds.tolist())),
+            rng_states=stream_seed(config.seed, np.arange(xs.size, dtype=np.uint64)),
         )
         # Free one untouched block of _HEAP_WARMUP_BYTES. Under glibc's
         # dynamic mmap threshold (mallopt(3)) that raises the threshold to
@@ -391,7 +394,7 @@ class Simulation:
         outboxes: list[Broadcast | None] | None = None
         # Only the built-in classes themselves: a subclass may override `step`.
         if type(controller) in (BraitenbergController, RandomWalkController):
-            v_arr, w_arr = controller.step_batch(normalized, state.rng_streams)
+            v_arr, w_arr = controller.step_batch(normalized, state.rng_states)
             bad = np.flatnonzero(~(np.isfinite(v_arr) & np.isfinite(w_arr)))
             if bad.size:
                 robot = int(bad[0])
@@ -401,14 +404,15 @@ class Simulation:
                 )
         else:
             # Readings and inputs are built a block of robots at a time;
-            # robots then step one by one, and robot i's output is checked
-            # before robot i + 1 steps.
+            # robots then step one by one, each with its state loaded into one
+            # shared stream, and robot i's output is checked before i + 1 steps.
             tick = state.tick
             n = xs.size
             block = max(1, _BLOCK_READINGS // len(self.spec.angles))
             collided_last = state.collided.tolist()
             inboxes = state.inboxes
-            streams = state.rng_streams
+            rng = RngStream(0)
+            rng_states = state.rng_states.tolist()
             vs: list[float] = []
             ws: list[float] = []
             outboxes = []
@@ -423,12 +427,15 @@ class Simulation:
                     repeat(tick),
                 )
                 for i, control_input in enumerate(inputs, start):
-                    output = controller.step(control_input, streams[i])
+                    rng.state = rng_states[i]
+                    output = controller.step(control_input, rng)
+                    rng_states[i] = rng.state & MASK64
                     self._validate_output(output, i, tick)
                     command = output.command
                     vs.append(command.v)
                     ws.append(command.w)
                     outboxes.append(output.broadcast)
+            state.rng_states[:] = rng_states
             v_arr = np.array(vs, dtype=np.float64)
             w_arr = np.array(ws, dtype=np.float64)
 

@@ -1,14 +1,14 @@
 """Deterministic random streams built on SplitMix64.
 
 Every source of randomness in a run is a SplitMix64 stream: one master
-stream (spawning) plus one derived stream per robot. Streams are plain
-64-bit integer state, so runs replay bit-exactly on any platform and
-per-robot sequences do not depend on how many robots exist.
+stream (spawning) plus one derived stream per robot. A stream is exactly
+its 64-bit state, so the robots' streams are one uint64 array, one state
+per robot, that `uniform_batch` advances in place. Runs replay bit-exactly
+on any platform and per-robot sequences do not depend on how many robots
+exist.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -51,34 +51,27 @@ class RngStream:
         self.state = (self.state + steps * GOLDEN_GAMMA) & MASK64
 
 
-def uniform_batch(streams: Sequence[RngStream]) -> np.ndarray:
-    """One `uniform` draw from each stream, bit-identical to the scalar form:
-    SplitMix64 on a uint64 array, whose arithmetic wraps mod 2**64."""
-    state = np.fromiter((s.state for s in streams), dtype=np.uint64, count=len(streams))
-    state += np.uint64(GOLDEN_GAMMA)
-    for stream, value in zip(streams, state.tolist()):
-        stream.state = value
-    return _uniform_of_states(state)
+def uniform_batch(states: np.ndarray) -> np.ndarray:
+    """One `uniform` draw from each uint64 stream state, advancing `states`
+    in place, bit-identical to `RngStream.uniform`: uint64 arithmetic wraps
+    mod 2**64."""
+    states += np.uint64(GOLDEN_GAMMA)
+    z = states ^ (states >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z.astype(np.float64) * _INV_2_64
 
 
 def uniform_run(stream: RngStream, first: int, count: int) -> np.ndarray:
     """Draws first + 1 .. first + count of `stream` from its current state,
     as `uniform` would return them, without advancing it: draw k is the
     output for state + k * GOLDEN_GAMMA (mod 2**64)."""
-    state = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    state *= np.uint64(GOLDEN_GAMMA)
-    state += np.uint64(stream.state)
-    return _uniform_of_states(state)
-
-
-def _uniform_of_states(state: np.ndarray) -> np.ndarray:
-    """The `uniform` output of each already-advanced uint64 state."""
-    z = state ^ (state >> np.uint64(30))
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z.astype(np.float64) * _INV_2_64
+    states = np.arange(first, first + count, dtype=np.uint64)
+    states *= np.uint64(GOLDEN_GAMMA)
+    states += np.uint64(stream.state)
+    return uniform_batch(states)
 
 
 def stream_seed(master_seed: int, robot_id: int) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import swarmsim
-from swarmsim import GridMap, Pose, RngStream, RobotBody, SimState, generate_arena
+from swarmsim import GridMap, Pose, RobotBody, SimState, generate_arena
 
 MASK64 = (1 << 64) - 1
 
@@ -135,7 +135,7 @@ def state_of(grid: GridMap, bodies: list[RobotBody]) -> SimState:
         ys=ys,
         thetas=thetas,
         inboxes=[[] for _ in bodies],
-        rng_streams=[RngStream(i) for i in range(len(bodies))],
+        rng_states=np.arange(len(bodies), dtype=np.uint64),
     )
 
 

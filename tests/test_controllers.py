@@ -246,12 +246,13 @@ def test_random_walk_first_turn_matches_reference_for_robot_zero():
 
 def test_random_walk_batch_matches_scalar():
     ctrl = RandomWalkController(LIMITS)
-    streams = [RngStream(stream_seed(9, i)) for i in range(20)]
+    states = stream_seed(9, np.arange(20, dtype=np.uint64))
     twins = [RngStream(stream_seed(9, i)) for i in range(20)]
-    v, w = ctrl.step_batch(np.ones((20, 8)), streams)
+    v, w = ctrl.step_batch(np.ones((20, 8)), states)
     for i in range(20):
         out = ctrl.step(_input([1.0] * 8), twins[i])
         assert v[i] == out.command.v and w[i] == out.command.w
+    assert states.tolist() == [t.state for t in twins]
 
 
 # --- messaging ---------------------------------------------------------------------

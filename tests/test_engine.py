@@ -25,6 +25,7 @@ from swarmsim import (
     RngStream,
     RobotBody,
     SimConfig,
+    SimState,
     Simulation,
     SpawnError,
     generate_arena,
@@ -32,9 +33,11 @@ from swarmsim import (
     sense_batch,
     spawn,
     state_digest,
+    stream_seed,
     wrap_angle,
 )
 from swarmsim.engine import _BLOCK_READINGS
+from swarmsim.rng import MASK64
 
 from conftest import child_env
 
@@ -220,7 +223,7 @@ def test_explicit_positions_far_off_rejected_without_warnings(arena100, far):
 def test_setup_builds_no_bodies_and_first_read_matches_spawn(monkeypatch, kwargs):
     config = make_config(**kwargs)
     built = []
-    for cls in (RobotBody, Pose):
+    for cls in (RobotBody, Pose, RngStream):
 
         def counting(self, *args, _init=cls.__init__, **kw):
             built.append(type(self).__name__)
@@ -228,7 +231,7 @@ def test_setup_builds_no_bodies_and_first_read_matches_spawn(monkeypatch, kwargs
 
         monkeypatch.setattr(cls, "__init__", counting)
     sim = Simulation(config)
-    assert built == []
+    assert built == ["RngStream"]  # the master stream; robot streams are one array
     bodies = sim.state.bodies
     assert built.count("RobotBody") == built.count("Pose") == config.robot_count
     xs, ys, thetas = spawn(config, generate_arena(256, 256), RngStream(config.seed))
@@ -683,6 +686,86 @@ def test_plugin_inputs_equal_a_per_robot_oracle(tmp_path):
     assert kinds == {"none", "wall", "robot"}
     assert any(i.collided_last_tick for i in ctrl.inputs[n:])
     assert sum(len(i.inbox) for i in ctrl.inputs[-n:]) > n
+
+
+class StateSetter:
+    """Test plugin: robot i (stepped in id order) turns by one draw of its
+    stream, then on some ticks sets the stream's state to -1 or 2**64 + 5,
+    which its next draw masks to 64 bits."""
+
+    def __init__(self, robots: int) -> None:
+        self.robots = robots
+        self.commands = []
+
+    def step(self, control_input, rng):
+        robot = len(self.commands) % self.robots
+        u = rng.uniform()
+        phase = (robot + control_input.tick) % 5
+        if phase == 0:
+            rng.state = -1
+        elif phase == 1:
+            rng.state = 2**64 + 5
+        self.commands.append(ActuatorCommand(2.0 * u, 0.4 * u - 0.2))
+        return ControlOutput(self.commands[-1])
+
+
+class OwnStreams:
+    """Reference wrapper: steps `inner` on stream objects of its own, one per
+    robot, that live across ticks, instead of the engine's shared one."""
+
+    def __init__(self, inner, seeds) -> None:
+        self.inner = inner
+        self.streams = [RngStream(seed) for seed in seeds]
+        self.calls = 0
+
+    def step(self, control_input, rng):
+        robot = self.calls % len(self.streams)
+        self.calls += 1
+        return self.inner.step(control_input, self.streams[robot])
+
+
+def test_plugin_stream_state_is_written_back_masked():
+    """40 robots with 8 rays step in blocks of 32 and 8."""
+    config = make_config(robot_count=40, seed=21)
+    n = config.robot_count
+    plugin = StateSetter(n)
+    sim = Simulation(config, controller=plugin)
+    seeds = stream_seed(config.seed, np.arange(n, dtype=np.uint64)).tolist()
+    reference = OwnStreams(StateSetter(n), seeds)
+    ref_sim = Simulation(config, controller=reference)
+    for tick in range(12):
+        sim.step()
+        ref_sim.step()
+        assert plugin.commands == reference.inner.commands, tick
+        assert state_digest(sim.state) == state_digest(ref_sim.state), tick
+        assert sim.state.rng_states.tolist() == [s.state & MASK64 for s in reference.streams]
+    assert {s.state for s in reference.streams} >= {-1, 2**64 + 5}
+    assert len(set(plugin.commands)) > n
+
+
+def test_sim_state_checks_its_stream_states():
+    xs = np.array([10.0, 20.0, 30.0])
+
+    def build(rng_states):
+        grid = generate_arena(64, 64)
+        return SimState(0, grid, 1.0, xs, xs.copy(), xs.copy(), [[]] * 3, rng_states)
+
+    assert build([1, 2, MASK64]).rng_states.tolist() == [1, 2, MASK64]
+    assert build([1, 2, MASK64]).rng_states.dtype == np.uint64
+    states = np.arange(3, dtype=np.uint64)
+    assert build(states).rng_states is states
+    for bad in (
+        np.arange(2, dtype=np.uint64),
+        np.zeros((3, 1), dtype=np.uint64),
+        np.zeros((1, 3), dtype=np.uint64),
+        np.uint64(5),
+        [],
+    ):
+        with pytest.raises(ValueError, match=r"^rng_states shape .*, expected \(3,\)$"):
+            build(bad)
+    # The old form, one stream object per robot, fails here and not mid-tick.
+    with pytest.raises(TypeError):
+        build([RngStream(i) for i in range(3)])
 
 
 def test_no_overlap_invariant_over_run():

@@ -17,11 +17,10 @@ import pytest
 
 from swarmsim import (
     ActuatorCommand,
-    BraitenbergController,
     ControlInput,
     ControlOutput,
     Pose,
-    RandomWalkController,
+    RngStream,
     RobotBody,
     SimConfig,
     Simulation,
@@ -60,25 +59,25 @@ def reference_step(sim: Simulation) -> None:
     ys = np.array([b.pose.y for b in bodies], dtype=np.float64)
     thetas = np.array([b.pose.theta for b in bodies], dtype=np.float64)
     normalized, hits = sense_batch(state.grid, xs, ys, thetas, sim.config.robot_radius, sim.spec)
-    controller = sim.controller
-    if type(controller) in (BraitenbergController, RandomWalkController):
-        v_arr, w_arr = controller.step_batch(normalized, state.rng_streams)
-    else:
-        v_arr = np.empty(n)
-        w_arr = np.empty(n)
-        for i in range(n):
-            output = controller.step(
-                ControlInput(
-                    readings=reference_readings(normalized[i], hits[i]),
-                    collided_last_tick=bodies[i].collided_last_tick,
-                    inbox=(),
-                    tick=state.tick,
-                ),
-                state.rng_streams[i],
-            )
-            assert output.broadcast is None
-            v_arr[i] = output.command.v
-            w_arr[i] = output.command.w
+    # Every controller, the built-ins too, steps robot by robot through its
+    # own `step`, on a stream object of its own per robot.
+    streams = [RngStream(s) for s in state.rng_states.tolist()]
+    v_arr = np.empty(n)
+    w_arr = np.empty(n)
+    for i in range(n):
+        output = sim.controller.step(
+            ControlInput(
+                readings=reference_readings(normalized[i], hits[i]),
+                collided_last_tick=bodies[i].collided_last_tick,
+                inbox=(),
+                tick=state.tick,
+            ),
+            streams[i],
+        )
+        assert output.broadcast is None
+        v_arr[i] = output.command.v
+        w_arr[i] = output.command.w
+    state.rng_states[:] = [s.state for s in streams]
     canceled = 0
     for i in range(n):
         body = bodies[i]

@@ -112,13 +112,14 @@ def test_uniform_batch_matches_scalar_stream():
     # 2**53 + 1 is a tie, small values stay exact
     for z in (MASK64, MASK64 - 1024, 2**64 - 2048, 2**53 + 1, 2**53 + 3, 2**63 + 1024, 1, 0):
         seeds.append((_unmix(z) - 0x9E3779B97F4A7C15) & MASK64)
-    streams = [RngStream(s) for s in seeds]
+    states = np.array(seeds, dtype=np.uint64)
     twins = [RngStream(s) for s in seeds]
     for _ in range(3):
-        batch = uniform_batch(streams)
+        batch = uniform_batch(states)
         assert batch.dtype == np.float64
         expected = [t.uniform() for t in twins]
         assert [v.hex() for v in batch.tolist()] == [v.hex() for v in expected]
-        assert [s.state for s in streams] == [t.state for t in twins]
-        assert all(type(s.state) is int for s in streams)
-    assert uniform_batch([]).shape == (0,)
+        # Advanced in place: the caller's array holds the twins' states.
+        assert states.dtype == np.uint64
+        assert states.tolist() == [t.state for t in twins]
+    assert uniform_batch(np.empty(0, dtype=np.uint64)).shape == (0,)
