@@ -101,10 +101,11 @@ class Metrics:
 class SimState:
     """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
     `thetas` and `collided` (all False at set-up), in id order, which each
-    tick replaces. Robot i's stream state is entry i of the uint64 array
-    `rng_states`, which each tick advances in place. `bodies` builds a new
-    list of `RobotBody` objects from the poses on every read; editing it
-    does not reach the arrays."""
+    tick replaces; the first three must share one shape (n,). Robot i's
+    stream state is entry i of `rng_states`, the state's own uint64 copy of
+    the array it is given, which each tick advances in place. `bodies`
+    builds a new list of `RobotBody` objects from the poses on every read;
+    editing it does not reach the arrays."""
 
     __slots__ = (
         "tick",
@@ -131,11 +132,16 @@ class SimState:
         rng_states: np.ndarray,
         metrics: Metrics | None = None,
     ) -> None:
+        if xs.ndim != 1 or ys.shape != xs.shape or thetas.shape != xs.shape:
+            raise ValueError(
+                f"xs, ys and thetas shapes {xs.shape}, {ys.shape}, {thetas.shape}, "
+                "expected one shape (n,)"
+            )
         self.tick = tick
         self.grid = grid
         self.radius = radius
         self.inboxes = inboxes
-        self.rng_states = np.asarray(rng_states, dtype=np.uint64)
+        self.rng_states = np.array(rng_states, dtype=np.uint64)
         if self.rng_states.shape != xs.shape:
             raise ValueError(f"rng_states shape {self.rng_states.shape}, expected ({xs.size},)")
         self.metrics = metrics if metrics is not None else Metrics()
@@ -442,7 +448,7 @@ class Simulation:
         # Phase 4: move resolution.
         cx, cy, ctheta = apply_commands(xs, ys, thetas, v_arr, w_arr, self.limits)
         a, b, d2, _, _ = pairs
-        near = d2 <= move_reach * move_reach
+        near = np.flatnonzero(d2 <= move_reach * move_reach)
         a, b = a[near], b[near]
         fx, fy, at_candidate, serial = self._resolve_moves(
             xs, ys, cx, cy, np.minimum(a, b), np.maximum(a, b)

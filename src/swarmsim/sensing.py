@@ -346,14 +346,14 @@ def _wall_batch(
         c = np.floor(o + t_at * d)
         c = np.minimum(np.maximum(c, np.minimum(cell, past)), np.maximum(cell, past))
         c = c.astype(np.int64)
-        np.add(c, step, out=c, where=(c + off - o) * inv <= t_at)
+        c += step * ((c + off - o) * inv <= t_at)
         back = c != cell
         back &= (c - step + off - o) * inv > t_at
-        np.subtract(c, step, out=c, where=back)
+        c -= step * back
         cell[:] = c
         blocked = grid.blocked_at(cell[0], cell[1])
         alive = t_enter <= ranges
-        hit = alive & blocked
+        hit = np.flatnonzero(alive & blocked)
         t_hit[slot[hit]] = t_enter[hit]
         alive &= ~blocked
         if not alive.all():
@@ -395,7 +395,10 @@ def _pairs_within(
     Columns `reach * (1 + 2**-20)` wide are split along y into `_Y_BINS`
     bins and sorted column by column, so each robot pairs with two runs of
     sorted slots: the rest of its own column up to `_Y_BINS` bins up, and
-    the bins within `_Y_BINS` of its own in the next column. The margin
+    the bins within `_Y_BINS` of its own in the next column. Each robot's
+    two runs are laid out next to each other, so the first end's
+    coordinates and ids are `np.repeat`s of the sorted arrays by the run
+    lengths, and no index array of first ends is built. The margin
     keeps a pair at exactly `reach` in those runs: a quotient of magnitude
     up to 2**30 is off by at most 2**-23, so such a pair lies at most one
     column or `_Y_BINS` bins apart. The keys are sorted in the narrowest
@@ -422,21 +425,30 @@ def _pairs_within(
     own_end = np.searchsorted(skey, skey + m, side="right")
     next_start = np.searchsorted(skey, skey + (span - m), side="left")
     next_end = np.searchsorted(skey, skey + (span + m), side="right")
-    src = np.concatenate((slot, slot))
-    first = np.concatenate((slot + 1, next_start))
-    count = np.concatenate((own_end - slot - 1, next_end - next_start))
-    total = int(count.sum())
-    sa = np.repeat(src, count)
-    sb = np.arange(total, dtype=np.int64) + np.repeat(first - (np.cumsum(count) - count), count)
+    # Each slot's two runs side by side, the rest of its own column and then
+    # its bins in the next column, so the first end of every pair is a
+    # repeat of the sorted arrays. Output position p of a run pairs with
+    # sorted slot p + shift.
+    count = np.empty((n, 2), dtype=np.int64)
+    count[:, 0] = own_end - slot - 1
+    count[:, 1] = next_end - next_start
+    per_slot = count[:, 0] + count[:, 1]
+    end = np.cumsum(per_slot)
+    start = end - per_slot
+    shift = np.empty((n, 2), dtype=np.int64)
+    shift[:, 0] = slot + 1 - start
+    shift[:, 1] = next_start - count[:, 0] - start
+    total = int(end[-1])
+    sb = np.arange(total, dtype=np.int64) + np.repeat(shift.ravel(), count.ravel())
     sx = xs[order]
     sy = ys[order]
-    dx = sx[sb] - sx[sa]
-    dy = sy[sb] - sy[sa]
+    dx = sx[sb] - np.repeat(sx, per_slot)
+    dy = sy[sb] - np.repeat(sy, per_slot)
     # Two robots past ~1e154 in one edge bin square to inf: out of reach.
     with np.errstate(over="ignore"):
         d2 = dx * dx + dy * dy
     keep = np.flatnonzero(d2 <= reach * reach)
-    return order[sa[keep]], order[sb[keep]], d2[keep], dx[keep], dy[keep]
+    return np.repeat(order, per_slot)[keep], order[sb[keep]], d2[keep], dx[keep], dy[keep]
 
 
 # Bins per turn in the bearing-window table of `_disc_hits_windowed`. The
@@ -485,8 +497,10 @@ def _disc_hits_windowed(
     """Per-ray nearest disc hits for any belt: expand only the rays whose
     bearing can geometrically reach each candidate disc. Takes the record
     (a, b, d2, dx, dy) of `_pairs_within`, each unordered pair once in any
-    order and orientation, and tests both directions as one array of 2m
-    ordered pairs; the bearings come from the record's offsets.
+    order and orientation, and tests both directions as the two rows of
+    (2, m) arrays: a's rays toward b (forward), then b's toward a
+    (reverse). The bearings come from the record's offsets, and each row
+    subtracts its own robots' headings.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
@@ -497,9 +511,14 @@ def _disc_hits_windowed(
     window is widened by 1e-6 rad (1.6e-4 table bins), orders of magnitude
     beyond float rounding (the reverse bearing, the heading term and the
     table bins included), so the exact test below never loses a candidate.
+    The live windows, those with at least one ray, are found as ascending
+    flat indices; one `searchsorted` at m splits them into forward and
+    reverse, which give each window's robot and other end from a and b.
     Windows are expanded count by count: those with at least one ray, then
     with at least two, and so on. Smallest id wins exact distance ties,
-    matching the scalar scan order.
+    matching the scalar scan order. Every selection is by index array: at
+    the densities seen here (a quarter to a half of the elements) a
+    boolean mask costs several times more.
     """
     n, k = ox.shape
     m = a.size
@@ -508,20 +527,25 @@ def _disc_hits_windowed(
     with np.errstate(divide="ignore", invalid="ignore"):
         half_bins = np.fmin(rho / np.sqrt(d2 - rho * rho), math.pi)
     half_bins = (half_bins + 1e-6) * per_rad
-    # Heading-relative bearings in table bins from -5pi: forward, then
-    # reverse. Ordered pair j has robot ends[j] and other ends[j +- m].
-    ends = np.concatenate((a, b))
+    # Heading-relative bearings in table bins from -5pi: row 0 from a to b
+    # (forward), row 1 from b to a (reverse).
+    heading = thetas * per_rad - 5 * _WINDOW_BINS / 2
     rel = np.empty((2, m))
     np.multiply(np.arctan2(dy, dx), per_rad, out=rel[0])
     np.add(rel[0], _WINDOW_BINS / 2, out=rel[1])
-    rel -= (thetas * per_rad - 5 * _WINDOW_BINS / 2)[ends].reshape(2, m)
+    rel[0] -= heading[a]
+    rel[1] -= heading[b]
     first = table[(rel - half_bins).astype(np.intp)].ravel()
     rel += half_bins
     counts = table[1:][rel.astype(np.intp)].ravel() - first
     np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
     live = np.flatnonzero(counts > 0)
-    base = ends[live] * k
-    other = ends[(live + m) % (2 * m)]
+    # Live windows are ascending, so the forward ones come first.
+    split = np.searchsorted(live, m)
+    fwd = live[:split]
+    rev = live[split:] - m
+    base = np.concatenate((a[fwd], b[rev])) * k
+    other = np.concatenate((b[fwd], a[rev]))
     first = first[live]
     counts = counts[live]
     rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
@@ -550,10 +574,10 @@ def _disc_hits_windowed(
     other = other[keep]
     t_best = np.full(n * k, np.inf)
     np.minimum.at(t_best, flat, t)
-    winners = t == t_best[flat]
+    winners = np.flatnonzero(t == t_best[flat])
     id_best = np.full(n * k, _INT64_MAX, dtype=np.int64)
     np.minimum.at(id_best, flat[winners], other[winners])
-    id_best[np.isinf(t_best)] = HIT_NONE
+    id_best[np.flatnonzero(np.isinf(t_best))] = HIT_NONE
     return t_best.reshape(n, k), id_best.reshape(n, k)
 
 

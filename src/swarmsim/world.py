@@ -101,19 +101,25 @@ class GridMap:
         border = np.minimum(
             np.minimum(cx + 1, cy + 1), np.minimum(self.width - cx, self.height - cy)
         )
-        return np.minimum(self._cells(self.clearance, cx, cy, 0), border)
+        cells, inside = self._cells(self.clearance, cx, cy)
+        return np.minimum(cells * inside, border)
 
     def blocked_at(self, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-        """`is_obstacle` over integer cell arrays: True outside the map."""
-        return self._cells(self.occupancy, cx, cy, True)
+        """`is_obstacle` over integer cell arrays, as bools: True outside the
+        map."""
+        cells, inside = self._cells(self.occupancy, cx, cy)
+        return cells | ~inside
 
-    def _cells(self, field: np.ndarray, cx: np.ndarray, cy: np.ndarray, outside: int) -> np.ndarray:
+    def _cells(
+        self, field: np.ndarray, cx: np.ndarray, cy: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """`field` at the cells clamped into the map, and which cells lie in it."""
         inside = (cx >= 0) & (cy >= 0) & (cx < self.width) & (cy < self.height)
         cells = field[
             np.minimum(np.maximum(cy, 0), self.height - 1),
             np.minimum(np.maximum(cx, 0), self.width - 1),
         ]
-        return np.where(inside, cells, outside)
+        return cells, inside
 
     def disc_free(self, x: float, y: float, r: float) -> bool:
         """True iff no cell whose center is within Euclidean distance r of

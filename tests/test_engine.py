@@ -37,7 +37,7 @@ from swarmsim import (
     wrap_angle,
 )
 from swarmsim.engine import _BLOCK_READINGS
-from swarmsim.rng import MASK64
+from swarmsim.rng import MASK64, uniform_batch
 
 from conftest import child_env
 
@@ -752,8 +752,11 @@ def test_sim_state_checks_its_stream_states():
 
     assert build([1, 2, MASK64]).rng_states.tolist() == [1, 2, MASK64]
     assert build([1, 2, MASK64]).rng_states.dtype == np.uint64
+    # The state keeps its own copy: a tick advances it, not the caller's array.
     states = np.arange(3, dtype=np.uint64)
-    assert build(states).rng_states is states
+    state = build(states)
+    uniform_batch(state.rng_states)
+    assert states.tolist() == [0, 1, 2] and state.rng_states.tolist() != [0, 1, 2]
     for bad in (
         np.arange(2, dtype=np.uint64),
         np.zeros((3, 1), dtype=np.uint64),
@@ -766,6 +769,39 @@ def test_sim_state_checks_its_stream_states():
     # The old form, one stream object per robot, fails here and not mid-tick.
     with pytest.raises(TypeError):
         build([RngStream(i) for i in range(3)])
+
+
+def test_sim_state_steps_its_own_copy_of_read_only_streams():
+    # A read-only broadcast of one state runs as a fresh array of it would,
+    # and stays as it was.
+    config = make_config(robot_count=3, seed=4, controller_type="random_walk")
+    sim = Simulation(config)
+    given = np.broadcast_to(np.uint64(5), (3,))
+    sim.state = SimState(
+        0, sim.state.grid, sim.state.radius, sim.state.xs, sim.state.ys,
+        sim.state.thetas, [[]] * 3, given,
+    )
+    twin = Simulation(config)
+    twin.state.rng_states[:] = 5
+    for _ in range(3):
+        sim.step()
+        twin.step()
+    assert state_digest(sim.state) == state_digest(twin.state)
+    assert given.tolist() == [5, 5, 5]
+
+
+def test_sim_state_checks_its_pose_shapes():
+    xs = np.array([10.0, 20.0, 30.0])
+    row = xs.reshape(1, 3)
+    grid = generate_arena(64, 64)
+    for poses in (
+        (xs, xs[:2].copy(), xs.copy()),
+        (xs, xs.copy(), np.zeros(4)),
+        (xs, xs.reshape(3, 1), xs.copy()),
+        (row, row, row),
+    ):
+        with pytest.raises(ValueError, match=r"^xs, ys and thetas shapes .*, expected one shape \(n,\)$"):
+            SimState(0, grid, 1.0, *poses, [[]] * 3, np.zeros(3, dtype=np.uint64))
 
 
 def test_no_overlap_invariant_over_run():

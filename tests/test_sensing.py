@@ -379,6 +379,31 @@ def test_exact_robot_tie_goes_to_smaller_id(angles, low_below):
     _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
 
 
+@pytest.mark.parametrize("angles", [_UNIFORM8, (0.0, -1.0, 2.0, 0.5)], ids=["uniform8", "unsorted"])
+@pytest.mark.parametrize("viewer_first", [True, False])
+def test_one_robot_sees_the_other_in_either_record_orientation(angles, viewer_first):
+    # Robot 0's bearing-0 ray meets robot 1 at t = 6; robot 1 faces pi/8
+    # off, so the direction back to robot 0 falls between its rays. The
+    # one record row then has only its forward window live, or only its
+    # reverse one.
+    radius = 2.0
+    bodies = [
+        RobotBody(0, Pose(50.0, 50.0, 0.0), radius),
+        RobotBody(1, Pose(60.0, 50.0, math.pi / 8), radius),
+    ]
+    grid = generate_arena(100, 100)
+    spec = SensorSpec(angles, 24.0)
+    xs, ys, thetas = _batch_inputs(bodies)
+    a, b = (0, 1) if viewer_first else (1, 0)
+    dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+    record = tuple(np.array([v]) for v in (a, b, dx * dx + dy * dy, dx, dy))
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec, pairs=record)
+    ray = angles.index(0.0)
+    assert hits[0, ray] == 1 and normalized[0, ray] == 6.0 / 24.0
+    assert (hits[0] >= 0).sum() == 1 and (hits[1] == HIT_NONE).all()
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
+
+
 def test_batch_rejects_headings_outside_pi():
     grid = generate_arena(40, 40)
     spec = SensorSpec(_UNIFORM8, 10.0)

@@ -310,8 +310,10 @@ def test_far_cells_of_a_large_map_read_the_cap():
 
 def test_array_lookups_match_scalar_queries():
     rng = random.Random(11)
-    for fill in (0.2, 0.0):
-        grid = random_grid(rng, 13, 9, fill)
+    # A generated arena's fields are read-only int64 broadcasts.
+    grids = [random_grid(rng, 13, 9, 0.2), random_grid(rng, 13, 9, 0.0), generate_arena(13, 9)]
+    assert grids[2].clearance.dtype == np.int64 and grids[2].clearance.strides == (0, 0)
+    for grid in grids:
         xs = np.array([rng.uniform(-3.0, 16.0) for _ in range(400)] + [0.0, -1e-9, 13.0, 12.999])
         ys = np.array([rng.uniform(-3.0, 12.0) for _ in range(400)] + [0.0, 4.5, 4.5, 8.999])
         cx = np.floor(xs).astype(np.int64)
@@ -319,6 +321,9 @@ def test_array_lookups_match_scalar_queries():
         inside = (cx >= 0) & (cy >= 0) & (cx < 13) & (cy < 9)
         assert 0 < np.count_nonzero(inside) < xs.size
         blocked = grid.blocked_at(cx, cy)
+        # Bools: the wall pass negates this with `~`, which would be a
+        # bitwise not on integers.
+        assert blocked.dtype == np.bool_
         clear = grid.clearance_at(xs, ys)
         for i in range(xs.size):
             assert blocked[i] == grid.is_obstacle(int(cx[i]), int(cy[i]))
