@@ -101,9 +101,10 @@ class Metrics:
 class SimState:
     """The world between ticks. Robot poses live in the arrays `xs`, `ys`,
     `thetas` and `collided` (all False at set-up), in id order, which each
-    tick replaces; the first three must share one shape (n,). Robot i's
-    stream state is entry i of `rng_states`, the state's own uint64 copy of
-    the array it is given, which each tick advances in place. `bodies`
+    tick replaces; the first three must share one shape (n,) and be finite,
+    and `inboxes` holds one list per robot. Robot i's stream state is entry
+    i of `rng_states`, the state's own uint64 copy of the array it is
+    given, which each tick advances in place. `bodies`
     builds a new list of `RobotBody` objects from the poses on every read;
     editing it does not reach the arrays."""
 
@@ -137,6 +138,13 @@ class SimState:
                 f"xs, ys and thetas shapes {xs.shape}, {ys.shape}, {thetas.shape}, "
                 "expected one shape (n,)"
             )
+        for name, values in (("xs", xs), ("ys", ys), ("thetas", thetas)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"{name}[{i}] is not finite: {float(values[i])!r}")
+        if len(inboxes) != xs.size:
+            raise ValueError(f"inboxes length {len(inboxes)}, expected {xs.size}")
         self.tick = tick
         self.grid = grid
         self.radius = radius

@@ -381,6 +381,16 @@ def _wall_batch(
 # quotient by it is exact.
 _Y_BINS = 4
 
+# `_pairs_within` counts its run bounds when the key range is below this
+# many keys per robot, and binary-searches them otherwise. One bincount and
+# cumsum over the range against three searchsorted calls, on sorted random
+# keys at 1000-5000 robots (2-core Xeon, numpy 2.4.6): counting takes 0.13-
+# 0.34 of the search's time at 1 key per robot, 0.32-0.49 at 4, 0.47-0.75 at
+# 8, and breaks even at 12-16. At 4 the count array stays within 32 bytes a
+# robot. The ticks of the three benchmark workloads need 0.17-1.04 keys a
+# robot; their spawn searches need 3.9-65 and the maze's messaging 7.8.
+_COUNT_KEYS_PER_ROBOT = 4
+
 
 def _pairs_within(
     xs: np.ndarray, ys: np.ndarray, reach: float
@@ -398,7 +408,10 @@ def _pairs_within(
     the bins within `_Y_BINS` of its own in the next column. Each robot's
     two runs are laid out next to each other, so the first end's
     coordinates and ids are `np.repeat`s of the sorted arrays by the run
-    lengths, and no index array of first ends is built. The margin
+    lengths, and no index array of first ends is built. The run bounds
+    come from a count of the keys when their range is small against n
+    (`_COUNT_KEYS_PER_ROBOT`), and from binary searches otherwise; both
+    give the same bounds. The margin
     keeps a pair at exactly `reach` in those runs: a quotient of magnitude
     up to 2**30 is off by at most 2**-23, so such a pair lies at most one
     column or `_Y_BINS` bins apart. The keys are sorted in the narrowest
@@ -419,12 +432,21 @@ def _pairs_within(
     by_min = by.min()
     span = by.max() - by_min + 2 * m + 1
     key = (bx - bx.min()) * span + (by - by_min + m)
-    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+    key_max = int(key.max())
+    order = np.argsort(key.astype(np.min_scalar_type(key_max)), kind="stable")
     skey = key[order]
     slot = np.arange(n, dtype=np.int64)
-    own_end = np.searchsorted(skey, skey + m, side="right")
-    next_start = np.searchsorted(skey, skey + (span - m), side="left")
-    next_end = np.searchsorted(skey, skey + (span + m), side="right")
+    top = key_max + span + m  # the largest key a run bound looks up
+    if top < _COUNT_KEYS_PER_ROBOT * n:
+        # at_most[v] is the number of keys <= v.
+        at_most = np.cumsum(np.bincount(key, minlength=top + 1))
+        own_end = at_most[skey + m]
+        next_start = at_most[skey + (span - m - 1)]
+        next_end = at_most[skey + (span + m)]
+    else:
+        own_end = np.searchsorted(skey, skey + m, side="right")
+        next_start = np.searchsorted(skey, skey + (span - m), side="left")
+        next_end = np.searchsorted(skey, skey + (span + m), side="right")
     # Each slot's two runs side by side, the rest of its own column and then
     # its bins in the next column, so the first end of every pair is a
     # repeat of the sorted arrays. Output position p of a run pairs with
@@ -477,6 +499,68 @@ def _window_table(angles: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     return table, ray_of_slot
 
 
+def _window_candidates(
+    a: np.ndarray,
+    b: np.ndarray,
+    d2: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    thetas: np.ndarray,
+    rho: float,
+    max_range: float,
+    angles: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate stage of `_disc_hits_windowed`: flat ray slots
+    (robot * k + ray) and the robot each may hit, one row for each ray of
+    each live bearing window. Every (ray, robot) that the exact test there
+    accepts is among them."""
+    k = len(angles)
+    m = a.size
+    table, ray_of_slot = _window_table(angles)
+    per_rad = _WINDOW_BINS / (2.0 * math.pi)
+    # float32 where rho squared and the squared distance of every pair a ray
+    # can reach (d <= max_range + 2 rho) are normal float32 numbers, as the
+    # error bound in `_disc_hits_windowed` assumes; float64 past that. Pairs
+    # out of every ray's reach may overflow; the exact test rejects them.
+    f = np.float32 if 2.0**-60 <= rho and max_range + 2.0 * rho <= 2.0**60 else np.float64
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d2, dx, dy = (v.astype(f, copy=False) for v in (d2, dx, dy))
+        half_bins = np.fmin(f(rho) / np.sqrt(d2 - f(rho * rho)), math.pi)
+    half_bins += 1e-4
+    half_bins *= per_rad
+    # Heading-relative bearings in table bins from -5pi: row 0 from a to b
+    # (forward), row 1 from b to a (reverse).
+    heading = (thetas * per_rad - 5 * _WINDOW_BINS / 2).astype(f)
+    rel = np.empty((2, m), dtype=f)
+    np.multiply(np.arctan2(dy, dx), per_rad, out=rel[0])
+    np.add(rel[0], _WINDOW_BINS / 2, out=rel[1])
+    rel[0] -= heading[a]
+    rel[1] -= heading[b]
+    first = table[(rel - half_bins).astype(np.intp)].ravel()
+    rel += half_bins
+    counts = table[1:][rel.astype(np.intp)].ravel() - first
+    np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
+    live = np.flatnonzero(counts > 0)
+    # Live windows are ascending, so the forward ones come first.
+    split = np.searchsorted(live, m)
+    fwd = live[:split]
+    rev = live[split:] - m
+    base = np.concatenate((a[fwd], b[rev])) * k
+    other = np.concatenate((b[fwd], a[rev]))
+    first = first[live]
+    counts = counts[live]
+    rows: list[np.ndarray] = []
+    others: list[np.ndarray] = []
+    for c in range(k):
+        rows.append(base + ray_of_slot[first + c])
+        others.append(other)
+        more = np.flatnonzero(counts > c + 1)
+        if not more.size:
+            break
+        base, first, counts, other = base[more], first[more], counts[more], other[more]
+    return np.concatenate(rows), np.concatenate(others)
+
+
 def _disc_hits_windowed(
     a: np.ndarray,
     b: np.ndarray,
@@ -495,22 +579,41 @@ def _disc_hits_windowed(
     angles: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-ray nearest disc hits for any belt: expand only the rays whose
-    bearing can geometrically reach each candidate disc. Takes the record
-    (a, b, d2, dx, dy) of `_pairs_within`, each unordered pair once in any
-    order and orientation, and tests both directions as the two rows of
-    (2, m) arrays: a's rays toward b (forward), then b's toward a
-    (reverse). The bearings come from the record's offsets, and each row
-    subtracts its own robots' headings.
+    bearing can geometrically reach each candidate disc
+    (`_window_candidates`), then decide each candidate with the exact
+    float64 ray-disc test. Takes the record (a, b, d2, dx, dy) of
+    `_pairs_within`, each unordered pair once in any order and
+    orientation, and tests both directions as the two rows of (2, m)
+    arrays: a's rays toward b (forward), then b's toward a (reverse). The
+    bearings come from the record's offsets, and each row subtracts its
+    own robots' headings.
 
     A ray from the perimeter at absolute angle psi passes within rho of a
     center at bearing phi, distance d, only if |sin(psi - phi)| <= rho / d
     with cos(psi - phi) > 0 (the perimeter offset drops out of the cross
     product). The half-width is bounded by the tangent of that angle,
     rho / sqrt(d2 - rho**2), which is at least the angle itself, capped at
-    pi; a disc at d <= rho (a zero or NaN root) gets a full turn. The
-    window is widened by 1e-6 rad (1.6e-4 table bins), orders of magnitude
-    beyond float rounding (the reverse bearing, the heading term and the
-    table bins included), so the exact test below never loses a candidate.
+    pi; a disc at d <= rho (a zero or NaN root) gets a full turn.
+
+    The windows are computed in float32 (in float64 past the scales
+    `_window_candidates` names) and widened by 1e-4 rad (0.016 table
+    bins); the float64 exact test still decides every reading, so the
+    windows only need to stay supersets. The float32 error of a window
+    edge, in table bins (1024 a turn):
+    - bearing: the float32 `arctan2` of the float32 offsets is within
+      3.7e-7 rad of the float64 bearing (largest over 4e7 offsets: 3.6e-7
+      on numpy's X86_V4 path, 2.8e-7 with it disabled), 6.0e-5 bins;
+    - roundings: every bin value stays below 2**13, where one float32
+      rounding errs by at most 2**-12 = 2.4e-4 bins. An edge takes at most
+      five (bearing times bins, reverse shift, heading, heading
+      subtraction, edge), 1.22e-3 bins, plus 3.1e-5 bins for the rounded
+      bins-per-radian constant;
+    - half-width: its roundings err by at most 1e-4 bins, and where d > rho
+      the float32 tangent bound falls short of the half-angle by at most
+      3e-11 rad (largest over 2.4e7 distances from rho to 1e20 rho).
+    In all, at most 1.41e-3 bins (8.7e-6 rad), so the margin is 11 times
+    the worst case; the float64 rounding of the exact test is far smaller.
+
     The live windows, those with at least one ray, are found as ascending
     flat indices; one `searchsorted` at m splits them into forward and
     reverse, which give each window's robot and other end from a and b.
@@ -521,44 +624,7 @@ def _disc_hits_windowed(
     boolean mask costs several times more.
     """
     n, k = ox.shape
-    m = a.size
-    table, ray_of_slot = _window_table(angles)
-    per_rad = _WINDOW_BINS / (2.0 * math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half_bins = np.fmin(rho / np.sqrt(d2 - rho * rho), math.pi)
-    half_bins = (half_bins + 1e-6) * per_rad
-    # Heading-relative bearings in table bins from -5pi: row 0 from a to b
-    # (forward), row 1 from b to a (reverse).
-    heading = thetas * per_rad - 5 * _WINDOW_BINS / 2
-    rel = np.empty((2, m))
-    np.multiply(np.arctan2(dy, dx), per_rad, out=rel[0])
-    np.add(rel[0], _WINDOW_BINS / 2, out=rel[1])
-    rel[0] -= heading[a]
-    rel[1] -= heading[b]
-    first = table[(rel - half_bins).astype(np.intp)].ravel()
-    rel += half_bins
-    counts = table[1:][rel.astype(np.intp)].ravel() - first
-    np.minimum(counts, k, out=counts)  # a window wider than a turn (d <= rho)
-    live = np.flatnonzero(counts > 0)
-    # Live windows are ascending, so the forward ones come first.
-    split = np.searchsorted(live, m)
-    fwd = live[:split]
-    rev = live[split:] - m
-    base = np.concatenate((a[fwd], b[rev])) * k
-    other = np.concatenate((b[fwd], a[rev]))
-    first = first[live]
-    counts = counts[live]
-    rows: list[np.ndarray] = []  # flat ray slots robot * k + ray
-    others: list[np.ndarray] = []
-    for c in range(k):
-        rows.append(base + ray_of_slot[first + c])
-        others.append(other)
-        more = np.flatnonzero(counts > c + 1)
-        if not more.size:
-            break
-        base, first, counts, other = base[more], first[more], counts[more], other[more]
-    flat = np.concatenate(rows)
-    other = np.concatenate(others)
+    flat, other = _window_candidates(a, b, d2, dx, dy, thetas, rho, max_range, angles)
     ux = dirx.ravel()[flat]
     uy = diry.ravel()[flat]
     to_x = xs[other] - ox.ravel()[flat]

@@ -804,6 +804,33 @@ def test_sim_state_checks_its_pose_shapes():
             SimState(0, grid, 1.0, *poses, [[]] * 3, np.zeros(3, dtype=np.uint64))
 
 
+
+def test_sim_state_checks_its_inboxes_length():
+    # A short list used to build ControlInputs without an inbox, and a
+    # plugin failed mid-tick with AttributeError.
+    xs = np.arange(5, dtype=np.float64) * 10.0 + 5.0
+    grid = generate_arena(64, 64)
+    streams = np.zeros(5, dtype=np.uint64)
+    for inboxes in ([[]] * 3, [[]] * 6, []):
+        message = rf"^inboxes length {len(inboxes)}, expected 5$"
+        with pytest.raises(ValueError, match=message):
+            SimState(0, grid, 1.0, xs, xs.copy(), xs.copy(), inboxes, streams)
+    assert len(SimState(0, grid, 1.0, xs, xs.copy(), xs.copy(), [[]] * 5, streams).inboxes) == 5
+
+
+@pytest.mark.parametrize("name", ["xs", "ys", "thetas"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_sim_state_refuses_non_finite_poses(name, value):
+    # Named at construction, with the lowest robot, instead of a cast error
+    # deep in the tick.
+    poses = {"xs": np.arange(5) * 10.0 + 5.0, "ys": np.full(5, 20.0), "thetas": np.zeros(5)}
+    poses[name][[3, 1]] = value
+    with pytest.raises(ValueError, match=rf"^{name}\[1\] is not finite: {value!r}$"):
+        SimState(
+            0, generate_arena(64, 64), 1.0, poses["xs"], poses["ys"], poses["thetas"],
+            [[]] * 5, np.zeros(5, dtype=np.uint64),
+        )
+
 def test_no_overlap_invariant_over_run():
     config = make_config(robot_count=25, robot_radius=3.0, seed=5)
     sim = Simulation(config)

@@ -476,6 +476,109 @@ def test_batch_at_the_tangent_bound_edge_equals_scalar(angles):
     _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
 
 
+def _window_edge_scene(seed: int, angles, radius: float, max_range: float):
+    """Robots on a 200x200 arena that sit at the edges of the bearing
+    windows: 40 at random in the middle; for 48 random rays of those, a
+    disc on either side whose centre lies within a hair of rho of the ray's
+    line (the exact test then decides by rounding) at a random distance
+    along it; and around 6 of them, discs at d just below, at and just
+    above rho, whose windows span a whole turn or sit on the tangent
+    bound's pole."""
+    rng = np.random.default_rng(seed)
+    xs = list(rng.uniform(70.0, 130.0, 40))
+    ys = list(rng.uniform(70.0, 130.0, 40))
+    thetas = list(rng.uniform(-math.pi, math.pi, 40))
+    reach = min(max_range, 60.0)
+    for i, j in zip(rng.integers(0, 40, 48), rng.integers(0, len(angles), 48)):
+        bearing = thetas[i] + angles[j]
+        ux, uy = math.cos(bearing), math.sin(bearing)
+        for side in (1.0, -1.0):
+            t = rng.uniform(0.5, reach)
+            off = side * radius * (1.0 + rng.choice((-2.0**-30, -2.0**-45, 0.0, 2.0**-45, 2.0**-30)))
+            xs.append(xs[i] + radius * ux + t * ux - off * uy)
+            ys.append(ys[i] + radius * uy + t * uy + off * ux)
+            thetas.append(rng.uniform(-math.pi, math.pi))
+    for i in rng.integers(0, 40, 6):
+        for scale in (1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-40, 1.0 + 2.0**-20, 1.001):
+            phi = rng.uniform(-math.pi, math.pi)
+            xs.append(xs[i] + radius * scale * math.cos(phi))
+            ys.append(ys[i] + radius * scale * math.sin(phi))
+            thetas.append(rng.uniform(-math.pi, math.pi))
+    return np.array(xs), np.array(ys), np.array(thetas)
+
+
+def _exact_disc_hits_dense(xs, ys, thetas, radius, spec) -> set[tuple[int, int]]:
+    """Every (flat ray slot robot * k + ray, robot) that the float64 exact
+    ray-disc test of `_disc_hits_windowed` accepts, over every ray and every
+    other robot, with that test's expressions."""
+    n, k = xs.size, len(spec.angles)
+    bearing = thetas[:, None] + np.asarray(spec.angles)[None, :]
+    dirx, diry = np.cos(bearing), np.sin(bearing)
+    ox, oy = xs[:, None] + radius * dirx, ys[:, None] + radius * diry
+    flat = np.repeat(np.arange(n * k), n)
+    other = np.tile(np.arange(n), n * k)
+    keep = other != flat // k
+    flat, other = flat[keep], other[keep]
+    ux, uy = dirx.ravel()[flat], diry.ravel()[flat]
+    to_x = xs[other] - ox.ravel()[flat]
+    to_y = ys[other] - oy.ravel()[flat]
+    b = to_x * ux + to_y * uy
+    disc2 = radius * radius - (to_x * to_x + to_y * to_y - b * b)
+    t = b - np.sqrt(np.maximum(disc2, 0.0))
+    ok = (disc2 >= 0.0) & (t >= 0.0) & (t <= spec.max_range)
+    return set(zip(flat[ok].tolist(), other[ok].tolist()))
+
+
+@pytest.mark.parametrize("angles", [_UNIFORM8, EPUCK_ANGLES], ids=["uniform8", "epuck"])
+@pytest.mark.parametrize(
+    "radius, max_range",
+    # Small discs far out have narrow windows, where the tangent bound
+    # exceeds the half-angle by less than the float32 rounding; a range past
+    # 2**60 computes the windows in float64.
+    [(2.0, 24.0), (0.25, 60.0), (2.0, 1e20)],
+    ids=["r2", "narrow", "float64"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_windows_hold_every_exact_disc_hit(angles, radius, max_range, seed):
+    from swarmsim.sensing import _window_candidates
+
+    xs, ys, thetas = _window_edge_scene(seed, angles, radius, max_range)
+    spec = SensorSpec(angles, max_range)
+    pairs = _pairs_within(xs, ys, max_range + 2.0 * radius)
+    flat, other = _window_candidates(*pairs, thetas, radius, max_range, angles)
+    candidates = set(zip(flat.tolist(), other.tolist()))
+    exact = _exact_disc_hits_dense(xs, ys, thetas, radius, spec)
+    assert len(exact) > 100 and exact <= candidates
+    # The windows still filter: most (ray, robot) pairs in reach are not
+    # candidates.
+    assert len(candidates) < 0.5 * len(angles) * 2 * pairs[0].size
+    bodies = [
+        RobotBody(i, Pose(x, y, theta), radius)
+        for i, (x, y, theta) in enumerate(zip(xs.tolist(), ys.tolist(), thetas.tolist()))
+    ]
+    grid = generate_arena(200, 200)
+    normalized, hits = sense_batch(grid, xs, ys, thetas, radius, spec)
+    assert (hits >= 0).any()
+    _assert_batch_equals_scalar(grid, bodies, radius, spec, normalized, hits)
+
+
+def test_windows_past_float32_range_hold_the_exact_hit():
+    # Offsets of 4e38 and 3e38 overflow float32 to (inf, 3e38), whose
+    # bearing is 0, not 0.64. At this scale the float64 exact test accepts
+    # robot 0's ray toward robot 1 by rounding; the windows are then
+    # computed in float64 and keep it.
+    from swarmsim.sensing import _window_candidates
+
+    radius, max_range = 1e19, 1e39
+    xs, ys = np.array([0.0, 4e38]), np.array([0.0, 3e38])
+    thetas = np.array([0.6435011087932827, 0.0])
+    spec = SensorSpec((0.0,), max_range)
+    assert _exact_disc_hits_dense(xs, ys, thetas, radius, spec) == {(0, 1)}
+    pairs = _pairs_within(xs, ys, max_range + 2.0 * radius)
+    flat, other = _window_candidates(*pairs, thetas, radius, max_range, spec.angles)
+    assert (0, 1) in set(zip(flat.tolist(), other.tolist()))
+
+
 # --- nearest-first order: robot hits cap the wall pass -----------------------------
 
 
@@ -1112,11 +1215,34 @@ def _brute_force_pairs(xs: np.ndarray, ys: np.ndarray, reach: float) -> set[tupl
     return out
 
 
-@pytest.mark.parametrize("n", [65, 500, 3000])
-def test_pairs_within_equal_brute_force(n):
+def _spy_run_bounds(monkeypatch) -> list[str]:
+    """Records, in order, each `np.bincount` and `np.searchsorted` call:
+    `_pairs_within` finds its run bounds with one count of the keys or
+    with three binary searches."""
+    calls: list[str] = []
+    for name in ("bincount", "searchsorted"):
+
+        def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+_COUNTED = ["bincount"]
+_SEARCHED = ["searchsorted"] * 3
+
+
+@pytest.mark.parametrize(
+    "n, spread, bounds",
+    [pytest.param(n, 1.5, _SEARCHED, id=f"{n}") for n in (65, 500, 3000)]
+    + [pytest.param(n, 0.5, _COUNTED, id=f"counted-{n}") for n in (65, 500, 3000)],
+)
+def test_pairs_within_equal_brute_force(monkeypatch, n, spread, bounds):
     rng = np.random.default_rng(n)
     reach = 5.0
-    side = reach * np.sqrt(n) * 1.5
+    side = reach * np.sqrt(n) * spread
     xs = rng.uniform(-side / 2, side / 2, n)  # negative coordinates included
     ys = rng.uniform(-side / 2, side / 2, n)
     k = n // 10
@@ -1135,7 +1261,11 @@ def test_pairs_within_equal_brute_force(n):
         else:
             xs[m + 1], ys[m + 1] = xs[m], ys[m] - reach
     want = _brute_force_pairs(xs, ys, reach)
-    assert set(_unordered_pairs(xs, ys, *_pairs_within(xs, ys, reach))) == want
+    calls = _spy_run_bounds(monkeypatch)
+    record = _pairs_within(xs, ys, reach)
+    monkeypatch.undo()
+    assert calls == bounds
+    assert set(_unordered_pairs(xs, ys, *record)) == want
     exact = sum(1 for i, j in want if (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 == reach**2)
     assert exact >= k // 2
 
@@ -1182,9 +1312,17 @@ def test_pairs_within_far_off_coordinates_equal_brute_force():
 
 
 @pytest.mark.parametrize(
-    "width, reach, spread", [(np.uint8, 5.0, 3.0), (np.uint16, 5.0, 50.0), (np.uint32, 1.0, 900.0)]
+    "width, reach, spread, bounds",
+    [
+        pytest.param(np.uint8, 5.0, 3.0, _COUNTED, id="uint8-5.0-3.0"),
+        pytest.param(np.uint16, 5.0, 50.0, _SEARCHED, id="uint16-5.0-50.0"),
+        pytest.param(np.uint16, 5.0, 10.0, _COUNTED, id="uint16-5.0-10.0"),
+        pytest.param(np.uint32, 1.0, 900.0, _SEARCHED, id="uint32-1.0-900.0"),
+    ],
 )
-def test_pairs_within_sorts_keys_of_each_width_equal_brute_force(monkeypatch, width, reach, spread):
+def test_pairs_within_sorts_keys_of_each_width_equal_brute_force(
+    monkeypatch, width, reach, spread, bounds
+):
     # The bin keys are sorted in the narrowest unsigned type that holds
     # them; the far-off coordinates test reaches uint64.
     rng = np.random.default_rng(int(spread))
@@ -1201,9 +1339,11 @@ def test_pairs_within_sorts_keys_of_each_width_equal_brute_force(monkeypatch, wi
         return argsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", spy)
+    calls = _spy_run_bounds(monkeypatch)
     record = _pairs_within(xs, ys, reach)
     monkeypatch.undo()
     assert sorted_dtypes == [np.dtype(width)]
+    assert calls == bounds
     assert set(_unordered_pairs(xs, ys, *record)) == _brute_force_pairs(xs, ys, reach)
 
 
@@ -1246,3 +1386,23 @@ def test_pairs_within_on_bin_edges_equal_the_oracle(reach):
         for n, trials in ((0, 1), (1, 2), (2, 40), (30, 40)):
             for _ in range(trials):
                 assert_pairs_match_oracle(_edge_positions(rng, n, reach, offset), reach)
+
+
+@pytest.mark.parametrize("reach", [1.0, 2.5, 72.0])
+def test_pairs_within_counted_and_searched_bounds_give_one_record(monkeypatch, reach):
+    # The same runs either way, so the same record row for row, on bin
+    # edges and in dense and sparse swarms.
+    from swarmsim import sensing
+
+    rng = np.random.default_rng(int(reach * 10))
+    scenes = [_edge_positions(rng, 30, reach, offset) for offset in (0.0, 1e3) for _ in range(20)]
+    for spread in (0.3, 1.0, 4.0):
+        side = 20.0 * reach * spread
+        scenes.append(list(zip(rng.uniform(-side, side, 400), rng.uniform(-side, side, 400))))
+    for positions in scenes:
+        xs, ys = (np.array(column, dtype=np.float64) for column in zip(*positions))
+        records = []
+        for keys_per_robot in (0, 10**9):
+            monkeypatch.setattr(sensing, "_COUNT_KEYS_PER_ROBOT", keys_per_robot)
+            records.append(_pairs_within(xs, ys, reach))
+        assert all(np.array_equal(u, v) for u, v in zip(*records))
