@@ -166,6 +166,8 @@ def deliver_messages(
     per-sender scan of the centres bit for bit. An int radius too large
     for a float reads as an infinity of its sign.
     """
+    if len(outboxes) != xs.size:
+        raise ValueError(f"outboxes length {len(outboxes)}, expected {xs.size}")
     inboxes: list[list[Message]] = [[] for _ in outboxes]
     sends = np.array([b is not None for b in outboxes], dtype=bool)
     if not sends.any():

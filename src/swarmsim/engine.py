@@ -58,6 +58,7 @@ from .kinematics import (  # noqa: F401 -- apply_command: kept bound for per-lay
 from .rng import MASK64, RngStream, stream_seed, uniform_run
 from .sensing import (
     SensorSpec,
+    _check_poses,
     _pairs_within,
     evenly_spaced_angles,
     readings_from_arrays,
@@ -133,16 +134,7 @@ class SimState:
         rng_states: np.ndarray,
         metrics: Metrics | None = None,
     ) -> None:
-        if xs.ndim != 1 or ys.shape != xs.shape or thetas.shape != xs.shape:
-            raise ValueError(
-                f"xs, ys and thetas shapes {xs.shape}, {ys.shape}, {thetas.shape}, "
-                "expected one shape (n,)"
-            )
-        for name, values in (("xs", xs), ("ys", ys), ("thetas", thetas)):
-            finite = np.isfinite(values)
-            if not finite.all():
-                i = int(np.argmin(finite))
-                raise ValueError(f"{name}[{i}] is not finite: {float(values[i])!r}")
+        _check_poses(xs, ys, thetas)
         if len(inboxes) != xs.size:
             raise ValueError(f"inboxes length {len(inboxes)}, expected {xs.size}")
         self.tick = tick

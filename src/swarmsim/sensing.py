@@ -647,6 +647,21 @@ def _disc_hits_windowed(
     return t_best.reshape(n, k), id_best.reshape(n, k)
 
 
+def _check_poses(xs: np.ndarray, ys: np.ndarray, thetas: np.ndarray) -> None:
+    """Raise ValueError unless the pose arrays share one shape (n,) and are
+    finite; the message names the array and its lowest non-finite index."""
+    if xs.ndim != 1 or ys.shape != xs.shape or thetas.shape != xs.shape:
+        raise ValueError(
+            f"xs, ys and thetas shapes {xs.shape}, {ys.shape}, {thetas.shape}, "
+            "expected one shape (n,)"
+        )
+    for name, values in (("xs", xs), ("ys", ys), ("thetas", thetas)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"{name}[{i}] is not finite: {float(values[i])!r}")
+
+
 def sense_batch(
     grid: GridMap,
     xs: np.ndarray,
@@ -656,8 +671,8 @@ def sense_batch(
     spec: SensorSpec,
     pairs: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All readings for all robots against the given pose snapshot; headings
-    must lie in [-pi, pi].
+    """All readings for all robots against the given pose snapshot: arrays of
+    one shape (n,), with finite centres and headings in [-pi, pi].
 
     Returns (normalized, hit) arrays of shape (n, k): normalized distances in
     [0, 1] and integer hit codes (HIT_NONE, HIT_WALL, or the hit robot id).
@@ -680,6 +695,7 @@ def sense_batch(
     """
     if not (np.abs(thetas) <= math.pi).all():
         raise ValueError("headings must lie in [-pi, pi]")
+    _check_poses(xs, ys, thetas)
     if pairs is not None and (
         len(pairs) != 5 or len({np.shape(column) for column in pairs}) != 1
     ):

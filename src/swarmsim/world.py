@@ -17,6 +17,7 @@ as uint8, capped at 255.
 from __future__ import annotations
 
 import math
+import re
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -266,57 +267,44 @@ class _PgmScanner:
 
 
 _P2_CHUNK = 1 << 20  # bytes of P2 pixel body parsed per numpy pass
-_IS_WS = np.zeros(256, dtype=np.bool_)
-_IS_WS[np.frombuffer(_PgmScanner._WS, dtype=np.uint8)] = True
+_P2_CUT = re.compile(b"[" + re.escape(_PgmScanner._WS) + b"]")
+_P2_BYTES = b"0123456789" + _PgmScanner._WS  # all a fast-parsed chunk may hold
 
 
 def _p2_pixels_fast(data: bytes, start: int, count: int, maxval: int) -> np.ndarray | None:
     """The first `count` P2 pixel values after byte `start`, parsed with
-    numpy in chunks cut after a whitespace byte, with no Python object per
-    token. Returns None on anything unusual -- a byte that is neither an
-    ASCII digit nor whitespace anywhere in a parsed chunk (comments
-    included), a token of more than 3 digits, a value above maxval, or too
-    few tokens -- and the caller's token loop then gives the same pixels or
-    the precise error."""
-    body = np.frombuffer(data, dtype=np.uint8, offset=start)
-    if body.size < 2 * count - 1:  # too short for `count` tokens
+    numpy's text parser in chunks cut before a whitespace byte, with no
+    Python object per token. Returns None on anything unusual -- a byte that
+    is neither an ASCII digit nor whitespace anywhere in a parsed chunk
+    (comments included), a value above maxval, or too few tokens -- and the
+    caller's token loop then gives the same pixels or the precise error.
+
+    The guards stand in for quirks of `np.fromstring(..., sep=" ")`: it
+    reads whitespace alone as one 0 (such chunks are skipped), reads `+` and
+    `-` as signs and raises on most other bytes (only digits and whitespace
+    pass), reads past the end of a short input when given `count=` (all
+    tokens are read and the surplus dropped), and wraps silently in the
+    narrow integer types (it parses as int64, where a token too long for it
+    saturates at 2**63 - 1 and fails the maxval check)."""
+    if len(data) - start < 2 * count - 1:  # too short for `count` tokens
         return None
     out = np.empty(count, dtype=np.uint8)
     filled = 0
-    pos = 0
-    end = body.size
-    while filled < count and pos < end:
-        stop = min(pos + _P2_CHUNK, end)
-        chunk = body[pos:stop]
-        ws = _IS_WS[chunk]
-        if stop < end:  # cut after the chunk's last whitespace byte
-            last = ws.size - 1 - int(np.argmax(ws[::-1]))
-            if not ws[last]:
-                return None
-            chunk = chunk[: last + 1]
-            ws = ws[: last + 1]
-        pos += chunk.size
-        digit = chunk - np.uint8(48)  # wraps non-digits to values above 9
-        if not (ws | (digit <= 9)).all():
+    pos = start
+    while filled < count and pos < len(data):
+        cut = _P2_CUT.search(data, pos + _P2_CHUNK)
+        stop = cut.start() if cut else len(data)
+        chunk = data[pos:stop]
+        pos = stop
+        if chunk.translate(None, _P2_BYTES):
             return None
-        # Every chunk starts after a whitespace byte or on the one that ends
-        # the header, so a token starts wherever whitespace turns to digits.
-        edges = np.flatnonzero(np.diff(ws, prepend=True, append=True))
-        starts = edges[0::2]
-        lengths = edges[1::2] - starts
-        take = min(starts.size, count - filled)
-        starts = starts[:take]
-        lengths = lengths[:take]
-        if take and lengths.max() > 3:
+        if chunk.isspace():
+            continue
+        values = np.fromstring(chunk, dtype=np.int64, sep=" ")[: count - filled]
+        if values.max() > maxval:
             return None
-        value = digit[starts].astype(np.uint16)
-        for k in (1, 2):
-            longer = np.flatnonzero(lengths > k)
-            value[longer] = value[longer] * 10 + digit[starts[longer] + k]
-        if take and value.max() > maxval:
-            return None
-        out[filled : filled + take] = value
-        filled += take
+        out[filled : filled + values.size] = values
+        filled += values.size
     return out if filled == count else None
 
 

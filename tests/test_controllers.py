@@ -291,6 +291,13 @@ def test_inboxes_sorted_by_sender():
     assert [m.sender for m in inboxes[2]] == [0, 1]
 
 
+@pytest.mark.parametrize("boxes", [4, 1])
+def test_outboxes_must_match_the_robots(boxes):
+    points = [(10.0, 10.0), (14.0, 10.0), (18.0, 10.0)]
+    with pytest.raises(ValueError, match=rf"^outboxes length {boxes}, expected 3$"):
+        _deliver(points, [Broadcast(b"a", 50.0)] * boxes)
+
+
 def test_reciprocity_with_equal_radii():
     rng = random.Random(44)
     points = [(rng.uniform(0, 80), rng.uniform(0, 80)) for _ in range(30)]

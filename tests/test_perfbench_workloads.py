@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from swarmsim import GridMap, SimConfig
+from swarmsim import GridMap, SimConfig, load_map, world
 
 @pytest.mark.parametrize("name", ["arena5k_avoid", "crowd2k_walk", "maze1k_beacon"])
 def test_make_config_builds_every_seed(workloads, name):
@@ -45,3 +45,17 @@ def test_maze_fields_stay_within_their_memory(workloads):
     assert boxes.nbytes + clearance.nbytes <= 5 << 20
     assert resident <= (5 << 20) + (64 << 10)
     assert peak < 7 << 20
+
+
+def test_maze_map_takes_the_numpy_p2_parse(workloads):
+    # The token loop parsed this map in seconds (see MAZE_SIZE in
+    # perfbench/workloads.py); a guard that sent it there again would slow
+    # the maze's set-up a lot without changing any digest.
+    for seed in range(3):
+        occ = workloads.maze_occupancy(seed)
+        data = workloads.p2_bytes(occ, seed)
+        scan = world._PgmScanner(data)
+        for what in ("magic", "width", "height", "maxval"):
+            scan.token(what)
+        assert world._p2_pixels_fast(data, scan.pos, occ.size, 255) is not None
+        assert (load_map(data).occupancy == occ).all()

@@ -414,6 +414,27 @@ def test_batch_rejects_headings_outside_pi():
             sense_batch(grid, xs, ys, np.array([0.0, bad]), 2.0, spec)
 
 
+def test_batch_rejects_pose_arrays_of_other_shapes():
+    grid = generate_arena(40, 40)
+    spec = SensorSpec(_UNIFORM8, 10.0)
+    two, one = np.array([10.0, 30.0]), np.array([20.0])
+    for xs, ys, thetas in ((two, one, two), (two, two, one), (one, two, two)):
+        with pytest.raises(ValueError, match=r"shapes .*expected one shape \(n,\)$"):
+            sense_batch(grid, xs, ys, thetas * 0.0, 2.0, spec)
+    with pytest.raises(ValueError, match="shapes"):
+        sense_batch(grid, two[None], two[None], two[None] * 0.0, 2.0, spec)
+
+
+@pytest.mark.parametrize("name", ["xs", "ys"])
+def test_batch_rejects_non_finite_centres(name):
+    grid = generate_arena(40, 40)
+    spec = SensorSpec(_UNIFORM8, 10.0)
+    poses = {"xs": np.array([10.0, 20.0, 30.0]), "ys": np.array([20.0, 20.0, 20.0])}
+    poses[name][1:] = [math.nan, math.inf]
+    with pytest.raises(ValueError, match=rf"^{name}\[1\] is not finite: nan$"):
+        sense_batch(grid, poses["xs"], poses["ys"], np.zeros(3), 2.0, spec)
+
+
 def test_batch_normalized_range():
     rng = random.Random(17)
     grid = random_grid(rng, 50, 50, 0.1)

@@ -103,33 +103,78 @@ def _load_outcome(data: bytes):
     return grid.width, grid.height, grid.occupancy.tobytes()
 
 
+# Tokens the numpy parse must refuse or that need the maxval check at int64
+# width: numpy's text parser reads signs, raises on other bytes, and wraps in
+# narrow integer types.
+_ODD_P2_TOKENS = ["5+3", "-1", "1_0", "0x1", "5.", "\x00", "\xff", "9" * 20, "65537"]
+
+
 def test_p2_numpy_body_parse_matches_token_loop(monkeypatch):
     """The chunked numpy parse of P2 pixels gives the token loop's grid or,
-    where it gives up (comments, long tokens, bad values, truncation), the
+    where it gives up (comments, odd tokens, bad values, truncation), the
     loop's exact error message."""
     from swarmsim import world
 
     rng = random.Random(7)
     cases = []
-    for _ in range(400):
+    tags = []
+    for _ in range(600):
         w, h = rng.randint(1, 5), rng.randint(1, 5)
         maxval = rng.choice([1, 99, 127, 255])
         count = w * h + rng.randint(-1, 1)
-        tokens = [str(rng.randint(0, maxval + (rng.random() < 0.03))) for _ in range(count)]
-        tokens = ["0" + t if rng.random() < 0.05 else t for t in tokens]
-        body = "".join(rng.choice([" ", "\n", "\t", "\r\n", "  ", "\x0b"]) + t for t in tokens)
+        tag = set()
+        if rng.random() < 0.05:
+            count = 0
+            tag.add("whitespace only")
+        elif count < w * h:
+            tag.add("too few")
+        values = [rng.randint(0, maxval + (rng.random() < 0.03)) for _ in range(count)]
+        if values and max(values) > maxval:
+            tag.add("above maxval")
+        tokens = [("0" if rng.random() < 0.05 else "") + str(v) for v in values]
+        if tokens and rng.random() < 0.2:
+            odd = rng.choice(_ODD_P2_TOKENS)
+            tokens[rng.randrange(len(tokens))] = odd
+            tag.add(odd)
+        seps = [rng.choice([" ", "\n", "\t", "\r\n", "  ", "\x0b", "\x0c"]) for _ in tokens]
+        body = "".join(sep + t for sep, t in zip(seps, tokens)) or " \n\x0c" * rng.randint(1, 9)
+        if "\x0c" in seps:
+            tag.add("\x0c")
         if rng.random() < 0.05:
             body += " # trailing comment 1 2 3"
-        cases.append(f"P2\n{w} {h}\n{maxval}{body}\n".encode())
+            tag.add("comment")
+        if rng.random() < 0.05:
+            body += " 7 7 junk"
+            tag.add("extra then junk")
+        cases.append(f"P2\n{w} {h}\n{maxval}{body}\n".encode("latin-1"))
+        tags.append(tag)
+    fast_parse = world._p2_pixels_fast
+    fell_back = []
+
+    def spy(*args):
+        out = fast_parse(*args)
+        fell_back.append(out is None)
+        return out
+
     for chunk in (1, 2, 5, 1 << 20):
         monkeypatch.setattr(world, "_P2_CHUNK", chunk)
-        fast = [_load_outcome(data) for data in cases]
+        fell_back.clear()
+        with monkeypatch.context() as m:
+            m.setattr(world, "_p2_pixels_fast", spy)
+            fast = [_load_outcome(data) for data in cases]
         with monkeypatch.context() as m:
             m.setattr(world, "_p2_pixels_fast", lambda *args: None)
             slow = [_load_outcome(data) for data in cases]
         assert fast == slow
     assert any(isinstance(out, str) for out in slow)
     assert any(not isinstance(out, str) for out in slow)
+    # Every trigger occurs and sends at least one case to the token loop in
+    # one chunk; a form feed is whitespace to the numpy parse itself.
+    assert len(fell_back) == len(cases)
+    triggers = {"whitespace only", "too few", "above maxval", "comment", "extra then junk"}
+    for trigger in triggers | set(_ODD_P2_TOKENS):
+        assert any(trigger in tag and back for tag, back in zip(tags, fell_back)), trigger
+    assert any("\x0c" in tag and not back for tag, back in zip(tags, fell_back))
     # the numpy parse itself handles plain bodies, without the fallback
     assert world._p2_pixels_fast(b"P2\n3 1\n255\n0 127\t255\n", 10, 3, 255).tolist() == [0, 127, 255]
 
