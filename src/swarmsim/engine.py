@@ -4,8 +4,11 @@ Tick phases, in order:
 
 1. freeze the pose snapshot: the pose arrays of `SimState`, as spawn or
    phase 4 of the last tick left them (`SimState.bodies` builds objects
-   from them on each read; the tick reads none). One pair search over it,
-   the tick's only spatial structure, serves phases 2 and 4;
+   from them on each read; the tick reads none). One pair record over it
+   serves phases 2 and 4: the last tick's record carried over, with only
+   the pairs of the robots that moved since searched again, while few
+   robots moved (`_CARRY_MOVED_SHARE`), and a search of every pair
+   otherwise;
 2. sense every robot against the snapshot (batch ray casting);
 3. step every controller on the phase-2 readings plus last tick's inbox
    and collision flag: a built-in controller on the reading arrays, a
@@ -84,6 +87,17 @@ _CONTACT_MARGIN = 1e-6
 # per tick and 512 runs 5.4.
 _BLOCK_READINGS = 256
 
+# Phase 1 carries the last pair record over while at most this share of the
+# robots moved since it was searched (`Simulation._pair_record`). A carried
+# record costs a search of the moved robots' pairs, which scans both sides of
+# each, so about twice their share of the full search's candidates, plus one
+# pass over the old record. With a random share of robots moved one step at
+# tick 30 of the crowd and the arena benchmarks (2-core Xeon, numpy 2.4.6),
+# it takes 0.62-0.70 of the full search's time at 10%, 0.78-0.85 at 20%, and
+# breaks even at 27-30%. The crowd moves 8-17% of its robots a tick after
+# its first few ticks; the arena and the maze move nearly all of them.
+_CARRY_MOVED_SHARE = 0.25
+
 # Larger than every per-tick temporary of the benchmark workloads, and below
 # glibc's 32 MiB cap on its dynamic mmap threshold; see Simulation.__init__.
 _HEAP_WARMUP_BYTES = 24 << 20
@@ -94,6 +108,7 @@ class Metrics:
     canceled_moves: int = 0
     messages_delivered: int = 0
     serial_moves: int = 0
+    searched_robots: int = 0
     ticks_run: int = 0
     wall_seconds: float = 0.0
     steps_per_sec: float = 0.0
@@ -174,6 +189,7 @@ class RunReport:
             f"steps_per_sec={m.steps_per_sec!r}",
             f"canceled_moves={m.canceled_moves}",
             f"serial_moves={m.serial_moves}",
+            f"searched_robots={m.searched_robots}",
             f"messages_delivered={m.messages_delivered}",
             f"peak_mem_bytes={self.peak_mem_bytes}",
         ]
@@ -334,7 +350,10 @@ class Simulation:
     """One configured run: owns the world, pose arrays, streams and controller.
 
     Only `step` moves the robots, by replacing the pose arrays of `state`;
-    a pose edited through `state.bodies` is not seen by the next tick."""
+    a pose edited through `state.bodies` is not seen by the next tick. Poses
+    written into the arrays of `state`, arrays assigned to it and a new
+    `state` are: phase 1 compares the snapshot with private copies of the
+    arrays it last searched."""
 
     def __init__(self, config: SimConfig, controller: Controller | None = None) -> None:
         self.config = config
@@ -353,6 +372,9 @@ class Simulation:
                     f"at bearings {tuple(angles)}"
                 )
         self.controller = controller
+        # The last pair search: private copies of the xs and ys it ran on,
+        # its reach and its record; see `_pair_record`.
+        self._searched: tuple[np.ndarray, np.ndarray, float, list[np.ndarray]] | None = None
         self.state = SimState(
             tick=0,
             grid=grid,
@@ -381,7 +403,7 @@ class Simulation:
         # Phase 1: snapshot, the arrays the last tick left.
         xs, ys, thetas = state.xs, state.ys, state.thetas
 
-        # One pair search serves phases 2 and 4. Every j that can come
+        # One pair record serves phases 2 and 4. Every j that can come
         # strictly within 2r of i's candidate, from its snapshot or its
         # candidate, is within `move_reach` of i's snapshot. Sensing reads
         # the whole list (a superset of its own reach is allowed when
@@ -390,7 +412,9 @@ class Simulation:
         # pairs it keeps in id order.
         r = self.config.robot_radius
         move_reach = 2.0 * r + 2.0 * self.limits.v_max + _CONTACT_MARGIN
-        pairs = _pairs_within(xs, ys, max(self.spec.max_range + 2.0 * r, move_reach))
+        pairs, searched = self._pair_record(
+            xs, ys, max(self.spec.max_range + 2.0 * r, move_reach)
+        )
 
         # Phase 2: sense against the snapshot.
         normalized, hits = sense_batch(grid, xs, ys, thetas, r, self.spec, pairs=pairs)
@@ -467,10 +491,55 @@ class Simulation:
         metrics = state.metrics
         metrics.canceled_moves += int(np.count_nonzero(collided))
         metrics.serial_moves += serial
+        metrics.searched_robots += searched
         metrics.messages_delivered += delivered
         metrics.ticks_run += 1
         state.tick += 1
         return state
+
+    def _pair_record(
+        self, xs: np.ndarray, ys: np.ndarray, reach: float
+    ) -> tuple[tuple[np.ndarray, ...], int]:
+        """The record of `_pairs_within(xs, ys, reach)`, up to row order and
+        orientation, and the number of robots whose pairs were searched.
+
+        The last search's record is carried over when it ran at this reach
+        on float64 arrays of this size, and at most `_CARRY_MOVED_SHARE` of
+        the robots moved since: those whose x or y differs in any bit from
+        the copies kept of that search's arrays. Its rows between two robots
+        that stayed put are kept as they are; a fresh search would give
+        them the same offsets and squared distances, bit for bit. Only the
+        pairs that touch a moved robot are searched again. Otherwise every
+        pair is searched."""
+        last, self._searched = self._searched, None
+        ids = None
+        if last is not None:
+            last_xs, last_ys, last_reach, columns = last
+            last = None  # the old record is now held by `columns` alone
+            if (
+                last_reach == reach
+                and last_xs.shape == xs.shape
+                and xs.dtype == ys.dtype == last_xs.dtype == last_ys.dtype == np.float64
+            ):
+                moved = xs.view(np.uint64) != last_xs.view(np.uint64)
+                moved |= ys.view(np.uint64) != last_ys.view(np.uint64)
+                ids = np.flatnonzero(moved)
+                if ids.size > _CARRY_MOVED_SHARE * xs.size:
+                    ids = None
+        if ids is None:
+            columns = None  # dropped before the search allocates its own
+            columns = list(_pairs_within(xs, ys, reach))
+        else:
+            stay = np.flatnonzero(~(moved[columns[0]] | moved[columns[1]]))
+            # Each new column replaces its old one, so the merge holds at
+            # most one column beyond the old record.
+            for i, fresh in enumerate(_pairs_within(xs, ys, reach, ids)):
+                column = np.empty(stay.size + fresh.size, dtype=fresh.dtype)
+                np.take(columns[i], stay, out=column[: stay.size])
+                column[stay.size :] = fresh
+                columns[i] = column
+        self._searched = (xs.copy(), ys.copy(), reach, columns)
+        return tuple(columns), xs.size if ids is None else ids.size
 
     def _resolve_moves(
         self,

@@ -393,14 +393,15 @@ _COUNT_KEYS_PER_ROBOT = 4
 
 
 def _pairs_within(
-    xs: np.ndarray, ys: np.ndarray, reach: float
+    xs: np.ndarray, ys: np.ndarray, reach: float, ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The record (a, b, d2, dx, dy) of the robot pairs with center
     distance <= reach: each unordered pair once, in either orientation and
     in no set order, with its offsets dx = xs[b] - xs[a], dy = ys[b] - ys[a]
     and squared distance d2 = dx * dx + dy * dy (bit-equal under either
     orientation). Callers that need id order take np.minimum/np.maximum of
-    a and b on the rows they keep.
+    a and b on the rows they keep. Given `ids`, distinct robot ids, the
+    record holds only the pairs with at least one end among them.
 
     Columns `reach * (1 + 2**-20)` wide are split along y into `_Y_BINS`
     bins and sorted column by column, so each robot pairs with two runs of
@@ -416,9 +417,17 @@ def _pairs_within(
     up to 2**30 is off by at most 2**-23, so such a pair lies at most one
     column or `_Y_BINS` bins apart. The keys are sorted in the narrowest
     unsigned type that holds them; the sort is stable, so the order is the
-    same at any width, and numpy radix-sorts keys of 16 bits or fewer."""
+    same at any width, and numpy radix-sorts keys of 16 bits or fewer.
+
+    With `ids`, every robot is binned and sorted as above, but only the
+    robots in `ids` get runs, and their two runs are mirrored too: the
+    bins within `_Y_BINS` of their own in the previous column, in their own
+    column and in the next. One slot lies in another's two runs exactly
+    when that one lies in the first's mirrored runs, so these runs hold
+    every pair of the full search that touches `ids`. A pair with both
+    ends in `ids` comes up from both ends and is kept from its lower slot."""
     n = xs.size
-    if n == 0:
+    if n == 0 or (ids is not None and ids.size == 0):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0), np.empty(0), np.empty(0)
     m = _Y_BINS
@@ -435,11 +444,44 @@ def _pairs_within(
     key_max = int(key.max())
     order = np.argsort(key.astype(np.min_scalar_type(key_max)), kind="stable")
     skey = key[order]
-    slot = np.arange(n, dtype=np.int64)
     top = key_max + span + m  # the largest key a run bound looks up
-    if top < _COUNT_KEYS_PER_ROBOT * n:
+    counted = top < _COUNT_KEYS_PER_ROBOT * n
+    if counted:
         # at_most[v] is the number of keys <= v.
         at_most = np.cumsum(np.bincount(key, minlength=top + 1))
+    sx = xs[order]
+    sy = ys[order]
+    if ids is not None:
+        # The slots of `ids`, ascending, and the key ranges of their three
+        # runs, as the rows of (3, k) arrays. Every key is at least m, so
+        # at_most[0] counts no key and stands in for a bound below 0.
+        in_ids = np.zeros(n, dtype=bool)
+        in_ids[ids] = True
+        in_ids = in_ids[order]
+        first = np.flatnonzero(in_ids)
+        shifts = np.array([[-span], [0], [span]])
+        low = skey[first] + (shifts - m)
+        high = skey[first] + (shifts + m)
+        if counted:
+            run_start = at_most[np.maximum(low - 1, 0)]
+            run_end = at_most[np.maximum(high, 0)]
+        else:
+            run_start = np.searchsorted(skey, low, side="left")
+            run_end = np.searchsorted(skey, high, side="right")
+        count = (run_end - run_start).T.ravel()
+        per_slot = count.reshape(-1, 3).sum(axis=1)
+        shift = run_start.T.ravel() - (np.cumsum(count) - count)
+        total = int(count.sum())
+        sb = np.arange(total, dtype=np.int64) + np.repeat(shift, count)
+        sa = np.repeat(first, per_slot)
+        dx = sx[sb] - sx[sa]
+        dy = sy[sb] - sy[sa]
+        with np.errstate(over="ignore"):
+            d2 = dx * dx + dy * dy
+        keep = np.flatnonzero((d2 <= reach * reach) & ((sb > sa) | ~in_ids[sb]))
+        return order[sa[keep]], order[sb[keep]], d2[keep], dx[keep], dy[keep]
+    slot = np.arange(n, dtype=np.int64)
+    if counted:
         own_end = at_most[skey + m]
         next_start = at_most[skey + (span - m - 1)]
         next_end = at_most[skey + (span + m)]
@@ -462,8 +504,6 @@ def _pairs_within(
     shift[:, 1] = next_start - count[:, 0] - start
     total = int(end[-1])
     sb = np.arange(total, dtype=np.int64) + np.repeat(shift.ravel(), count.ravel())
-    sx = xs[order]
-    sy = ys[order]
     dx = sx[sb] - np.repeat(sx, per_slot)
     dy = sy[sb] - np.repeat(sy, per_slot)
     # Two robots past ~1e154 in one edge bin square to inf: out of reach.

@@ -207,20 +207,31 @@ PAIRS_AT_REACH = {
 }
 
 
-def assert_pairs_match_oracle(positions: list[tuple[float, float]], reach: float) -> None:
+def assert_pairs_match_oracle(
+    positions: list[tuple[float, float]], reach: float, ids: list[int] | None = None
+) -> None:
     """`_pairs_within` returns exactly the oracle's pairs, once each in
     either orientation, with offsets and squared distances bit-equal to
-    their expressions for the orientation it chose."""
+    their expressions for the orientation it chose. Given `ids`, the
+    restricted search returns exactly those with an end among them."""
     from swarmsim.sensing import _pairs_within
 
     xs = np.array([p[0] for p in positions], dtype=np.float64)
     ys = np.array([p[1] for p in positions], dtype=np.float64)
-    a, b, d2, dx, dy = _pairs_within(xs, ys, reach)
+    if ids is None:
+        a, b, d2, dx, dy = _pairs_within(xs, ys, reach)
+        want = pairs_oracle(positions, reach)
+    else:
+        a, b, d2, dx, dy = _pairs_within(xs, ys, reach, np.array(ids, dtype=np.int64))
+        chosen = set(ids)
+        want = {
+            pair: d2 for pair, d2 in pairs_oracle(positions, reach).items() if chosen & set(pair)
+        }
     assert_pair_offsets(xs, ys, a, b, d2, dx, dy)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     got = dict(zip(zip(lo.tolist(), hi.tolist()), d2.tolist()))
     assert len(got) == lo.size and (lo < hi).all()
-    assert got == pairs_oracle(positions, reach)
+    assert got == want
 
 
 def assert_pair_offsets(xs, ys, a, b, d2, dx, dy) -> None:
@@ -235,13 +246,14 @@ def shuffled_pair_search(seed: int):
     """A stand-in for `_pairs_within` that returns the same record (a, b,
     d2, dx, dy) with its rows in a seeded random order and a seeded half of
     them flipped: a and b swapped, dx and dy negated (exact), for consumers
-    that must depend on neither the order nor the orientation."""
+    that must depend on neither the order nor the orientation. It forwards
+    the optional ids of the restricted search."""
     from swarmsim.sensing import _pairs_within
 
     rng = np.random.default_rng(seed)
 
-    def search(xs: np.ndarray, ys: np.ndarray, reach: float):
-        record = _pairs_within(xs, ys, reach)
+    def search(xs: np.ndarray, ys: np.ndarray, reach: float, ids: np.ndarray | None = None):
+        record = _pairs_within(xs, ys, reach, ids)
         perm = rng.permutation(record[0].size)
         a, b, d2, dx, dy = (column[perm] for column in record)
         flip = rng.random(a.size) < 0.5

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import platform
 import random
@@ -39,7 +40,7 @@ from swarmsim import (
 from swarmsim.engine import _BLOCK_READINGS
 from swarmsim.rng import MASK64, uniform_batch
 
-from conftest import child_env
+from conftest import assert_pair_offsets, child_env
 
 
 def make_config(**kwargs) -> SimConfig:
@@ -382,6 +383,164 @@ def test_serial_moves_count_contested_robots_only():
     assert sim.state.metrics.canceled_moves == 1 + 2 * 3
     report = run(make_config(robot_count=2, ticks=3))
     assert f"serial_moves={report.metrics.serial_moves}" in report.format_block()
+
+
+# A block of 14 x 14 robots 0.2 px further apart than touching, where only
+# the outer ring can move, and nine robots in open space (ids 196-204).
+_JAM = tuple((20.0 + 8.2 * c, 20.0 + 8.2 * r, 0.0) for r in range(14) for c in range(14))
+_OPEN = tuple((x, y, 0.0) for y in (170.0, 200.0, 230.0) for x in (170.0, 200.0, 230.0))
+
+
+def _jammed_config() -> SimConfig:
+    """205 random walkers of whom 15-35 move a tick over the first 12
+    ticks: phase 1 carries its pair record over from the second tick on."""
+    return make_config(robot_count=205, seed=5, spawn_positions=_JAM + _OPEN)
+
+
+def _searched_per_tick(sim: Simulation, ticks: int) -> list[int]:
+    counts = []
+    for _ in range(ticks):
+        before = sim.state.metrics.searched_robots
+        sim.step()
+        counts.append(sim.state.metrics.searched_robots - before)
+    return counts
+
+
+def test_searched_robots_count_every_robot_then_the_moved_ones():
+    sim = Simulation(_jammed_config())
+    counts = _searched_per_tick(sim, 8)
+    assert counts[0] == 205
+    assert all(0 < c <= 0.25 * 205 for c in counts[1:])
+    # Every robot that moved in a tick is searched at the next.
+    xs = sim.state.xs.copy()
+    ys = sim.state.ys.copy()
+    sim.step()
+    moved = (sim.state.xs != xs) | (sim.state.ys != ys)
+    assert _searched_per_tick(sim, 1) == [int(np.count_nonzero(moved))]
+    report = run(dataclasses.replace(_jammed_config(), ticks=3))
+    assert report.metrics.searched_robots == 205 + sum(counts[1:3])
+    assert f"searched_robots={report.metrics.searched_robots}" in report.format_block()
+
+
+def test_carried_pair_record_equals_a_fresh_search(monkeypatch):
+    # Every tick's record, carried or searched, holds each pair within the
+    # reach once, with the offsets of the snapshot it serves, bit for bit.
+    from swarmsim import engine
+    from swarmsim.sensing import _pairs_within
+
+    served = []
+
+    def spy(grid, xs, ys, thetas, radius, spec, pairs=None):
+        served.append((xs, ys, pairs))
+        return sense_batch(grid, xs, ys, thetas, radius, spec, pairs=pairs)
+
+    monkeypatch.setattr(engine, "sense_batch", spy)
+    config = _jammed_config()
+    sim = Simulation(config)
+    assert sum(c < 205 for c in _searched_per_tick(sim, 30)) == 29
+    reach = config.sensor_range + 2.0 * config.robot_radius
+    for xs, ys, (a, b, d2, dx, dy) in served:
+        assert_pair_offsets(xs, ys, a, b, d2, dx, dy)
+        got = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        assert len(got) == a.size
+        want = _pairs_within(xs, ys, reach)[:2]
+        assert got == set(zip(np.minimum(*want).tolist(), np.maximum(*want).tolist()))
+
+
+def _restarted(config: SimConfig, state: SimState) -> Simulation:
+    """A new Simulation of `config` whose state is a copy of `state`."""
+    sim = Simulation(config)
+    sim.state = SimState(
+        tick=state.tick,
+        grid=state.grid,
+        radius=state.radius,
+        xs=state.xs.copy(),
+        ys=state.ys.copy(),
+        thetas=state.thetas.copy(),
+        inboxes=[list(inbox) for inbox in state.inboxes],
+        rng_states=state.rng_states,
+    )
+    sim.state.collided = state.collided.copy()
+    return sim
+
+
+def _edit_in_place(sim: Simulation) -> None:
+    # Robot 196 onto robot 200, 1 px to its right.
+    xs, ys = sim.state.xs, sim.state.ys
+    xs[196], ys[196] = xs[200] + 1.0, ys[200]
+
+
+def _replace_ys(sim: Simulation) -> None:
+    # Robot 197, which set out 30 px below robot 200, 1 px above it.
+    ys = sim.state.ys.copy()
+    ys[197] = ys[200] + 1.0
+    sim.state.ys = ys
+
+
+def _rewind_edited(sim: Simulation) -> None:
+    # Back to the arrays the last tick searched, with robot 196 moved in
+    # them, in place, onto robot 200: only private copies of those arrays
+    # show that it moved since.
+    searched = sim.state.xs, sim.state.ys
+    sim.step()
+    xs, ys = searched
+    xs[196], ys[196] = xs[200] + 1.0, ys[200]
+    sim.state.xs, sim.state.ys = xs, ys
+
+
+def _other_count(sim: Simulation) -> None:
+    # The same poses but the last robot's, which the robots before keep.
+    state = sim.state
+    n = state.xs.size - 1
+    sim.state = SimState(
+        tick=state.tick,
+        grid=state.grid,
+        radius=state.radius,
+        xs=state.xs[:n].copy(),
+        ys=state.ys[:n].copy(),
+        thetas=state.thetas[:n].copy(),
+        inboxes=state.inboxes[:n],
+        rng_states=state.rng_states[:n],
+    )
+
+
+def _float32_xs(sim: Simulation) -> None:
+    # x rounded to float32: a search on these arrays computes in float32,
+    # and phase 4 returns float64 arrays again.
+    sim.state.xs = sim.state.xs.astype(np.float32)
+
+
+@pytest.mark.parametrize(
+    "edit, full_searches",
+    [
+        pytest.param(edit, full, id=edit.__name__[1:])
+        for edit, full in (
+            (_edit_in_place, 0),
+            (_replace_ys, 0),
+            (_rewind_edited, 0),
+            (_other_count, 1),
+            (_float32_xs, 2),
+        )
+    ],
+)
+def test_state_edits_between_ticks_reach_the_next_tick(edit, full_searches):
+    config = _jammed_config()
+    sim = Simulation(config)
+    for _ in range(3):
+        sim.step()
+    edit(sim)
+    fresh = _restarted(config, sim.state)
+    counts = []
+    for _ in range(6):
+        before = sim.state.metrics.searched_robots
+        assert state_digest(sim.step()) == state_digest(fresh.step())
+        assert np.array_equal(sim.state.collided, fresh.state.collided)
+        counts.append(sim.state.metrics.searched_robots - before)
+    # Every robot is searched on the first tick after a new robot count,
+    # and on the first two after float32 arrays (in float32, then against
+    # them); every other tick carries the record over.
+    n = sim.state.xs.size
+    assert [c == n for c in counts] == [True] * full_searches + [False] * (6 - full_searches)
 
 
 def test_messages_delivered_next_tick_sorted():

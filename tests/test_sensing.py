@@ -1427,3 +1427,55 @@ def test_pairs_within_counted_and_searched_bounds_give_one_record(monkeypatch, r
             monkeypatch.setattr(sensing, "_COUNT_KEYS_PER_ROBOT", keys_per_robot)
             records.append(_pairs_within(xs, ys, reach))
         assert all(np.array_equal(u, v) for u, v in zip(*records))
+
+
+def _id_sets(rng, n: int) -> list[list[int]]:
+    """Id sets for the restricted search: none, one, a random half, all but
+    one and all."""
+    sets = [[], list(range(n))]
+    if n:
+        sets.append([int(rng.integers(n))])
+        sets.append(sorted(rng.choice(n, n // 2, replace=False).tolist()))
+        sets.append([i for i in range(n) if i != n // 3])
+    return sets
+
+
+@pytest.mark.parametrize("keys_per_robot", [0, 4096], ids=["searched", "counted"])
+def test_pairs_within_restricted_to_ids_equal_the_oracle(monkeypatch, keys_per_robot):
+    # The pairs with an end among the ids, and each pair with both ends
+    # among them once: at exactly the reach, on column and bin edges near
+    # and far off, at far-off coordinates and in a dense crowd. A count of
+    # the keys up to 4096 a robot is at most 32 KiB a robot.
+    from swarmsim import sensing
+
+    monkeypatch.setattr(sensing, "_COUNT_KEYS_PER_ROBOT", keys_per_robot)
+    rng = np.random.default_rng(27)
+    scenes = list(PAIRS_AT_REACH.values())
+    for reach in (1.0, 12.000001, 72.0):
+        for offset in (0.0, 1e3, 2.0**30, 3e9):
+            scenes += [(_edge_positions(rng, 30, reach, offset), reach) for _ in range(4)]
+    near = rng.uniform(0.0, 12.0, (16, 2)).tolist()
+    far = [(s * v, t * v) for v in (1e18, 1e300) for s in (1, -1) for t in (1, -1)]
+    far += [(1e300, 1e300), (5e299, 1e300), (1e18, -3.0), (1e18 + 2.0, -3.0)]
+    scenes.append(([tuple(p) for p in near] + far, 5.0))
+    crowd = rng.uniform(0.0, 40.0, (120, 2)).tolist()
+    scenes.append(([tuple(p) for p in crowd], 6.0))
+    for positions, reach in scenes:
+        for ids in _id_sets(rng, len(positions)):
+            assert_pairs_match_oracle(positions, reach, ids)
+
+
+def test_pairs_within_restricted_keeps_pairs_among_the_ids_once():
+    # Four robots near the origin, two of them coincident and four pairs
+    # at exactly the reach, and one far off: every pair among the ids
+    # comes once, and an empty set gives an empty record of the same types.
+    xs = np.array([0.0, 3.0, 0.0, 0.0, 50.0])
+    ys = np.array([0.0, 4.0, 0.0, -5.0, 50.0])
+    ids = np.array([3, 0, 1, 2, 4])
+    got = _unordered_pairs(xs, ys, *_pairs_within(xs, ys, 5.0, ids))
+    assert sorted(p for p in got if p[0] < p[1]) == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+    got = _unordered_pairs(xs, ys, *_pairs_within(xs, ys, 5.0, np.array([1])))
+    assert sorted(p for p in got if p[0] < p[1]) == [(0, 1), (1, 2)]
+    record = _pairs_within(xs, ys, 5.0, np.empty(0, dtype=np.int64))
+    full = _pairs_within(xs, ys, 5.0)
+    assert all(c.size == 0 and c.dtype == f.dtype for c, f in zip(record, full))
